@@ -1,12 +1,14 @@
 """Structured tensor completion for multi-environment linear regression."""
 
 from .baselines import (BaselineEstimate, maximin, meta_lm_star,
-                        pooled_gram, project_simplex, single_task_ols)
+                        pooled_gram, project_simplex, projected_ols,
+                        shared_subspace, single_task_ols)
 from .completion import (CompletionModel, coefficient, diagnose_generalizability,
                          estimate_loading, fit_tensordg, load_model, predict,
                          save_model, unfold_blocks)
 from .datasets import IngestResult, ingest_csv, write_csv
-from .errors import ConditioningError, ConvergenceError, DimensionError
+from .errors import (ConditioningError, ConvergenceError, DimensionError,
+                     NonFiniteError)
 from .experiments import (CSV_HEADER, ExperimentConfig, MetricsRecord,
                           run_experiment, summarize, write_metrics_csv)
 from .highdim import (SupportSelection, choose_lambda, fit_highdim,

@@ -9,10 +9,14 @@ ingredients the completion pipeline uses:
   combination whose pooled-design prediction risk is smallest in the
   worst case, following the convex-hull characterization: minimize
   w' G w over the probability simplex, with G_{gh} = b_g' S b_h for the
-  pooled second-moment matrix S.
+  pooled second-moment matrix S. The small simplex QP is solved exactly
+  by a primal active-set method (Nocedal & Wright, Numerical
+  Optimization, ch. 16), which stops when the KKT certificate holds.
 * ``meta_lm_star`` learns the shared coefficient subspace (mode-0 basis
   of the bias-corrected Gram) from the source groups, then regresses the
   target response on the target design projected into that subspace.
+  The two halves are ``shared_subspace`` (sources only, so it can be
+  computed once and reused for every target) and ``projected_ols``.
 """
 
 from dataclasses import dataclass, field
@@ -24,10 +28,11 @@ from .regression import GroupEstimates, ols_fit
 from .spectral import mode_gram, noise_floor_rank, select_rank
 
 __all__ = ["BaselineEstimate", "single_task_ols", "project_simplex",
-           "pooled_gram", "maximin", "meta_lm_star"]
+           "pooled_gram", "maximin", "shared_subspace", "projected_ols",
+           "meta_lm_star"]
 
-MAXIMIN_TOL = 1e-8
-MAXIMIN_MAX_ITER = 200_000
+MAXIMIN_TOL = 1e-10
+MAXIMIN_MAX_ITER = 1_000
 
 
 @dataclass(frozen=True)
@@ -97,10 +102,23 @@ def maximin(estimates, pooled, tol=MAXIMIN_TOL, max_iter=MAXIMIN_MAX_ITER,
     """Worst-case-optimal convex combination of per-group estimates.
 
     Solves min over the probability simplex of w' G w with
-    G_{gh} = b_g' S b_h by projected gradient descent at the safe step
-    1 / (2 lambda_max(G)), stopping when successive weight vectors agree
-    to ``tol`` in the max norm. Returns (coefficient vector, weights).
-    ``history``, when a list, collects the objective value per iterate.
+    G_{gh} = b_g' S b_h exactly, by a primal active-set method. It starts
+    at the vertex of the best single estimate. Each step solves the
+    bordered system [G_PP 1; 1' 0] on the working set P for the step to
+    the best point of its affine hull. A weight that would go negative
+    stops the step at that bound and leaves P. At the best point of the
+    hull the index with the most negative gradient relative to the
+    multiplier joins P. The bordered solve is a minimum-norm least
+    squares solve, so a singular G_PP (duplicate or antipodal estimates,
+    more groups than features) needs no ridge.
+
+    The solver stops when the KKT certificate holds: the gradient G w is
+    equal on the support and no smaller off it, both to ``tol`` times
+    the largest diagonal entry of G. Returns (coefficient vector,
+    weights). ``max_iter`` caps the active-set steps; running out raises
+    ConvergenceError carrying the final KKT residual. ``history``, when
+    a list, collects the objective value of every iterate; the values do
+    not increase.
     """
     basis, _ = _coef_matrix(estimates)
     pooled = np.asarray(pooled, dtype=float)
@@ -110,48 +128,98 @@ def maximin(estimates, pooled, tol=MAXIMIN_TOL, max_iter=MAXIMIN_MAX_ITER,
             f"pooled Gram shape {pooled.shape} does not match p={p}")
     gram = basis.T @ pooled @ basis
     gram = (gram + gram.T) / 2.0
-    w = np.full(m, 1.0 / m)
-    lam_max = float(np.linalg.eigvalsh(gram)[-1])
+    diag = np.diag(gram)
+    slack = tol * max(float(diag.max()), 0.0)
+    free = np.zeros(m, dtype=bool)
+    free[np.argmin(diag)] = True
+    w = free.astype(float)
     if history is not None:
         history.append(float(w @ gram @ w))
-    if lam_max <= 0.0:
-        return basis @ w, w
-    step = 1.0 / (2.0 * lam_max)
-    for _ in range(max_iter):
-        w_next = project_simplex(w - step * 2.0 * (gram @ w))
+    steps = 0
+    while True:
+        grad = gram @ w
+        level = float(w @ grad)
+        spread = float(np.max(np.abs(grad[free] - level)))
+        outside = np.flatnonzero(~free)
+        gap = level - float(grad[outside].min(initial=np.inf))
+        if spread <= slack and gap <= slack:
+            return basis @ w, w
+        if steps == max_iter:
+            raise ConvergenceError(
+                f"maximin KKT certificate not reached in {max_iter} "
+                f"active-set steps", residual=max(spread, gap))
+        steps += 1
+        if spread <= slack:
+            free[outside[np.argmin(grad[outside])]] = True
+        idx = np.flatnonzero(free)
+        k = idx.size
+        bordered = np.ones((k + 1, k + 1))
+        bordered[:k, :k] = gram[np.ix_(idx, idx)]
+        bordered[k, k] = 0.0
+        rhs = np.append(-grad[idx], 0.0)
+        step = np.linalg.lstsq(bordered, rhs, rcond=None)[0][:k]
+        # a near-singular bordered system meets its constraint row only to
+        # the solve's cutoff; keep the weights on the simplex exactly
+        step -= step.mean()
+        current = w[idx]
+        target = current + step
+        blocking = np.flatnonzero(target <= 0.0)
+        if blocking.size:
+            at = current[blocking]
+            ratios = np.divide(at, at - target[blocking],
+                               out=np.zeros_like(at), where=at > 0.0)
+            first = int(np.argmin(ratios))
+            w[idx] = np.maximum(current + ratios[first] * step, 0.0)
+            drop = idx[blocking[first]]
+            w[drop] = 0.0
+            free[drop] = False
+        else:
+            w[idx] = target
         if history is not None:
-            history.append(float(w_next @ gram @ w_next))
-        if np.max(np.abs(w_next - w)) <= tol:
-            return basis @ w_next, w_next
-        w = w_next
-    raise ConvergenceError(
-        f"maximin weights did not stabilize in {max_iter} iterations")
+            history.append(float(w @ gram @ w))
 
 
-def meta_lm_star(est, pattern, X, y, c=None):
-    """Shared-subspace regression for a target group.
+def shared_subspace(est, pattern, c=None):
+    """Basis of the coefficient subspace shared by the source groups.
 
-    Learns the mode-0 basis V0 from the source groups' bias-corrected
-    Gram (noise-floor rank rule by default, concentration threshold with
-    constant ``c`` when given), then returns V0 times the OLS fit of y
-    on X V0. The output therefore lies in the span of V0.
+    Builds the mode-0 bias-corrected Gram of the source estimates, picks
+    its rank by the noise-floor rule (the concentration threshold with
+    constant ``c`` when given) and returns the leading eigenvectors as a
+    p x r orthonormal matrix. It uses no target data, so one basis
+    serves every target group.
     """
+    gram = mode_gram(est, pattern, 0)
+    if c is None:
+        spec = noise_floor_rank(gram, True)
+    else:
+        spec = select_rank(gram, est.n_bar, len(pattern.observed), c)
+    return spec.basis
+
+
+def projected_ols(basis, X, y):
+    """basis times the OLS fit of y on X basis; lies in the span of basis."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if X.ndim != 2 or X.shape[0] != y.size:
         raise DimensionError(
             f"target design {X.shape} does not match {y.size} responses")
-    gram = mode_gram(est, pattern, 0)
-    if X.shape[1] != gram.shape[0]:
+    if X.shape[1] != basis.shape[0]:
         raise DimensionError(
-            f"target has {X.shape[1]} features, sources have {gram.shape[0]}")
-    if c is None:
-        spec = noise_floor_rank(gram, True)
-    else:
-        spec = select_rank(gram, est.n_bar, len(pattern.observed), c)
-    basis = spec.basis
-    if y.size <= spec.rank:
+            f"target has {X.shape[1]} features, sources have {basis.shape[0]}")
+    if y.size <= basis.shape[1]:
         raise DimensionError(
-            f"need more target samples than the subspace dim {spec.rank}")
+            f"need more target samples than the subspace dim {basis.shape[1]}")
     score = ols_fit(X @ basis, y)[0]
     return basis @ score
+
+
+def meta_lm_star(est, pattern, X, y, c=None):
+    """Shared-subspace regression for a target group.
+
+    Learns the mode-0 basis V0 from the source groups (``shared_subspace``;
+    noise-floor rank rule by default, concentration threshold with
+    constant ``c`` when given), then returns V0 times the OLS fit of y
+    on X V0 (``projected_ols``). The output therefore lies in the span
+    of V0.
+    """
+    return projected_ols(shared_subspace(est, pattern, c), X, y)

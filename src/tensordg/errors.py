@@ -5,6 +5,17 @@ class DimensionError(ValueError):
     """Shapes or index bounds do not line up."""
 
 
+class NonFiniteError(ValueError):
+    """Input data hold NaN or infinite values.
+
+    ``where`` identifies the offending group.
+    """
+
+    def __init__(self, message, where=None):
+        super().__init__(message)
+        self.where = where
+
+
 class ConditioningError(RuntimeError):
     """A linear system is too ill conditioned to solve reliably.
 

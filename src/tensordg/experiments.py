@@ -19,7 +19,8 @@ Each method yields a full coefficient tensor and per-target vectors:
 * ``maximin``: the worst-case-optimal convex combination of the
   observed-group fits, used for every combination.
 * ``metalm``: shared-subspace regression per unobserved group on its
-  target sample; observed groups keep their own fits.
+  target sample; observed groups keep their own fits. The subspace is
+  learned from the sources once per replication.
 
 Failures are isolated: a replication that raises records failed=1 rows
 for the affected methods and the run continues. Records are merged in a
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import maximin, meta_lm_star, pooled_gram
+from .baselines import maximin, pooled_gram, projected_ols, shared_subspace
 from .completion import fit_tensordg
 from .metrics import adge, al2e, tle
 from .regression import fit_all, ols_fit
@@ -120,7 +121,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """One CSV row; metrics are None when the replication failed."""
+    """One CSV row; metrics are None when the replication failed.
+
+    ``rep`` is the replication index, or "mean" / "se" for a summary row.
+    """
 
     cell_param: str
     cell_value: str
@@ -137,18 +141,14 @@ class MetricsRecord:
             return "" if v is None else repr(float(v))
         return [self.cell_param, self.cell_value, str(self.rep), self.method,
                 fmt(self.al2e), fmt(self.adge), fmt(self.tle),
-                str(self.failed), repr(float(self.seconds))]
-
-
-def _target_truths(scenario):
-    return scenario.gammas
+                str(self.failed), fmt(self.seconds)]
 
 
 def _score(method, tensor, targets_hat, scenario):
     """Build the three metrics for one method's answers."""
     truth = scenario.truth
     pattern = scenario.pattern
-    gammas = _target_truths(scenario)
+    gammas = scenario.gammas
     tle_vals = [tle(targets_hat[g], gammas[g]) for g in sorted(gammas)]
     return (al2e(tensor, truth), adge(tensor, truth, pattern),
             float(np.mean(tle_vals)) if tle_vals else None)
@@ -221,13 +221,14 @@ def _evaluate_cell_rep(cell_param, cell_value, scenario_cfg, rep, methods):
                                  targets_hat, scenario)
             elif method == "metalm":
                 est = train_est()
+                basis = shared_subspace(est, scenario.pattern)
                 arr = np.zeros(scenario.truth.dims)
                 for g in scenario.pattern.observed_list():
                     arr[(slice(None),) + tuple(i - 1 for i in g)] = \
                         est.ring[g].coef
                 targets_hat = {}
                 for g, (X, y) in sorted(scenario.targets.items()):
-                    coef = meta_lm_star(est, scenario.pattern, X, y)
+                    coef = projected_ols(basis, X, y)
                     arr[(slice(None),) + tuple(i - 1 for i in g)] = coef
                     targets_hat[g] = coef
                 metrics = _score(method, DenseTensor(arr), targets_hat,
@@ -319,12 +320,4 @@ def write_metrics_csv(path, records, summaries=True):
             writer.writerow(rec.row())
         if summaries:
             for row in summarize(records):
-                writer.writerow([
-                    row["cell_param"], row["cell_value"], row["rep"],
-                    row["method"],
-                    "" if row["al2e"] is None else repr(row["al2e"]),
-                    "" if row["adge"] is None else repr(row["adge"]),
-                    "" if row["tle"] is None else repr(row["tle"]),
-                    str(row["failed"]),
-                    "" if row["seconds"] is None else repr(row["seconds"]),
-                ])
+                writer.writerow(MetricsRecord(**row).row())

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditioningError, DimensionError
+from .errors import ConditioningError, DimensionError, NonFiniteError
 
 # Gram matrices with smaller relative eigenvalues than this are treated as
 # singular rather than solved.
@@ -23,7 +23,11 @@ class GroupFit:
 
 @dataclass
 class GroupedDataset:
-    """Samples keyed by group tuple; every group shares the feature dim."""
+    """Samples keyed by group tuple; every group shares the feature dim.
+
+    Raises NonFiniteError naming the group when a design or response
+    holds NaN or infinite values.
+    """
 
     groups: dict = field(default_factory=dict)
 
@@ -36,12 +40,16 @@ class GroupedDataset:
             if X.ndim != 2 or X.shape[0] != y.size or X.shape[0] < 1:
                 raise DimensionError(
                     f"group {g}: design {X.shape} does not match {y.size} responses")
+            key = tuple(int(i) for i in g)
+            if not (np.isfinite(X).all() and np.isfinite(y).all()):
+                raise NonFiniteError(
+                    f"group {key}: data hold non-finite values", where=key)
             if p is None:
                 p = X.shape[1]
             elif X.shape[1] != p:
                 raise DimensionError(
                     f"group {g}: feature dim {X.shape[1]} != {p}")
-            norm[tuple(int(i) for i in g)] = (X, y)
+            norm[key] = (X, y)
         self.groups = norm
 
     @property

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError
+from .errors import ConvergenceError, DimensionError, NonFiniteError
 
 __all__ = ["TransferResult", "lasso_offset", "lasso_kkt", "default_lambda",
            "cross_validate_lambda", "tensortl"]
@@ -173,10 +173,15 @@ def tensortl(model, g_star, X, y, lam=None, cv=False, c0=DEFAULT_C0,
     the sparse offset on the target sample, and returns
     TransferResult(gamma_hat = beta_hat + delta_hat, ...). When ``lam``
     is omitted the penalty defaults to c0 * sqrt(log p / n), or to the
-    cross-validated choice when ``cv`` is set.
+    cross-validated choice when ``cv`` is set. Raises NonFiniteError
+    naming ``g_star`` when the target data hold NaN or infinite values.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise NonFiniteError(
+            f"target group {g_star}: data hold non-finite values",
+            where=g_star)
     beta_hat = model.coefficient(g_star)
     if X.ndim != 2 or X.shape[1] != beta_hat.size:
         raise DimensionError(

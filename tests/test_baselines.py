@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tensordg import (DimensionError, GroupedDataset, build_pattern, fit_all,
-                      maximin, meta_lm_star, ols_fit, pooled_gram,
-                      project_simplex, single_task_ols, tucker_assemble)
+from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
+                      build_pattern, fit_all, maximin, meta_lm_star, ols_fit,
+                      pooled_gram, project_simplex, single_task_ols,
+                      tucker_assemble)
 
 
 def make_truth(rng, p, space, ranks, scale=1.0):
@@ -168,6 +169,73 @@ def test_maximin_beats_sampled_simplex_points():
     for _ in range(200):
         other = rng.dirichlet(np.ones(5))
         assert best <= float(other @ gram @ other) + 1e-6
+
+
+def maximin_gram(coefs, pooled):
+    basis = np.column_stack([coefs[g] for g in sorted(coefs)])
+    return basis.T @ pooled @ basis
+
+
+def assert_kkt_certificate(gram, w, rel=1e-10):
+    """w lies on the simplex, the gradient G w is equal on the support and
+    no smaller off it, to rel times the largest diagonal entry of G."""
+    assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+    grad = gram @ w
+    level = float(w @ grad)
+    slack = rel * float(np.diag(gram).max())
+    support = w > 0.0
+    assert np.max(np.abs(grad[support] - level)) <= slack
+    assert np.all(grad[~support] >= level - slack)
+
+
+def reference_size_instance(seed):
+    """55 estimates in p=60 scattered around a common coefficient, with
+    the pooled Gram of 300 Gaussian samples."""
+    rng = np.random.default_rng(seed)
+    common = rng.normal(size=60)
+    coefs = {(g,): common + 0.8 * rng.normal(size=60) for g in range(55)}
+    A = rng.normal(size=(300, 60))
+    return coefs, A.T @ A / 300
+
+
+def test_maximin_reference_size_kkt_certificate():
+    """m=55 estimates, p=60: the solve returns a KKT point with a proper
+    support, and its objective history does not increase."""
+    coefs, pooled = reference_size_instance(10)
+    history = []
+    coef, w = maximin(coefs, pooled, history=history)
+    gram = maximin_gram(coefs, pooled)
+    assert_kkt_certificate(gram, w)
+    assert 1 < np.count_nonzero(w) < 55
+    assert np.all(np.diff(history) <= 1e-12 * history[0])
+    basis = np.column_stack([coefs[g] for g in sorted(coefs)])
+    assert np.array_equal(coef, basis @ w)
+
+
+def test_maximin_more_estimates_than_features():
+    """m=10 estimates in p=3 with the origin in their convex hull: the
+    optimum is 0 and its working set has p+1 = 4 estimates, so G_PP is
+    singular there. The solve still certifies optimality."""
+    rng = np.random.default_rng(11)
+    coefs = {(g,): rng.normal(size=3) for g in range(10)}
+    A = rng.normal(size=(40, 3))
+    pooled = A.T @ A / 40
+    coef, w = maximin(coefs, pooled)
+    gram = maximin_gram(coefs, pooled)
+    assert_kkt_certificate(gram, w)
+    support = w > 0.0
+    assert np.linalg.matrix_rank(gram[np.ix_(support, support)]) \
+        < np.count_nonzero(support)
+    assert abs(float(w @ gram @ w)) <= 1e-12 * float(np.diag(gram).max())
+    assert np.allclose(coef, 0.0, atol=1e-8)
+
+
+def test_maximin_step_cap_raises():
+    """One active-set step cannot certify a reference-size instance."""
+    coefs, pooled = reference_size_instance(12)
+    with pytest.raises(ConvergenceError) as info:
+        maximin(coefs, pooled, max_iter=1)
+    assert info.value.residual > 0.0
 
 
 def test_meta_lm_star_well_specified_exact():

@@ -1,10 +1,12 @@
 """Completion: block stacking, transport solves, end-to-end exactness."""
 
+import re
+
 import numpy as np
 import pytest
 
 from tensordg import (ConditioningError, DimensionError, GroupedDataset,
-                      build_pattern, diagnose_generalizability,
+                      NonFiniteError, build_pattern, diagnose_generalizability,
                       estimate_loading, fit_all, fit_tensordg, load_model,
                       save_model, tucker_assemble, unfold_blocks)
 
@@ -237,3 +239,15 @@ def test_model_roundtrip(tmp_path):
     assert back.diagnostics["spectral"][0]["rank"] == model.ranks[0]
     g = pattern.unobserved_list()[0]
     assert np.allclose(back.coefficient(g), model.coefficient(g))
+
+
+def test_fit_rejects_non_finite_group_data():
+    """A NaN in one group's design fails at the dataset boundary with the
+    group named, not as a bare LinAlgError deep inside the fit."""
+    truth, pattern, ds, _ = standard_instance()
+    groups = {g: (X.copy(), y) for g, (X, y) in ds.groups.items()}
+    bad = pattern.observed_list()[3]
+    groups[bad][0][5, 1] = np.nan
+    with pytest.raises(NonFiniteError, match=re.escape(str(bad))) as info:
+        fit_tensordg(GroupedDataset(groups), pattern)
+    assert info.value.where == bad

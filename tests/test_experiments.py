@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import tensordg.experiments as experiments
-from tensordg import (CSV_HEADER, ExperimentConfig, MetricsRecord,
-                      run_experiment, summarize, write_metrics_csv)
+from tensordg import (CSV_HEADER, DenseTensor, ExperimentConfig,
+                      MetricsRecord, adge, al2e, fit_all, make_scenario,
+                      meta_lm_star, run_experiment, summarize, tle,
+                      write_metrics_csv)
 
 # Small, well-conditioned design so a replication costs milliseconds.
 SMALL = {"p": 8, "group_dims": (5, 4), "ranks": (3, 2, 2),
@@ -93,6 +95,28 @@ def test_all_methods_produce_finite_records():
         assert rec.failed == 0
         for value in (rec.al2e, rec.adge, rec.tle):
             assert value is not None and math.isfinite(value) and value >= 0
+
+
+def test_metalm_row_matches_per_target_meta_lm_star():
+    """Learning the shared subspace once per replication changes no
+    digit: the metalm row equals meta_lm_star called per target."""
+    cfg = small_cfg(methods=("metalm",), replications=1)
+    (rec,) = run_experiment(cfg)
+    scenario = make_scenario(cfg.cells()[0][1], 0)
+    est = fit_all(scenario.train, scenario.pattern)
+    arr = np.zeros(scenario.truth.dims)
+    for g in scenario.pattern.observed_list():
+        arr[(slice(None),) + tuple(i - 1 for i in g)] = est.ring[g].coef
+    errors = []
+    for g, (X, y) in sorted(scenario.targets.items()):
+        coef = meta_lm_star(est, scenario.pattern, X, y)
+        arr[(slice(None),) + tuple(i - 1 for i in g)] = coef
+        errors.append(tle(coef, scenario.gammas[g]))
+    tensor = DenseTensor(arr)
+    assert rec.failed == 0
+    assert rec.al2e == al2e(tensor, scenario.truth)
+    assert rec.adge == adge(tensor, scenario.truth, scenario.pattern)
+    assert rec.tle == float(np.mean(errors))
 
 
 def test_rerun_is_deterministic():

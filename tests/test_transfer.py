@@ -1,12 +1,13 @@
 """Tests for the sparse-offset transfer estimator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
-                      build_pattern, cross_validate_lambda, default_lambda,
+                      NonFiniteError, build_pattern, cross_validate_lambda, default_lambda,
                       fit_tensordg, lasso_offset, ols_fit, tensortl,
                       tucker_assemble)
 
@@ -226,3 +227,21 @@ def test_tensortl_recovers_sparse_offset():
     res = tensortl(model, g_star, X, y)
     assert {0, 3, 6} <= set(res.support)
     assert np.linalg.norm(res.gamma_hat - (beta + delta_true)) < 0.5
+
+
+@pytest.mark.parametrize("where", ["y", "X"])
+def test_tensortl_rejects_non_finite_target(where):
+    """A NaN in the target response or an inf in the target design is an
+    error naming the target group, not a silent delta_hat = 0."""
+    rng = np.random.default_rng(12)
+    _, _, model = fit_noiseless_model(rng)
+    g_star = (2, 3)
+    X = rng.normal(size=(50, 8))
+    y = X @ model.coefficient(g_star) + rng.normal(size=50)
+    if where == "y":
+        y[17] = np.nan
+    else:
+        X[4, 2] = np.inf
+    with pytest.raises(NonFiniteError, match=re.escape(str(g_star))) as info:
+        tensortl(model, g_star, X, y)
+    assert info.value.where == g_star
