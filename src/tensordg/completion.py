@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DimensionError
-from .patterns import _insert, pattern_from_config, pattern_to_config
+from .patterns import pattern_from_config, pattern_to_config
 from .regression import fit_all
-from .spectral import spectral_step, tail_floor
+from .spectral import spectral_step, stack_block, tail_floor
 from .tensor import DenseTensor, load_tensor, mode_product, save_tensor, \
     tucker_assemble
 
@@ -67,13 +67,6 @@ def predict(model, group, x):
     return model.predict(group, x)
 
 
-def _stack_columns(fits, csets, t, levels):
-    cols = [np.concatenate([fits[_insert(rest, t, lev)].coef
-                            for rest in csets])
-            for lev in levels]
-    return np.column_stack(cols)
-
-
 def unfold_blocks(est, pattern, t):
     """Stacked estimate blocks used by the mode-t transport solve.
 
@@ -94,9 +87,9 @@ def unfold_blocks(est, pattern, t):
     arms = pattern.arm_tuples(t)
     body_levels = pattern.body[t - 1]
     all_levels = range(1, pattern.space[t - 1] + 1)
-    return (_stack_columns(est.tilde, arms, t, body_levels),
-            _stack_columns(est.ring, arms, t, body_levels),
-            _stack_columns(est.ring, arms, t, all_levels))
+    return (stack_block(est.tilde, arms, t, body_levels)[0],
+            stack_block(est.ring, arms, t, body_levels)[0],
+            stack_block(est.ring, arms, t, all_levels)[0])
 
 
 def estimate_loading(t, b_jo_tilde, b_jo_ring, b_target, basis):
@@ -175,23 +168,6 @@ def fit_tensordg(ds, pattern, split=False, seed=0, threshold_c=None,
                            completed, diagnostics)
 
 
-def _corrected_gram_eigs(fits, arms, t, levels):
-    """Eigenvalues of the bias-corrected Gram of arm-stacked columns."""
-    levels = list(levels)
-    cols, diag = [], np.zeros(len(levels))
-    for j, lev in enumerate(levels):
-        stack = []
-        for rest in arms:
-            fit = fits[_insert(rest, t, lev)]
-            stack.append(fit.coef)
-            diag[j] += np.trace(np.linalg.inv(fit.gram)) * fit.sigma2 / fit.n
-        cols.append(np.concatenate(stack))
-    mat = np.column_stack(cols)
-    gram = (mat.T @ mat - np.diag(diag)) / len(arms)
-    gram = (gram + gram.T) / 2.0
-    return np.linalg.eigvalsh(gram)[::-1]
-
-
 # Floor multipliers for the two diagnostic blocks. The arm Gram spans all
 # group levels, so its corrected tail spreads wider on the positive side
 # than the body-level joint Gram's and needs a larger multiple to stay
@@ -222,9 +198,10 @@ def diagnose_generalizability(est, pattern):
     for t in range(1, pattern.q + 1):
         arms = pattern.arm_tuples(t)
         body_levels = pattern.body[t - 1]
-        joint_eig = _corrected_gram_eigs(est.tilde, arms, t, body_levels)
-        arm_eig = _corrected_gram_eigs(est.tilde, arms, t,
-                                       range(1, pattern.space[t - 1] + 1))
+        all_levels = range(1, pattern.space[t - 1] + 1)
+        joint_eig, arm_eig = (
+            np.linalg.eigvalsh(stack_block(est.tilde, arms, t, lev)[1])[::-1]
+            for lev in (body_levels, all_levels))
         joint_rank = _floor_count(joint_eig, DIAG_FLOOR_JOINT)
         arm_rank = _floor_count(arm_eig, DIAG_FLOOR_ARM)
         agree = joint_rank == arm_rank

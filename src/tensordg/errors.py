@@ -1,31 +1,24 @@
 """Exception types shared across the estimation pipeline."""
 
 
-class DimensionError(ValueError):
+class _Located:
+    """``where`` identifies the offending group or mode, when known."""
+
+    def __init__(self, message, where=None):
+        super().__init__(message)
+        self.where = where
+
+
+class DimensionError(_Located, ValueError):
     """Shapes or index bounds do not line up."""
 
 
-class NonFiniteError(ValueError):
-    """Input data hold NaN or infinite values.
-
-    ``where`` identifies the offending group.
-    """
-
-    def __init__(self, message, where=None):
-        super().__init__(message)
-        self.where = where
+class NonFiniteError(_Located, ValueError):
+    """Input data hold NaN or infinite values."""
 
 
-class ConditioningError(RuntimeError):
-    """A linear system is too ill conditioned to solve reliably.
-
-    ``where`` identifies the offending group or mode so callers can report
-    which block of the problem failed.
-    """
-
-    def __init__(self, message, where=None):
-        super().__init__(message)
-        self.where = where
+class ConditioningError(_Located, RuntimeError):
+    """A linear system is too ill conditioned to solve reliably."""
 
 
 class ConvergenceError(RuntimeError):

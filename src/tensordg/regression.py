@@ -1,4 +1,8 @@
-"""Per-group least squares fits and the optional sample split."""
+"""Per-group least squares fits and the optional sample split.
+
+One LU solve per group gives the coefficient and the inverse Gram; each
+fit stores its noise covariance and trace, so no later stage inverts.
+"""
 
 from dataclasses import dataclass, field
 
@@ -13,12 +17,14 @@ GRAM_EIGENVALUE_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class GroupFit:
-    """OLS output for one group: coefficients, Gram X'X/n, noise estimate."""
+    """OLS output for one group: coefficients, noise estimate, and the
+    coefficients' noise covariance (sigma2/n) (X'X/n)^-1 with its trace."""
 
     coef: np.ndarray
-    gram: np.ndarray
     sigma2: float
     n: int
+    noise_cov: np.ndarray
+    noise_trace: float
 
 
 @dataclass
@@ -73,11 +79,14 @@ class GroupedDataset:
                                for g, (X, y) in self.groups.items()})
 
 
-def ols_fit(X, y):
-    """Least squares via the normal equations with a pivoted solve.
+def _lu_fit(X, y):
+    """Least squares by one LU solve of G = X'X/n against [X'y/n | I].
 
-    Returns (coef, gram, sigma2) where gram = X'X/n and sigma2 is the
-    residual variance on n - p degrees of freedom.
+    Returns (GroupFit, G). G is singular when its smallest eigenvalue is
+    at most GRAM_EIGENVALUE_FLOOR times its largest. The eigenvalues are
+    only computed when the solve does not certify that they are not: for
+    symmetric G, kappa_2 <= kappa_1 = ||G||_1 ||G^-1||_1, and kappa_1
+    below 1 / (2 GRAM_EIGENVALUE_FLOOR) leaves a factor two for rounding.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -85,15 +94,35 @@ def ols_fit(X, y):
     if n <= p:
         raise DimensionError(f"need n > p, got n={n}, p={p}")
     gram = X.T @ X / n
-    eig = np.linalg.eigvalsh(gram)
-    if eig[0] <= GRAM_EIGENVALUE_FLOOR * max(eig[-1], 0.0):
-        raise ConditioningError(
-            f"design Gram is numerically singular "
-            f"(eigenvalue ratio {eig[0] / max(eig[-1], 1e-300):.2e})")
-    coef = np.linalg.solve(gram, X.T @ y / n)
+    try:
+        sol = np.linalg.solve(gram, np.column_stack([X.T @ y / n, np.eye(p)]))
+        kappa1 = np.linalg.norm(gram, 1) * np.linalg.norm(sol[:, 1:], 1)
+        certified = kappa1 * GRAM_EIGENVALUE_FLOOR < 0.5
+    except np.linalg.LinAlgError:
+        sol, certified = None, False
+    if not certified:
+        eig = np.linalg.eigvalsh(gram)
+        if sol is None or eig[0] <= GRAM_EIGENVALUE_FLOOR * max(eig[-1], 0.0):
+            raise ConditioningError(
+                f"design Gram is numerically singular "
+                f"(eigenvalue ratio {eig[0] / max(eig[-1], 1e-300):.2e})")
+    # copy, so that no view keeps the whole solve buffer alive
+    coef = sol[:, 0].copy()
     rss = float(np.sum((y - X @ coef) ** 2))
     sigma2 = max(rss, 0.0) / (n - p)
-    return coef, gram, sigma2
+    noise_cov = sol[:, 1:] * (sigma2 / n)
+    return GroupFit(coef, sigma2, n, noise_cov,
+                    float(np.trace(noise_cov))), gram
+
+
+def ols_fit(X, y):
+    """Least squares via the normal equations with a pivoted (LU) solve.
+
+    Returns (coef, gram, sigma2) where gram = X'X/n and sigma2 is the
+    residual variance on n - p degrees of freedom.
+    """
+    fit, gram = _lu_fit(X, y)
+    return fit.coef, gram, fit.sigma2
 
 
 def split_sample(ds, seed):
@@ -124,7 +153,8 @@ def fit_all(ds, pattern, split=False, seed=0):
     """OLS fits for every observed group, on both folds when splitting.
 
     Without a split both folds alias the same full-sample fits. Errors
-    from a singular group are re-raised with the group attached.
+    from a small or singular group are re-raised naming the group (as
+    ``where``) and, when splitting, the fold.
     """
     missing = [g for g in pattern.observed_list() if g not in ds.groups]
     if missing:
@@ -134,18 +164,16 @@ def fit_all(ds, pattern, split=False, seed=0):
     else:
         fold1 = fold2 = ds
 
-    def run(fold):
+    def run(fold, name):
         fits = {}
         for g in pattern.observed_list():
-            X, y = fold.groups[g]
             try:
-                coef, gram, sigma2 = ols_fit(X, y)
-            except ConditioningError as exc:
-                raise ConditioningError(str(exc), where=g) from exc
-            fits[g] = GroupFit(coef, gram, sigma2, y.size)
+                fits[g] = _lu_fit(*fold.groups[g])[0]
+            except (ConditioningError, DimensionError) as exc:
+                raise type(exc)(f"group {g}{name}: {exc}", where=g) from exc
         return fits
 
-    tilde = run(fold1)
-    ring = tilde if not split else run(fold2)
+    tilde = run(fold1, ", fold 1" if split else "")
+    ring = tilde if not split else run(fold2, ", fold 2")
     n_bar = float(np.mean([fit.n for fit in tilde.values()]))
     return GroupEstimates(tilde, ring, n_bar)

@@ -3,7 +3,9 @@
 For each mode the stacked coefficient estimates form a Gram matrix whose
 noise bias is removed with a plug-in correction; ranks are chosen by
 thresholding eigenvalues and the leading eigenvectors give the column
-space basis used by the completion step.
+space basis used by the completion step. The correction reads each
+group fit's stored noise covariance (sigma2/n) G^-1 and its trace, so
+no Gram is inverted here.
 """
 
 import math
@@ -46,47 +48,43 @@ class ModeSpectrum:
         }
 
 
-def _noise_scale(fit):
-    # per-sample noise level entering the Gram bias
-    return fit.sigma2 / fit.n
+def stack_block(fits, tuples, t, levels):
+    """Mode-t block of stacked estimates and its bias-corrected Gram.
+
+    Column j stacks the coefficients of the groups that put ``levels[j]``
+    at mode t and one of ``tuples`` on the other modes. Returns that
+    matrix M and (M'M - diag(sum of noise_trace per column)) / #tuples,
+    symmetrized.
+    """
+    cols, diag = [], []
+    for lev in levels:
+        block = [fits[_insert(rest, t, lev)] for rest in tuples]
+        cols.append(np.concatenate([fit.coef for fit in block]))
+        diag.append(sum(fit.noise_trace for fit in block))
+    mat = np.column_stack(cols)
+    gram = (mat.T @ mat - np.diag(diag)) / len(tuples)
+    return mat, (gram + gram.T) / 2.0
 
 
 def mode_gram(est, pattern, t):
     """Bias-corrected second-moment matrix for mode t.
 
-    Mode 0 stacks all observed-group estimates and subtracts the averaged
-    inverse-Gram noise term; modes 1..q stack the C_t block columns by
-    body level and subtract a diagonal trace correction.
+    Mode 0 stacks all observed-group estimates and subtracts their
+    averaged noise covariance; modes 1..q stack the C_t block columns by
+    body level and subtract a diagonal trace correction (stack_block).
     """
     fits = est.tilde
     if t == 0:
-        rows = np.vstack([fits[g].coef for g in pattern.observed_list()])
-        m = len(rows)
-        gram = rows.T @ rows / m
-        corr = np.zeros_like(gram)
-        for g in pattern.observed_list():
-            fit = fits[g]
-            corr += np.linalg.inv(fit.gram) * _noise_scale(fit)
-        gram -= corr / m
+        observed = pattern.observed_list()
+        rows = np.vstack([fits[g].coef for g in observed])
+        corr = sum(fits[g].noise_cov for g in observed)
+        gram = (rows.T @ rows - corr) / len(observed)
         return (gram + gram.T) / 2.0
 
     if not 1 <= t <= pattern.q:
         raise ValueError(f"mode {t} out of range 0..{pattern.q}")
-    levels = pattern.body[t - 1]
-    csets = pattern.cset_tuples(t)
-    cols = []
-    diag = np.zeros(len(levels))
-    for j, lev in enumerate(levels):
-        stack = []
-        for rest in csets:
-            fit = fits[_insert(rest, t, lev)]
-            stack.append(fit.coef)
-            diag[j] += np.trace(np.linalg.inv(fit.gram)) * _noise_scale(fit)
-        cols.append(np.concatenate(stack))
-    mat = np.column_stack(cols)
-    size = len(csets)
-    gram = (mat.T @ mat - np.diag(diag)) / size
-    return (gram + gram.T) / 2.0
+    return stack_block(fits, pattern.cset_tuples(t), t,
+                       pattern.body[t - 1])[1]
 
 
 def _eig_desc(gram):

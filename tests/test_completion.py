@@ -251,3 +251,15 @@ def test_fit_rejects_non_finite_group_data():
     with pytest.raises(NonFiniteError, match=re.escape(str(bad))) as info:
         fit_tensordg(GroupedDataset(groups), pattern)
     assert info.value.where == bad
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_fit_runs_without_explicit_inverse(monkeypatch, split):
+    _, pattern, ds, ranks = standard_instance(noise=0.5)
+
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    model = fit_tensordg(ds, pattern, split=split, seed=1)
+    assert model.ranks == ranks

@@ -124,3 +124,88 @@ def test_dataset_validation():
     with pytest.raises(DimensionError):
         GroupedDataset({(1,): (np.zeros((4, 2)), np.zeros(4)),
                         (2,): (np.zeros((4, 3)), np.zeros(4))})
+
+
+def test_noise_cov_is_scaled_inverse_gram():
+    ds, pat = toy_dataset(n=30, p=4)
+    for split in (False, True):
+        est = fit_all(ds, pat, split=split, seed=2)
+        folds = split_sample(ds, 2) if split else (ds, ds)
+        for fits, fold in ((est.tilde, folds[0]), (est.ring, folds[1])):
+            for g, fit in fits.items():
+                X, _ = fold.groups[g]
+                n = X.shape[0]
+                want = fit.sigma2 / n * np.linalg.inv(X.T @ X / n)
+                scale = np.abs(want).max()
+                assert np.abs(fit.noise_cov - want).max() <= 1e-12 * scale
+                assert fit.noise_trace == pytest.approx(np.trace(want),
+                                                        rel=1e-12)
+
+
+def planted_design(rng, p, kappa):
+    """Design whose Gram X'X/n has eigenvalues 1 and 1/kappa, half each,
+    on a random eigenbasis (which makes kappa_1 well above kappa_2)."""
+    n = 2 * p
+    u = np.linalg.qr(rng.normal(size=(n, p)))[0]
+    v = np.linalg.qr(rng.normal(size=(p, p)))[0]
+    lam = np.where(np.arange(p) < p // 2, 1.0, 1.0 / kappa)
+    return np.sqrt(n) * (u * np.sqrt(lam)) @ v.T
+
+
+def eigenvalue_oracle_singular(X):
+    eig = np.linalg.eigvalsh(X.T @ X / X.shape[0])
+    return eig[0] <= 1e-10 * max(eig[-1], 0.0)
+
+
+def test_conditioning_decision_matches_eigenvalue_oracle(monkeypatch):
+    rng = np.random.default_rng(11)
+    designs = [planted_design(rng, 12, k) for k in np.logspace(4, 14, 11)]
+    X = rng.normal(size=(30, 5))
+    X[:, 3] = X[:, 0]
+    designs.append(X)
+    outcomes = []
+    for X in designs:
+        y = rng.normal(size=X.shape[0])
+        singular = eigenvalue_oracle_singular(X)
+        outcomes.append(singular)
+        if singular:
+            with pytest.raises(ConditioningError):
+                ols_fit(X, y)
+        else:
+            ols_fit(X, y)
+    assert outcomes[-1] and any(outcomes) and not all(outcomes)
+
+    # kappa_2 < 1e10 <= kappa_1: no certificate, the eigenvalues decide
+    X = planted_design(rng, 60, 1e9)
+    gram = X.T @ X / X.shape[0]
+    assert np.linalg.cond(gram, 2) < 1e10 <= np.linalg.cond(gram, 1)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append(1) or eigvalsh(a))
+    coef, _, _ = ols_fit(X, X @ np.ones(60))
+    assert len(calls) == 1
+    assert np.allclose(coef, 1.0, atol=1e-3)
+    ols_fit(*toy_dataset(n=30, p=4)[0].groups[(1, 1)])
+    assert len(calls) == 1
+
+
+def test_fit_all_names_group_with_too_few_samples():
+    ds, pat = toy_dataset()
+    X, y = ds.groups[(2, 1)]
+    ds.groups[(2, 1)] = (X[:3], y[:3])
+    with pytest.raises(DimensionError, match=r"group \(2, 1\)") as err:
+        fit_all(ds, pat)
+    assert err.value.where == (2, 1)
+    assert "fold" not in str(err.value)
+
+
+def test_fit_all_names_group_and_fold_too_small_after_split():
+    ds, pat = toy_dataset()
+    X, y = ds.groups[(1, 2)]
+    ds.groups[(1, 2)] = (X[:7], y[:7])   # folds of 3 and 4 samples, p=3
+    with pytest.raises(DimensionError,
+                       match=r"group \(1, 2\), fold 1") as err:
+        fit_all(ds, pat, split=True, seed=1)
+    assert err.value.where == (1, 2)
+    fit_all(ds, pat)

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from tensordg import (GroupedDataset, build_pattern, eigen_ratio_rank,
-                      fit_all, mode_gram, select_rank, spectral_step,
+from tensordg import (GroupedDataset, ScenarioConfig, build_pattern,
+                      diagnose_generalizability, eigen_ratio_rank, fit_all,
+                      make_scenario, mode_gram, select_rank, spectral_step,
                       tucker_assemble)
+from tensordg.patterns import _insert
 from tensordg.spectral import rank_threshold
 
 
@@ -220,3 +222,70 @@ def test_spectral_step_default_uses_noise_floor():
         gram = mode_gram(est, pattern, t)
         eig = np.linalg.eigvalsh(gram)[::-1]
         assert spec.threshold == pytest.approx(noise_floor(eig, t == 0))
+
+
+def explicit_inverse_block_gram(ds, fits, tuples, t, levels):
+    """Corrected block Gram as first written: re-invert every group Gram."""
+    cols, diag = [], np.zeros(len(levels))
+    for j, lev in enumerate(levels):
+        stack = []
+        for rest in tuples:
+            g = _insert(rest, t, lev)
+            X, _ = ds.groups[g]
+            n = X.shape[0]
+            stack.append(fits[g].coef)
+            diag[j] += np.trace(np.linalg.inv(X.T @ X / n)) * \
+                fits[g].sigma2 / n
+        cols.append(np.concatenate(stack))
+    mat = np.column_stack(cols)
+    gram = (mat.T @ mat - np.diag(diag)) / len(tuples)
+    return (gram + gram.T) / 2.0
+
+
+def explicit_inverse_mode0_gram(ds, fits, pattern):
+    rows = np.vstack([fits[g].coef for g in pattern.observed_list()])
+    m = len(rows)
+    gram = rows.T @ rows / m
+    for g in pattern.observed_list():
+        X, _ = ds.groups[g]
+        n = X.shape[0]
+        gram -= np.linalg.inv(X.T @ X / n) * fits[g].sigma2 / n / m
+    return (gram + gram.T) / 2.0
+
+
+def assert_close_to_scale(new, old, rtol=1e-10):
+    assert np.abs(new - old).max() <= rtol * np.abs(old).max()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_stored_noise_terms_match_explicit_inverse(q):
+    if q == 2:
+        cfg = ScenarioConfig(p=12, group_dims=(5, 5), ranks=(3, 2, 2),
+                             body_sizes=(3, 3), arm_sizes=(2, 2), n=40,
+                             n_target=2, seed=3)
+    else:
+        cfg = ScenarioConfig(q=3, p=10, group_dims=(4, 4, 4),
+                             ranks=(3, 2, 2, 2), body_sizes=(2, 2, 2),
+                             arm_sizes=(2, 2, 2), n=30, n_target=2, seed=4)
+    sc = make_scenario(cfg, 0)
+    ds, pattern = sc.train, sc.pattern
+    est = fit_all(ds, pattern)
+    fits = est.tilde
+
+    assert_close_to_scale(mode_gram(est, pattern, 0),
+                          explicit_inverse_mode0_gram(ds, fits, pattern))
+    for t in range(1, q + 1):
+        assert_close_to_scale(
+            mode_gram(est, pattern, t),
+            explicit_inverse_block_gram(ds, fits, pattern.cset_tuples(t), t,
+                                        pattern.body[t - 1]))
+
+    diag = diagnose_generalizability(est, pattern)
+    for t, mode in enumerate(diag["modes"], start=1):
+        arms = pattern.arm_tuples(t)
+        for key, levels in (("joint_eigenvalues", pattern.body[t - 1]),
+                            ("arm_eigenvalues",
+                             range(1, pattern.space[t - 1] + 1))):
+            old = explicit_inverse_block_gram(ds, fits, arms, t, list(levels))
+            assert_close_to_scale(np.array(mode[key]),
+                                  np.linalg.eigvalsh(old)[::-1])
