@@ -9,7 +9,8 @@ no Gram is inverted here.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -98,23 +99,40 @@ def rank_threshold(spectral_norm, dim, n_bar, block_size, c=1.0):
         / (n_bar * block_size))
 
 
+def _spectrum(gram, rule, block_size, rank=None):
+    """ModeSpectrum (mode unset, -1) from one eigendecomposition of gram.
+
+    ``rule`` maps the descending eigenvalues to the threshold. The rank
+    is ``rank`` when given, else the count of eigenvalues at or above the
+    threshold, floored at one and flagged via ``floored``.
+    """
+    gram = np.asarray(gram, dtype=float)
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("second-moment matrix has non-finite entries")
+    eigval, eigvec = _eig_desc(gram)
+    lam = rule(eigval)
+    floored = False
+    if rank is None:
+        rank = int(np.sum(eigval >= lam))
+        floored = rank < 1
+        rank = max(rank, 1)
+    return ModeSpectrum(-1, gram, eigval, rank, eigvec[:, :rank],
+                        lam, block_size, floored)
+
+
+def _bound_threshold(eigval, n_bar, block_size, c):
+    return rank_threshold(abs(eigval).max(initial=0.0), eigval.size, n_bar,
+                          block_size, c)
+
+
 def select_rank(gram, n_bar, block_size, c=1.0):
     """Threshold-rule rank: count of eigenvalues at or above the cut.
 
     Returns a ModeSpectrum with mode unset (-1); spectral_step fills it.
     The rank is floored at one, flagged via ``floored``.
     """
-    gram = np.asarray(gram, dtype=float)
-    if not np.all(np.isfinite(gram)):
-        raise ValueError("second-moment matrix has non-finite entries")
-    eigval, eigvec = _eig_desc(gram)
-    lam = rank_threshold(abs(eigval).max(initial=0.0), gram.shape[0],
-                         n_bar, block_size, c)
-    rank = int(np.sum(eigval >= lam))
-    floored = rank < 1
-    rank = max(rank, 1)
-    return ModeSpectrum(-1, gram, eigval, rank, eigvec[:, :rank],
-                        lam, block_size, floored)
+    return _spectrum(gram, partial(_bound_threshold, n_bar=n_bar,
+                                   block_size=block_size, c=c), block_size)
 
 
 def eigen_ratio_rank(eigenvalues, eps=1e-12):
@@ -172,16 +190,8 @@ def noise_floor_rank(gram, coefficient_mode):
     select_rank. The tail-based floor implies a maximum detectable rank
     of ceil(dim/2), the same structural cap as eigen_ratio_rank.
     """
-    gram = np.asarray(gram, dtype=float)
-    if not np.all(np.isfinite(gram)):
-        raise ValueError("second-moment matrix has non-finite entries")
-    eigval, eigvec = _eig_desc(gram)
-    lam = noise_floor(eigval, coefficient_mode)
-    rank = int(np.sum(eigval >= lam))
-    floored = rank < 1
-    rank = max(rank, 1)
-    return ModeSpectrum(-1, gram, eigval, rank, eigvec[:, :rank],
-                        lam, 0, floored)
+    return _spectrum(gram, partial(noise_floor,
+                                   coefficient_mode=coefficient_mode), 0)
 
 
 def spectral_step(est, pattern, c=None, rank_override=None):
@@ -191,7 +201,7 @@ def spectral_step(est, pattern, c=None, rank_override=None):
     a float c switches to the concentration-bound threshold with that
     constant. rank_override, when given, supplies one rank per mode and
     bypasses selection entirely (the basis is still the leading
-    eigenvectors).
+    eigenvectors). Each mode Gram is decomposed once either way.
     """
     q = pattern.q
     if rank_override is not None and len(rank_override) != q + 1:
@@ -200,20 +210,15 @@ def spectral_step(est, pattern, c=None, rank_override=None):
     for t in range(q + 1):
         gram = mode_gram(est, pattern, t)
         size = len(pattern.observed) if t == 0 else len(pattern.cset_tuples(t))
-        if c is None:
-            spec = noise_floor_rank(gram, t == 0)
-        else:
-            spec = select_rank(gram, est.n_bar, size, c)
+        rank = None
         if rank_override is not None:
-            r = int(rank_override[t])
-            if not 1 <= r <= gram.shape[0]:
-                raise ValueError(f"rank {r} invalid for mode {t}")
-            eigvec = _eig_desc(gram)[1]
-            spec = ModeSpectrum(t, gram, spec.eigenvalues, r, eigvec[:, :r],
-                                spec.threshold, size, False)
+            rank = int(rank_override[t])
+            if not 1 <= rank <= gram.shape[0]:
+                raise ValueError(f"rank {rank} invalid for mode {t}")
+        if c is None:
+            rule = partial(noise_floor, coefficient_mode=t == 0)
         else:
-            spec = ModeSpectrum(t, gram, spec.eigenvalues, spec.rank,
-                                spec.basis, spec.threshold, size,
-                                spec.floored)
-        out.append(spec)
+            rule = partial(_bound_threshold, n_bar=est.n_bar,
+                           block_size=size, c=c)
+        out.append(replace(_spectrum(gram, rule, size, rank), mode=t))
     return out

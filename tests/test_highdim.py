@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tensordg import (DimensionError, GroupedDataset, build_pattern,
-                      choose_lambda, fit_highdim, fit_tensordg, group_lasso,
-                      group_lasso_kkt, lasso_offset, select_support,
-                      tucker_assemble)
+from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
+                      build_pattern, choose_lambda, fit_highdim, fit_tensordg,
+                      group_lasso, group_lasso_kkt, lasso_offset,
+                      select_support, tucker_assemble)
 from tensordg.highdim import lambda_grid
 
 
@@ -109,6 +111,80 @@ def test_group_lasso_kkt_certificate_and_monotone():
     beta = group_lasso(ds, 0.15, history=history)
     assert group_lasso_kkt(ds, beta, 0.15) < 1e-6
     assert np.all(np.diff(history) <= 1e-12)
+
+
+def loop_gradient(ds, beta):
+    """Smooth-part gradient per group, one unpadded design at a time."""
+    n_total = sum(y.size for _, y in ds.groups.values())
+    return np.array([2.0 * X.T @ (X @ beta[g] - y) / n_total
+                     for g, (X, y) in sorted(ds.groups.items())])
+
+
+def loop_kkt(grad, B, lam):
+    """group_lasso_kkt row by row; rows j are columns of the (K, p) arrays."""
+    worst = 0.0
+    for j in range(B.shape[1]):
+        norm = np.linalg.norm(B[:, j])
+        if norm > 0.0:
+            res = np.linalg.norm(grad[:, j] + lam * B[:, j] / norm)
+        else:
+            res = max(np.linalg.norm(grad[:, j]) - lam, 0.0)
+        worst = max(worst, res)
+    return worst
+
+
+@given(data=st.data(), p=st.integers(4, 20), seed=st.integers(0, 10**6),
+       frac=st.floats(0.02, 0.5))
+@settings(max_examples=40, deadline=None)
+def test_group_lasso_unequal_sizes_padding(data, p, seed, frac):
+    """Groups of unequal size, some below p and some above, zero-padded
+    into one stack: the solution meets the KKT conditions computed group
+    by group without padding, rows inside the penalty ball are exactly
+    zero and the objective never rises."""
+    sizes = [data.draw(st.integers(2, p - 1)),
+             data.draw(st.integers(p + 1, 3 * p))]
+    sizes += data.draw(st.lists(st.integers(2, 3 * p), max_size=2))
+    rng = np.random.default_rng(seed)
+    groups = {}
+    for g, n in enumerate(sizes, start=1):
+        X = rng.normal(size=(n, p))
+        b = np.where(rng.random(p) < 0.4, rng.normal(size=p), 0.0)
+        groups[(g,)] = (X, X @ b + rng.normal(size=n))
+    ds = GroupedDataset(groups)
+    lam = frac * float(lambda_grid(ds)[0])
+    history = []
+    beta = group_lasso(ds, lam, history=history)
+    grad = loop_gradient(ds, beta)
+    B = np.array([beta[g] for g in sorted(beta)])
+    assert loop_kkt(grad, B, lam) <= 1e-7
+    assert group_lasso_kkt(ds, beta, lam) <= 1e-7
+    inside = np.linalg.norm(grad, axis=0) < lam - 1e-6
+    assert np.all(B[:, inside] == 0.0)
+    assert np.all(np.diff(history) <= 1e-12)
+
+
+def test_group_lasso_iteration_cap_raises():
+    """One iteration cannot meet the certificate: ConvergenceError
+    carries the finite KKT residual of the last iterate."""
+    rng = np.random.default_rng(8)
+    ds, _ = two_group_ds(rng, n=60, p=8)
+    with pytest.raises(ConvergenceError) as info:
+        group_lasso(ds, 0.15, max_iter=1)
+    assert np.isfinite(info.value.residual)
+    assert info.value.residual > 1e-8
+
+
+def test_group_lasso_warm_start_at_solution():
+    """Warm-started at its own solution, the solver certifies it
+    within a few iterations and barely moves."""
+    rng = np.random.default_rng(9)
+    ds, _ = two_group_ds(rng, n=60, p=8)
+    beta = group_lasso(ds, 0.15)
+    history = []
+    again = group_lasso(ds, 0.15, init=beta, history=history)
+    assert len(history) - 1 <= 3
+    for g in beta:
+        assert np.allclose(again[g], beta[g], atol=1e-8)
 
 
 def test_select_support_rules():

@@ -289,3 +289,34 @@ def test_stored_noise_terms_match_explicit_inverse(q):
             old = explicit_inverse_block_gram(ds, fits, arms, t, list(levels))
             assert_close_to_scale(np.array(mode[key]),
                                   np.linalg.eigvalsh(old)[::-1])
+
+
+@pytest.mark.parametrize("c", [None, 1.0])
+def test_rank_override_decomposes_each_gram_once(monkeypatch, c):
+    """Overriding the ranks reuses the eigenpairs the rank rule computed:
+    one symmetric eigendecomposition per mode with or without it."""
+    cfg = ScenarioConfig(q=3, p=10, group_dims=(4, 4, 4), ranks=(3, 2, 2, 2),
+                         body_sizes=(2, 2, 2), arm_sizes=(2, 2, 2), n=30,
+                         n_target=2, seed=4)
+    sc = make_scenario(cfg, 0)
+    est = fit_all(sc.train, sc.pattern)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    default = spectral_step(est, sc.pattern, c=c)
+    n_default = len(calls)
+    override = spectral_step(est, sc.pattern, c=c,
+                             rank_override=(4, 1, 2, 1))
+    assert n_default == len(calls) - n_default == sc.pattern.q + 1
+    assert [s.rank for s in override] == [4, 1, 2, 1]
+    for a, b in zip(default, override):
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert a.threshold == b.threshold
+        assert np.array_equal(b.basis, np.linalg.eigh(b.gram)[1][:, ::-1]
+                              [:, :b.rank])
