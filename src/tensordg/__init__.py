@@ -1,18 +1,18 @@
 """Structured tensor completion for multi-environment linear regression."""
 
 from .baselines import (BaselineEstimate, maximin, meta_lm_star,
-                        pooled_gram, project_simplex, projected_ols,
-                        shared_subspace, single_task_ols)
-from .completion import (CompletionModel, coefficient, diagnose_generalizability,
-                         estimate_loading, fit_tensordg, load_model, predict,
+                        pooled_gram, projected_ols, shared_subspace,
+                        single_task_ols)
+from .completion import (CompletionModel, diagnose_generalizability,
+                         estimate_loading, fit_tensordg, load_model,
                          save_model, unfold_blocks)
 from .datasets import IngestResult, ingest_csv, write_csv
 from .errors import (ConditioningError, ConvergenceError, DimensionError,
                      NonFiniteError)
 from .experiments import (CSV_HEADER, ExperimentConfig, MetricsRecord,
                           run_experiment, summarize, write_metrics_csv)
-from .highdim import (SupportSelection, choose_lambda, fit_highdim,
-                      group_lasso, group_lasso_kkt, select_support)
+from .highdim import (choose_lambda, fit_highdim, group_lasso,
+                      group_lasso_kkt, select_support)
 from .metrics import adge, al2e, tle
 from .patterns import (ObservationPattern, build_pattern, enumerate_block,
                        is_observed, load_pattern, pattern_from_config,
@@ -21,8 +21,7 @@ from .regression import (GroupedDataset, GroupEstimates, GroupFit, fit_all,
                          ols_fit, split_sample)
 from .simulate import (Scenario, ScenarioConfig, default_pattern,
                        generate_data, generate_tensor, make_scenario)
-from .spectral import (ModeSpectrum, eigen_ratio_rank, mode_gram, select_rank,
-                       spectral_step)
+from .spectral import ModeSpectrum, mode_gram, select_rank, spectral_step
 from .transfer import (TransferResult, cross_validate_lambda,
                        default_lambda, lasso_kkt, lasso_offset, tensortl)
 from .tensor import (DenseTensor, dematricize, load_tensor, matricize,

@@ -27,9 +27,8 @@ from .errors import ConvergenceError, DimensionError
 from .regression import GroupEstimates, ols_fit
 from .spectral import mode_gram, noise_floor_rank, select_rank
 
-__all__ = ["BaselineEstimate", "single_task_ols", "project_simplex",
-           "pooled_gram", "maximin", "shared_subspace", "projected_ols",
-           "meta_lm_star"]
+__all__ = ["BaselineEstimate", "single_task_ols", "pooled_gram", "maximin",
+           "shared_subspace", "projected_ols", "meta_lm_star"]
 
 MAXIMIN_TOL = 1e-10
 MAXIMIN_MAX_ITER = 1_000
@@ -51,20 +50,6 @@ def single_task_ols(ds, g):
         raise DimensionError(f"group {g} not present in the dataset")
     X, y = ds.groups[g]
     return ols_fit(X, y)[0]
-
-
-def project_simplex(v):
-    """Euclidean projection of a vector onto the probability simplex."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size == 0:
-        raise DimensionError("cannot project an empty vector")
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    mask = u - cumulative / idx > 0
-    rho = int(idx[mask][-1])
-    theta = cumulative[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
 
 
 def pooled_gram(ds):

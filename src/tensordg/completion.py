@@ -59,14 +59,6 @@ class CompletionModel:
         return x @ coef
 
 
-def coefficient(model, group):
-    return model.coefficient(group)
-
-
-def predict(model, group, x):
-    return model.predict(group, x)
-
-
 def unfold_blocks(est, pattern, t):
     """Stacked estimate blocks used by the mode-t transport solve.
 

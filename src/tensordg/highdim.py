@@ -24,22 +24,13 @@ from .errors import ConvergenceError, DimensionError
 from .regression import GroupedDataset
 from .tensor import DenseTensor
 
-__all__ = ["SupportSelection", "group_lasso", "group_lasso_kkt",
-           "select_support", "choose_lambda", "fit_highdim"]
+__all__ = ["group_lasso", "group_lasso_kkt", "select_support",
+           "choose_lambda", "fit_highdim"]
 
 GROUP_LASSO_TOL = 1e-8
 GROUP_LASSO_MAX_ITER = 100_000
 LAMBDA_GRID_SIZE = 20
 LAMBDA_GRID_SPAN = 100.0
-
-
-@dataclass(frozen=True)
-class SupportSelection:
-    """Joint support estimate: per-group coefficients, support, penalty."""
-
-    beta: dict
-    support: tuple
-    lam: float
 
 
 @dataclass(frozen=True)

@@ -135,21 +135,6 @@ def select_rank(gram, n_bar, block_size, c=1.0):
                                    block_size=block_size, c=c), block_size)
 
 
-def eigen_ratio_rank(eigenvalues, eps=1e-12):
-    """Rank maximizing the ratio of consecutive eigenvalues.
-
-    Eigenvalues are clamped below at eps; candidate ranks run from 1 to
-    ceil(len/2).
-    """
-    eig = np.asarray(eigenvalues, dtype=float)
-    if eig.size < 2:
-        raise ValueError("need at least two eigenvalues")
-    eig = np.maximum(eig, eps)
-    top = math.ceil(eig.size / 2)
-    ratios = eig[:top] / eig[1:top + 1]
-    return int(np.argmax(ratios)) + 1
-
-
 # Multipliers for the noise-floor threshold, calibrated on the reference
 # design. The coefficient mode averages many more estimates than the group
 # modes, so its corrected tail is tighter relative to its extremes and the
@@ -187,8 +172,8 @@ def noise_floor_rank(gram, coefficient_mode):
     """Rank selection with the data-driven noise-floor threshold.
 
     Counts eigenvalues at or above the floor; same return convention as
-    select_rank. The tail-based floor implies a maximum detectable rank
-    of ceil(dim/2), the same structural cap as eigen_ratio_rank.
+    select_rank. The floor is estimated from the bottom half of the
+    spectrum, so the largest rank it can detect is ceil(dim/2).
     """
     return _spectrum(gram, partial(noise_floor,
                                    coefficient_mode=coefficient_mode), 0)

@@ -7,10 +7,13 @@ residuals on the target design:
 
     delta_hat = argmin (1/n) ||y - X beta_hat - X delta||^2 + lam ||delta||_1
 
-solved by cyclic coordinate descent. The returned coefficient is
-gamma_hat = beta_hat + delta_hat, which degrades gracefully: with no
-usable target signal the lasso shrinks delta to zero and the answer
-falls back to the completed tensor's coefficient.
+solved by highdim.group_lasso on a one-group stack: with one group a
+row norm is |delta_j|, so the group-lasso objective is this one, and
+its monotone FISTA with a KKT stop is the package's one sparse solver.
+The returned coefficient is gamma_hat = beta_hat + delta_hat, which
+degrades gracefully: with no usable target signal the lasso shrinks
+delta to zero and the answer falls back to the completed tensor's
+coefficient.
 """
 
 import math
@@ -18,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, NonFiniteError
+from .errors import DimensionError, NonFiniteError
+from .highdim import (GROUP_LASSO_MAX_ITER, GROUP_LASSO_TOL, _Stack,
+                      group_lasso, group_lasso_kkt)
 
 __all__ = ["TransferResult", "lasso_offset", "lasso_kkt", "default_lambda",
            "cross_validate_lambda", "tensortl"]
 
-LASSO_TOL = 1e-8
-LASSO_MAX_ITER = 100_000
 DEFAULT_C0 = 2.0
 
 
@@ -42,66 +45,38 @@ class TransferResult:
     support: tuple
 
 
-def _soft(z, threshold):
-    if z > threshold:
-        return z - threshold
-    if z < -threshold:
-        return z + threshold
-    return 0.0
-
-
-def lasso_offset(X, y, offset, lam, tol=LASSO_TOL, max_iter=LASSO_MAX_ITER,
-                 history=None):
-    """l1-penalized offset regression by cyclic coordinate descent.
-
-    Minimizes (1/n)||y - X offset - X delta||^2 + lam ||delta||_1 over
-    delta, sweeping coordinates in fixed order 1..p and soft-thresholding
-    each. Stops when no coordinate moved more than ``tol`` in a sweep.
-    Columns that are identically zero keep delta_j = 0. ``history``,
-    when a list, collects the objective after every sweep.
-
-    Raises ConvergenceError (carrying the final KKT residual) if the
-    sweep limit is reached first.
-    """
+def _offset_stack(X, y, offset):
+    """The offset lasso as a one-group stack: design X, response
+    y - X offset."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     offset = np.asarray(offset, dtype=float).ravel()
     if X.ndim != 2 or X.shape[0] != y.size:
         raise DimensionError(
             f"design {X.shape} does not match {y.size} responses")
-    n, p = X.shape
-    if offset.size != p:
-        raise DimensionError(f"offset has {offset.size} entries, expected {p}")
-    if not lam > 0:
-        raise ValueError(f"penalty must be positive, got {lam}")
+    if offset.size != X.shape[1]:
+        raise DimensionError(
+            f"offset has {offset.size} entries, expected {X.shape[1]}")
+    return _Stack((0,), X[None], (y - X @ offset)[None], y.size)
 
-    col_ms = np.einsum("ij,ij->j", X, X) / n  # ||X_j||^2 / n
-    delta = np.zeros(p)
-    resid = y - X @ offset
-    if history is not None:
-        history.append(float(resid @ resid) / n)
-    for _ in range(max_iter):
-        max_move = 0.0
-        for j in range(p):
-            if col_ms[j] <= 0.0:
-                continue
-            old = delta[j]
-            rho = (X[:, j] @ resid) / n + col_ms[j] * old
-            new = _soft(rho, lam / 2.0) / col_ms[j]
-            if new != old:
-                resid -= X[:, j] * (new - old)
-                delta[j] = new
-                max_move = max(max_move, abs(new - old))
-        if history is not None:
-            history.append(float(resid @ resid) / n
-                           + lam * float(np.abs(delta).sum()))
-        if max_move < tol:
-            return delta
-    grad = 2.0 * (X.T @ resid) / n
-    kkt = float(np.max(np.maximum(np.abs(grad) - lam, 0.0)))
-    raise ConvergenceError(
-        f"coordinate descent did not converge in {max_iter} sweeps",
-        residual=kkt)
+
+def lasso_offset(X, y, offset, lam, tol=GROUP_LASSO_TOL,
+                 max_iter=GROUP_LASSO_MAX_ITER, history=None):
+    """l1-penalized offset regression, solved by group_lasso.
+
+    Minimizes (1/n)||y - X offset - X delta||^2 + lam ||delta||_1 over
+    delta. With one group a row norm is |delta_j| and N = n, so this is
+    group_lasso on the one-group stack (X, y - X offset): monotone FISTA
+    that stops once lasso_kkt is at most ``tol`` (absolute). Columns
+    that are identically zero keep delta_j = 0. ``max_iter`` counts
+    FISTA iterations, and ``history``, when a list, collects the
+    objective after each one.
+
+    Raises ConvergenceError (carrying the final KKT residual) if the
+    iteration limit is reached first.
+    """
+    return group_lasso(_offset_stack(X, y, offset), lam, tol=tol,
+                       max_iter=max_iter, history=history)[0]
 
 
 def lasso_kkt(X, y, offset, delta, lam):
@@ -109,17 +84,11 @@ def lasso_kkt(X, y, offset, delta, lam):
 
     Zero for an exact minimizer: active coordinates must satisfy
     (2/n) X_j' r = lam * sign(delta_j) and inactive ones
-    |(2/n) X_j' r| <= lam, with r the full residual.
+    |(2/n) X_j' r| <= lam, with r the full residual. This is
+    group_lasso_kkt on the one-group stack of lasso_offset.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    delta = np.asarray(delta, dtype=float).ravel()
-    resid = y - X @ (np.asarray(offset, dtype=float).ravel() + delta)
-    grad = 2.0 * (X.T @ resid) / y.size
-    active = delta != 0.0
-    res = np.maximum(np.abs(grad) - lam, 0.0)
-    res[active] = np.abs(grad[active] - lam * np.sign(delta[active]))
-    return float(res.max(initial=0.0))
+    return group_lasso_kkt(_offset_stack(X, y, offset), {0: np.ravel(delta)},
+                           lam)
 
 
 def default_lambda(p, n, c0=DEFAULT_C0):
@@ -130,51 +99,71 @@ def default_lambda(p, n, c0=DEFAULT_C0):
 
 
 def cross_validate_lambda(X, y, offset, lambdas=None, folds=5, seed=0,
-                          tol=LASSO_TOL, max_iter=LASSO_MAX_ITER):
+                          tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER):
     """Pick the penalty with the best k-fold held-out prediction error.
 
     The default grid is 20 geometric steps from the smallest
     all-shrinking penalty lam_max down to lam_max / 100. Fold membership
     comes from a seeded permutation, so the choice is deterministic.
+    The first penalty in ``lambdas`` order with the lowest error wins.
+
+    All folds' lassos are one group_lasso problem per penalty,
+    warm-started down the grid: a one-group stack whose design is
+    block diagonal, block k holding fold k's training rows of X and of
+    y - X offset scaled by sqrt(N / n_k). The pooled loss is then the
+    sum of the folds' own (1/n_k) losses, each fold's gradient is its
+    own and the l1 penalty separates, so ``tol`` bounds every fold's
+    lasso_kkt and ``max_iter`` counts FISTA iterations per penalty. The
+    design holds about folds * (folds - 1) * n * p floats (1.4 MB at
+    n = 150, p = 60), which suits the small target samples this is for.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    offset = np.asarray(offset, dtype=float).ravel()
-    n = y.size
+    full = _offset_stack(X, y, offset)
+    X, resid = full.X[0], full.y[0]
+    n, p = X.shape
+    if folds < 2:
+        raise ValueError(f"need at least 2 folds, got {folds}")
     if n < folds:
         raise DimensionError(f"need at least {folds} samples, got {n}")
     if lambdas is None:
-        resid0 = y - X @ offset
-        lam_max = 2.0 * float(np.max(np.abs(X.T @ resid0))) / n
+        lam_max = 2.0 * float(np.max(np.abs(X.T @ resid))) / n
         if lam_max <= 0.0:
-            return default_lambda(max(X.shape[1], 2), n)
+            return default_lambda(max(p, 2), n)
         lambdas = np.geomspace(lam_max, lam_max / 100.0, 20)
     perm = np.random.default_rng(int(seed)).permutation(n)
     splits = np.array_split(perm, folds)
-    best_lam, best_err = None, np.inf
+    trains = [np.setdiff1d(perm, hold, assume_unique=True) for hold in splits]
+    rows = np.cumsum([0] + [train.size for train in trains])
+    design = np.zeros((rows[-1], folds * p))
+    response = np.empty(rows[-1])
+    for k, train in enumerate(trains):
+        scale = math.sqrt(rows[-1] / train.size)
+        design[rows[k]:rows[k + 1], k * p:(k + 1) * p] = scale * X[train]
+        response[rows[k]:rows[k + 1]] = scale * resid[train]
+    stack = _Stack((0,), design[None], response[None], int(rows[-1]))
+    best_lam, best_err, warm = None, np.inf, None
     for lam in lambdas:
-        err = 0.0
-        for hold in splits:
-            train = np.setdiff1d(perm, hold, assume_unique=True)
-            delta = lasso_offset(X[train], y[train], offset, float(lam),
-                                 tol=tol, max_iter=max_iter)
-            pred = X[hold] @ (offset + delta)
-            err += float(np.sum((y[hold] - pred) ** 2))
+        warm = group_lasso(stack, float(lam), tol=tol, max_iter=max_iter,
+                           init=warm)
+        err = sum(float(np.sum((resid[hold] - X[hold] @ delta) ** 2))
+                  for hold, delta in zip(splits, warm[0].reshape(folds, p)))
         if err < best_err - 1e-15:
             best_err, best_lam = err, float(lam)
     return best_lam
 
 
 def tensortl(model, g_star, X, y, lam=None, cv=False, c0=DEFAULT_C0,
-             tol=LASSO_TOL, max_iter=LASSO_MAX_ITER, seed=0):
+             tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER, seed=0):
     """Transfer the completed tensor's coefficient onto a target group.
 
     Takes beta_hat for ``g_star`` from the completion model, estimates
     the sparse offset on the target sample, and returns
     TransferResult(gamma_hat = beta_hat + delta_hat, ...). When ``lam``
     is omitted the penalty defaults to c0 * sqrt(log p / n), or to the
-    cross-validated choice when ``cv`` is set. Raises NonFiniteError
-    naming ``g_star`` when the target data hold NaN or infinite values.
+    cross-validated choice when ``cv`` is set. ``tol`` is an absolute
+    KKT residual (default GROUP_LASSO_TOL, 1e-8) and ``max_iter`` counts
+    FISTA iterations, both passed to lasso_offset and
+    cross_validate_lambda. Raises NonFiniteError naming ``g_star`` when
+    the target data hold NaN or infinite values.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()

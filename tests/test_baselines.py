@@ -4,12 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
                       build_pattern, fit_all, maximin, meta_lm_star, ols_fit,
-                      pooled_gram, project_simplex, single_task_ols,
-                      tucker_assemble)
+                      pooled_gram, single_task_ols, tucker_assemble)
 
 
 def make_truth(rng, p, space, ranks, scale=1.0):
@@ -63,38 +61,6 @@ def test_single_task_ols_risk_scale():
         coef = ols_fit(X, y)[0]
         errs.append(float(np.sum((coef - beta) ** 2)))
     assert 0.15 <= np.mean(errs) <= 0.35
-
-
-def test_project_simplex_frozen_cases():
-    """Hand-computed projections."""
-    assert np.allclose(project_simplex([0.5, 0.5]), [0.5, 0.5])
-    assert np.allclose(project_simplex([2.0, 0.0]), [1.0, 0.0])
-    assert np.allclose(project_simplex([1.0, 1.0]), [0.5, 0.5])
-    # sorted tail analysis gives theta = -0.2 for this vector
-    assert np.allclose(project_simplex([0.3, -0.1, 0.2]), [0.5, 0.1, 0.4])
-    with pytest.raises(DimensionError):
-        project_simplex([])
-
-
-@given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
-def test_project_simplex_feasible_and_idempotent(vals):
-    """Projection lands on the simplex and is idempotent."""
-    w = project_simplex(vals)
-    assert np.all(w >= 0.0)
-    assert abs(w.sum() - 1.0) <= 1e-12
-    assert np.allclose(project_simplex(w), w, atol=1e-12)
-
-
-@given(st.integers(0, 10_000))
-def test_project_simplex_is_nearest_point(seed):
-    """The projection beats random simplex points in distance."""
-    rng = np.random.default_rng(seed)
-    v = rng.normal(scale=2.0, size=4)
-    w = project_simplex(v)
-    for _ in range(20):
-        other = rng.dirichlet(np.ones(4))
-        assert (np.sum((v - w) ** 2)
-                <= np.sum((v - other) ** 2) + 1e-12)
 
 
 def test_pooled_gram_equals_stacked_design():

@@ -1,4 +1,4 @@
-"""Rank selection: corrected Grams, threshold rule, eigen-ratio rule."""
+"""Rank selection: corrected Grams, threshold rule, noise-floor rule."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tensordg import (GroupedDataset, ScenarioConfig, build_pattern,
-                      diagnose_generalizability, eigen_ratio_rank, fit_all,
+                      diagnose_generalizability, fit_all,
                       make_scenario, mode_gram, select_rank, spectral_step,
                       tucker_assemble)
 from tensordg.patterns import _insert
@@ -34,19 +34,6 @@ def test_threshold_formula_value():
     got = rank_threshold(2.0, 10, 100.0, 5, c=1.5)
     assert got == pytest.approx(1.5 * math.sqrt(2.0 * (10 + math.log(100.0))
                                                 / (100.0 * 5)))
-
-
-def test_eigen_ratio_frozen_cases():
-    # trailing near-zeros clamp to eps, the big drop wins at k=1
-    assert eigen_ratio_rank([5.0, 1e-15, 1e-16]) == 1
-    # drop after the second value, k <= ceil(4/2) = 2
-    assert eigen_ratio_rank([4.0, 2.5, 0.1, 0.01]) == 2
-    # tie goes to the first candidate
-    assert eigen_ratio_rank([9.0, 3.0, 1.0]) == 1
-    # candidates stop at ceil(len/2): the big drop at k=3 is out of reach
-    assert eigen_ratio_rank([4.0, 3.9, 3.9, 0.001]) == 1
-    with pytest.raises(ValueError):
-        eigen_ratio_rank([1.0])
 
 
 def test_select_rank_counts_and_floor():

@@ -11,6 +11,8 @@ from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
                       fit_tensordg, lasso_offset, ols_fit, tensortl,
                       tucker_assemble)
 
+from lasso_reference import cd_lasso
+
 
 def make_truth(rng, p, space, ranks, scale=1.0):
     core = rng.normal(size=ranks) * scale
@@ -110,6 +112,25 @@ def test_lasso_kkt_certificate():
             assert abs(grad[j]) <= lam + 1e-6
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_lasso_matches_coordinate_descent_reference(seed):
+    """lasso_offset agrees with an independent coordinate-descent lasso
+    on the offset residuals, on random designs with a nonzero offset."""
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(20, 81))
+    p = int(rng.integers(3, 16))
+    X = rng.normal(size=(n, p))
+    offset = rng.normal(size=p)
+    delta = np.where(rng.random(p) < 0.4, rng.normal(size=p), 0.0)
+    y = X @ (offset + delta) + 0.5 * rng.normal(size=n)
+    r0 = y - X @ offset
+    lam = float(rng.uniform(0.05, 0.5)) * 2.0 * np.abs(X.T @ r0).max() / n
+    got = lasso_offset(X, y, offset, lam)
+    ref = cd_lasso(X, r0, lam)
+    assert np.allclose(got, ref, atol=1e-6)
+    assert np.array_equal(got != 0.0, ref != 0.0)
+
+
 def test_lasso_objective_non_increasing():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(50, 6))
@@ -168,6 +189,46 @@ def test_cross_validate_lambda_deterministic():
     lam1 = cross_validate_lambda(X, y, offset, seed=3)
     lam2 = cross_validate_lambda(X, y, offset, seed=3)
     assert lam1 == lam2 and lam1 > 0
+    with pytest.raises(ValueError, match="2 folds"):
+        cross_validate_lambda(X, y, offset, folds=1)
+
+
+def per_fold_cv(X, y, offset, lambdas, folds=5, seed=0):
+    """Reference CV: one lasso_offset solve per fold and penalty."""
+    perm = np.random.default_rng(seed).permutation(y.size)
+    best_lam, best_err = None, np.inf
+    for lam in lambdas:
+        err = 0.0
+        for hold in np.array_split(perm, folds):
+            train = np.setdiff1d(perm, hold, assume_unique=True)
+            delta = lasso_offset(X[train], y[train], offset, lam)
+            err += float(np.sum((y[hold] - X[hold] @ (offset + delta)) ** 2))
+        if err < best_err - 1e-15:
+            best_err, best_lam = err, float(lam)
+    return best_lam
+
+
+@pytest.mark.parametrize("n, p, seed", [(6, 3, 1), (7, 3, 5), (7, 6, 0),
+                                        (13, 4, 3), (40, 8, 4), (62, 12, 5)])
+def test_cross_validate_lambda_matches_per_fold_loop(n, p, seed):
+    """All folds solved as one block-diagonal problem pick the same
+    penalty as a per-fold loop, on the default grid and on an increasing
+    user grid. n = 7 with 5 folds gives training sizes 5/5/6/6/6, and
+    n = 6 gives 4/5/5/5/5: blocks must be scaled fold by fold, not by
+    one common factor."""
+    rng = np.random.default_rng(200 + seed)
+    X = rng.normal(size=(n, p))
+    offset = rng.normal(size=p)
+    delta = np.zeros(p)
+    delta[rng.choice(p, 2, replace=False)] = [1.5, -1.0]
+    y = X @ (offset + delta) + 0.5 * rng.normal(size=n)
+    lam_max = 2.0 * float(np.abs(X.T @ (y - X @ offset)).max()) / n
+    grid = np.geomspace(lam_max, lam_max / 100.0, 20)
+    assert (cross_validate_lambda(X, y, offset, seed=seed)
+            == per_fold_cv(X, y, offset, grid, seed=seed))
+    rising = list(np.linspace(0.01, 1.0, 40) * lam_max)
+    assert (cross_validate_lambda(X, y, offset, rising, seed=seed)
+            == per_fold_cv(X, y, offset, rising, seed=seed))
 
 
 def fit_noiseless_model(rng):
