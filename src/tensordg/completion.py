@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConditioningError, DimensionError
 from .patterns import pattern_from_config, pattern_to_config
-from .regression import fit_all
+from .regression import GroupEstimates, fit_all
 from .spectral import spectral_step, stack_block, tail_floor
 from .tensor import DenseTensor, load_tensor, mode_product, save_tensor, \
     tucker_assemble
@@ -100,30 +100,34 @@ def estimate_loading(t, b_jo_tilde, b_jo_ring, b_target, basis):
     return np.linalg.solve(inner, rhs), cond
 
 
-def _body_tensor(est, pattern, p):
-    dims = (p,) + tuple(len(levels) for levels in pattern.body)
-    arr = np.empty(dims)
-    for idx in np.ndindex(dims[1:]):
-        g = tuple(levels[i] for levels, i in zip(pattern.body, idx))
-        arr[(slice(None),) + idx] = est.ring[g].coef
-    return DenseTensor(arr)
+def _body_tensor(est, pattern):
+    shape = tuple(len(levels) for levels in pattern.body)
+    cols = [est.ring[g].coef for g in pattern.body_groups()]
+    return DenseTensor(np.stack(cols, axis=-1).reshape((-1,) + shape))
 
 
 def fit_tensordg(ds, pattern, split=False, seed=0, threshold_c=None,
-                 rank_override=None, keep_observed_ols=False):
+                 rank_override=None):
     """Fit the completion estimator on an observed-pattern dataset.
 
-    split enables the 50/50 sample split between the spectral and
-    transport steps (off by default; the no-split variant uses every
-    sample twice and is the stronger finite-sample choice). threshold_c
-    picks the rank selector: None (default) uses the noise-floor rule,
-    a float uses the concentration-bound threshold with that constant.
-    rank_override bypasses rank selection with fixed per-mode ranks.
+    ds is a GroupedDataset, or the GroupEstimates ``fit_all`` made from
+    one, used as fitted. split (dataset only) enables the 50/50 sample
+    split between the spectral and transport steps, seeded by seed (off
+    by default; the no-split variant uses every sample twice and is the
+    stronger finite-sample choice). threshold_c picks the rank selector:
+    None (default) uses the noise-floor rule, a float uses the
+    concentration-bound threshold with that constant. rank_override
+    bypasses rank selection with fixed per-mode ranks.
     """
-    est = fit_all(ds, pattern, split=split, seed=seed)
+    if isinstance(ds, GroupEstimates):
+        if split:
+            raise ValueError("split needs a dataset; these estimates "
+                             "were already fitted on their folds")
+        est = ds
+    else:
+        est = fit_all(ds, pattern, split=split, seed=seed)
     spectra = spectral_step(est, pattern, c=threshold_c,
                             rank_override=rank_override)
-    p = ds.p
     loadings, conds = [], []
     for t in range(pattern.q + 1):
         blocks = unfold_blocks(est, pattern, t)
@@ -131,8 +135,7 @@ def fit_tensordg(ds, pattern, split=False, seed=0, threshold_c=None,
         loadings.append(loading)
         conds.append(cond)
 
-    body = _body_tensor(est, pattern, p)
-    core = body
+    core = _body_tensor(est, pattern)
     for t, spec in enumerate(spectra):
         core = mode_product(core, spec.basis, t)
     completed = tucker_assemble(core, loadings)
@@ -143,17 +146,10 @@ def fit_tensordg(ds, pattern, split=False, seed=0, threshold_c=None,
         "spectral": [s.summary() for s in spectra],
         "loading_condition_numbers": conds,
         "generalizability": diagnose_generalizability(est, pattern),
-        "split": bool(split),
+        "split": est.tilde is not est.ring,
         "n_bar": est.n_bar,
         "warnings": warnings,
     }
-
-    if keep_observed_ols:
-        arr = np.array(completed.array)
-        for g in pattern.observed_list():
-            arr[(slice(None),) + tuple(i - 1 for i in g)] = est.ring[g].coef
-        completed = DenseTensor(arr)
-        diagnostics["observed_fibers"] = "fold-2 ols"
 
     return CompletionModel(pattern, tuple(s.rank for s in spectra),
                            [s.basis for s in spectra], loadings, core,

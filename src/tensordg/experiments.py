@@ -22,11 +22,17 @@ Each method yields a full coefficient tensor and per-target vectors:
   target sample; observed groups keep their own fits. The subspace is
   learned from the sources once per replication.
 
-Failures are isolated: a replication that raises records failed=1 rows
-for the affected methods and the run continues. Records are merged in a
-deterministic order (cell, replication, method), so serial and parallel
-runs produce identical tables; only the seconds column varies between
-runs.
+``METHODS`` maps each name to a function of one shared replication
+context: each replication fits the observed groups once and all methods
+share that fit (and ``tensordg``/``tensortl`` one completion fit). The
+seconds column charges each shared stage to the first method that needs
+it, so it depends on the method order.
+
+Failures are isolated: a method that raises records a failed=1 row and
+the run continues; a failed shared stage is retried by the next method
+that needs it. Records are merged in a deterministic order (cell,
+replication, method), so serial and parallel runs produce identical
+tables; only the seconds column varies.
 """
 
 import csv
@@ -34,6 +40,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +57,6 @@ __all__ = ["ExperimentConfig", "MetricsRecord", "run_experiment",
 
 CSV_HEADER = ["cell_param", "cell_value", "rep", "method", "al2e", "adge",
               "tle", "failed", "seconds"]
-KNOWN_METHODS = ("tensordg", "tensortl", "ols", "maximin", "metalm")
 SWEEPS = ("default", "rank", "arm", "body")
 
 
@@ -144,104 +150,100 @@ class MetricsRecord:
                 str(self.failed), fmt(self.seconds)]
 
 
-def _score(method, tensor, targets_hat, scenario):
+def _score(tensor, targets_hat, sc):
     """Build the three metrics for one method's answers."""
-    truth = scenario.truth
-    pattern = scenario.pattern
-    gammas = scenario.gammas
-    tle_vals = [tle(targets_hat[g], gammas[g]) for g in sorted(gammas)]
-    return (al2e(tensor, truth), adge(tensor, truth, pattern),
+    tle_vals = [tle(targets_hat[g], sc.gammas[g]) for g in sorted(sc.gammas)]
+    return (al2e(tensor, sc.truth), adge(tensor, sc.truth, sc.pattern),
             float(np.mean(tle_vals)) if tle_vals else None)
 
 
-def _ols_tensor(scenario, est):
-    """Per-group OLS everywhere: train fits observed, target fits unseen."""
-    p = scenario.truth.dims[0]
-    arr = np.zeros(scenario.truth.dims)
-    targets_hat = {}
-    for g in scenario.pattern.observed_list():
-        arr[(slice(None),) + tuple(i - 1 for i in g)] = est.ring[g].coef
-    for g, (X, y) in scenario.targets.items():
-        coef = ols_fit(X, y)[0]
+def _with_fibers(base, coefs):
+    """Copy of the coefficient tensor base with each group's fiber set."""
+    arr = np.array(base.array)
+    for g, coef in coefs.items():
         arr[(slice(None),) + tuple(i - 1 for i in g)] = coef
-        targets_hat[g] = coef
-    return DenseTensor(arr), targets_hat
+    return DenseTensor(arr)
+
+
+class _Replication:
+    """One simulated draw and the stages its methods share, built lazily."""
+
+    def __init__(self, scenario):
+        self.scenario = scenario
+
+    @cached_property
+    def est(self):
+        return fit_all(self.scenario.train, self.scenario.pattern)
+
+    @cached_property
+    def model(self):
+        return fit_tensordg(self.est, self.scenario.pattern)
+
+    @cached_property
+    def observed(self):
+        """Zero tensor with the observed fibers set to their OLS fits."""
+        return _with_fibers(DenseTensor(np.zeros(self.scenario.truth.dims)),
+                            {g: self.est.ring[g].coef
+                             for g in self.scenario.pattern.observed_list()})
+
+
+def _tensordg(ctx):
+    return ctx.model.tensor, {g: ctx.model.coefficient(g)
+                              for g in ctx.scenario.targets}
+
+
+def _tensortl(ctx):
+    targets_hat = {g: tensortl(ctx.model, g, X, y).gamma_hat
+                   for g, (X, y) in sorted(ctx.scenario.targets.items())}
+    return _with_fibers(ctx.model.tensor, targets_hat), targets_hat
+
+
+def _ols(ctx):
+    """Per-group OLS everywhere: train fits observed, target fits unseen."""
+    targets_hat = {g: ols_fit(X, y)[0]
+                   for g, (X, y) in ctx.scenario.targets.items()}
+    return _with_fibers(ctx.observed, targets_hat), targets_hat
+
+
+def _maximin(ctx):
+    scenario = ctx.scenario
+    coef, _ = maximin(ctx.est, pooled_gram(scenario.train))
+    arr = np.broadcast_to(coef.reshape((-1,) + (1,) * scenario.pattern.q),
+                          scenario.truth.dims)
+    return DenseTensor(np.array(arr)), {g: coef for g in scenario.targets}
+
+
+def _metalm(ctx):
+    basis = shared_subspace(ctx.est, ctx.scenario.pattern)
+    targets_hat = {g: projected_ols(basis, X, y)
+                   for g, (X, y) in sorted(ctx.scenario.targets.items())}
+    return _with_fibers(ctx.observed, targets_hat), targets_hat
+
+
+# method name -> function(_Replication) -> (coefficient tensor, targets_hat)
+METHODS = {"tensordg": _tensordg, "tensortl": _tensortl, "ols": _ols,
+           "maximin": _maximin, "metalm": _metalm}
+KNOWN_METHODS = tuple(METHODS)
 
 
 def _evaluate_cell_rep(cell_param, cell_value, scenario_cfg, rep, methods):
     """All method records for one replication of one cell."""
-    records = []
     try:
-        scenario = make_scenario(scenario_cfg, rep)
+        ctx = _Replication(make_scenario(scenario_cfg, rep))
     except Exception:
         return [MetricsRecord(cell_param, cell_value, rep, m, failed=1)
                 for m in methods]
 
-    shared = {}
-
-    def tensordg_model():
-        if "model" not in shared:
-            shared["model"] = fit_tensordg(scenario.train, scenario.pattern)
-        return shared["model"]
-
-    def train_est():
-        if "est" not in shared:
-            shared["est"] = fit_all(scenario.train, scenario.pattern)
-        return shared["est"]
-
+    records = []
     for method in methods:
         start = time.perf_counter()
         try:
-            if method == "tensordg":
-                model = tensordg_model()
-                targets_hat = {g: model.coefficient(g)
-                               for g in scenario.targets}
-                metrics = _score(method, model.tensor, targets_hat, scenario)
-            elif method == "tensortl":
-                model = tensordg_model()
-                arr = np.array(model.tensor.array)
-                targets_hat = {}
-                for g, (X, y) in sorted(scenario.targets.items()):
-                    res = tensortl(model, g, X, y)
-                    arr[(slice(None),) + tuple(i - 1 for i in g)] = \
-                        res.gamma_hat
-                    targets_hat[g] = res.gamma_hat
-                metrics = _score(method, DenseTensor(arr), targets_hat,
-                                 scenario)
-            elif method == "ols":
-                tensor, targets_hat = _ols_tensor(scenario, train_est())
-                metrics = _score(method, tensor, targets_hat, scenario)
-            elif method == "maximin":
-                coef, _ = maximin(train_est(), pooled_gram(scenario.train))
-                arr = np.broadcast_to(
-                    coef.reshape((-1,) + (1,) * scenario.pattern.q),
-                    scenario.truth.dims)
-                targets_hat = {g: coef for g in scenario.targets}
-                metrics = _score(method, DenseTensor(np.array(arr)),
-                                 targets_hat, scenario)
-            elif method == "metalm":
-                est = train_est()
-                basis = shared_subspace(est, scenario.pattern)
-                arr = np.zeros(scenario.truth.dims)
-                for g in scenario.pattern.observed_list():
-                    arr[(slice(None),) + tuple(i - 1 for i in g)] = \
-                        est.ring[g].coef
-                targets_hat = {}
-                for g, (X, y) in sorted(scenario.targets.items()):
-                    coef = projected_ols(basis, X, y)
-                    arr[(slice(None),) + tuple(i - 1 for i in g)] = coef
-                    targets_hat[g] = coef
-                metrics = _score(method, DenseTensor(arr), targets_hat,
-                                 scenario)
-            else:  # pragma: no cover - guarded by ExperimentConfig
-                raise ValueError(f"unknown method {method}")
-            seconds = time.perf_counter() - start
-            records.append(MetricsRecord(cell_param, cell_value, rep, method,
-                                         *metrics, 0, seconds))
+            metrics, failed = _score(*METHODS[method](ctx), ctx.scenario), 0
         except Exception:
-            seconds = time.perf_counter() - start
-            records.append(MetricsRecord(cell_param, cell_value, rep, method,
-                                         failed=1, seconds=seconds))
+            metrics, failed = (None, None, None), 1
+        records.append(MetricsRecord(cell_param, cell_value, rep, method,
+                                     *metrics, failed,
+                                     time.perf_counter() - start))
     return records
 
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from tensordg import (ConditioningError, DimensionError, GroupedDataset,
-                      NonFiniteError, build_pattern, diagnose_generalizability,
-                      estimate_loading, fit_all, fit_tensordg, load_model,
-                      save_model, tucker_assemble, unfold_blocks)
+                      NonFiniteError, ScenarioConfig, build_pattern,
+                      diagnose_generalizability, estimate_loading, fit_all,
+                      fit_tensordg, load_model, make_scenario, save_model,
+                      tucker_assemble, unfold_blocks)
 
 
 def make_truth(rng, p, space, ranks, scale=1.0):
@@ -135,15 +136,37 @@ def test_model_tensor_equals_core_times_loadings():
     assert np.array_equal(rebuilt.array, model.tensor.array)
 
 
-def test_keep_observed_ols_overwrites_fibers():
-    _, pattern, ds, _ = standard_instance(noise=1.0, n=80)
+def assert_same_fit(a, b):
+    assert a.ranks == b.ranks
+    assert np.array_equal(a.tensor.array, b.tensor.array)
+    assert np.array_equal(a.core.array, b.core.array)
+    for x, y in zip(a.bases + a.loadings, b.bases + b.loadings):
+        assert np.array_equal(x, y)
+    assert a.diagnostics == b.diagnostics
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_fit_from_estimates_equals_fit_from_dataset(q):
+    """Estimates fitted beforehand give the same model as the dataset,
+    with and without a sample split."""
+    if q == 2:
+        cfg = ScenarioConfig(p=12, group_dims=(5, 5), ranks=(3, 2, 2),
+                             body_sizes=(3, 3), arm_sizes=(2, 2), n=40,
+                             n_target=2, seed=3)
+    else:
+        cfg = ScenarioConfig(q=3, p=10, group_dims=(4, 4, 4),
+                             ranks=(3, 2, 2, 2), body_sizes=(2, 2, 2),
+                             arm_sizes=(2, 2, 2), n=30, n_target=2, seed=4)
+    sc = make_scenario(cfg, 0)
+    ds, pattern = sc.train, sc.pattern
     est = fit_all(ds, pattern)
-    model = fit_tensordg(ds, pattern, keep_observed_ols=True)
-    for g in pattern.observed_list():
-        assert np.array_equal(model.coefficient(g), est.ring[g].coef)
-    plain = fit_tensordg(ds, pattern)
-    g0 = pattern.observed_list()[0]
-    assert not np.array_equal(plain.coefficient(g0), model.coefficient(g0))
+    assert_same_fit(fit_tensordg(est, pattern), fit_tensordg(ds, pattern))
+    split_est = fit_all(ds, pattern, split=True, seed=1)
+    from_split = fit_tensordg(split_est, pattern)
+    assert from_split.diagnostics["split"] is True
+    assert_same_fit(from_split, fit_tensordg(ds, pattern, split=True, seed=1))
+    with pytest.raises(ValueError, match="split"):
+        fit_tensordg(est, pattern, split=True)
 
 
 def test_split_fit_differs_but_stays_close():

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import tensordg.completion as completion
 import tensordg.experiments as experiments
 from tensordg import (CSV_HEADER, DenseTensor, ExperimentConfig,
                       MetricsRecord, adge, al2e, fit_all, make_scenario,
@@ -95,6 +96,45 @@ def test_all_methods_produce_finite_records():
         assert rec.failed == 0
         for value in (rec.al2e, rec.adge, rec.tle):
             assert value is not None and math.isfinite(value) and value >= 0
+
+
+ALL_METHODS = ("tensordg", "tensortl", "ols", "maximin", "metalm")
+
+
+def test_method_table_is_the_known_method_list():
+    assert experiments.KNOWN_METHODS == tuple(experiments.METHODS) \
+        == ALL_METHODS
+
+
+def test_one_replication_fits_the_groups_once(monkeypatch):
+    """All five methods share one fit_all per replication."""
+    calls = []
+    original = experiments.fit_all
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "fit_all", counted)
+    monkeypatch.setattr(completion, "fit_all", counted)
+    records = run_experiment(small_cfg(methods=ALL_METHODS, replications=1))
+    assert [r.failed for r in records] == [0] * len(ALL_METHODS)
+    assert len(calls) == 1
+
+
+def test_methods_share_no_state_through_the_replication():
+    """Each method scores the same alone, together, and in reverse."""
+    def by_method(methods):
+        records = run_experiment(small_cfg(methods=methods))
+        return {(r.rep, r.method): replace(r, seconds=0.0) for r in records}
+
+    together = by_method(ALL_METHODS)
+    assert by_method(ALL_METHODS[::-1]) == together
+    alone = {}
+    for method in ALL_METHODS:
+        alone.update(by_method((method,)))
+    assert alone == together
+    assert all(not r.failed for r in together.values())
 
 
 def test_metalm_row_matches_per_target_meta_lm_star():
