@@ -1,10 +1,15 @@
 """Per-group OLS and the sample split."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensordg import (ConditioningError, DimensionError, GroupedDataset,
-                      build_pattern, fit_all, ols_fit, split_sample)
+                      NonFiniteError, build_pattern, fit_all, ols_fit,
+                      split_sample)
 
 
 def normal_equations_oracle(X, y):
@@ -209,3 +214,29 @@ def test_fit_all_names_group_and_fold_too_small_after_split():
         fit_all(ds, pat, split=True, seed=1)
     assert err.value.where == (1, 2)
     fit_all(ds, pat)
+
+
+@given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       in_design=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_grouped_dataset_names_non_finite_group(data, bad, in_design):
+    """One NaN or inf anywhere in the groups fails construction with that
+    group named, whatever q, p, n and the position of the cell."""
+    q, p = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+    keys = data.draw(st.lists(st.tuples(*[st.integers(1, 5)] * q),
+                              min_size=1, max_size=5, unique=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    groups = {}
+    for g in keys:
+        n = int(rng.integers(1, 6))
+        groups[g] = (rng.normal(size=(n, p)), rng.normal(size=n))
+    g = data.draw(st.sampled_from(keys))
+    X, y = groups[g]
+    i = data.draw(st.integers(0, y.size - 1))
+    if in_design:
+        X[i, data.draw(st.integers(0, p - 1))] = bad
+    else:
+        y[i] = bad
+    with pytest.raises(NonFiniteError, match=re.escape(str(g))) as info:
+        GroupedDataset(groups)
+    assert info.value.where == g

@@ -1,10 +1,13 @@
 """Tests for the sparse-offset transfer estimator."""
 
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
                       NonFiniteError, build_pattern, cross_validate_lambda, default_lambda,
@@ -303,6 +306,32 @@ def test_tensortl_rejects_non_finite_target(where):
         y[17] = np.nan
     else:
         X[4, 2] = np.inf
+    with pytest.raises(NonFiniteError, match=re.escape(str(g_star))) as info:
+        tensortl(model, g_star, X, y)
+    assert info.value.where == g_star
+
+
+@functools.cache
+def noiseless_model():
+    return fit_noiseless_model(np.random.default_rng(12))[2]
+
+
+@given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       in_design=st.booleans(), n=st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_tensortl_names_non_finite_target_fuzz(data, bad, in_design, n):
+    """One NaN or inf anywhere in the target sample, of any size, is a
+    NonFiniteError naming the target group."""
+    model = noiseless_model()
+    g_star = data.draw(st.sampled_from(model.pattern.unobserved_list()))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, 8))
+    y = rng.normal(size=n)
+    i = data.draw(st.integers(0, n - 1))
+    if in_design:
+        X[i, data.draw(st.integers(0, 7))] = bad
+    else:
+        y[i] = bad
     with pytest.raises(NonFiniteError, match=re.escape(str(g_star))) as info:
         tensortl(model, g_star, X, y)
     assert info.value.where == g_star
