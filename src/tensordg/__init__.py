@@ -1,8 +1,7 @@
 """Structured tensor completion for multi-environment linear regression."""
 
-from .baselines import (BaselineEstimate, maximin, meta_lm_star,
-                        pooled_gram, projected_ols, shared_subspace,
-                        single_task_ols)
+from .baselines import (maximin, meta_lm_star, pooled_gram, projected_ols,
+                        shared_subspace, single_task_ols)
 from .completion import (CompletionModel, diagnose_generalizability,
                          estimate_loading, fit_tensordg, load_model,
                          save_model, unfold_blocks)

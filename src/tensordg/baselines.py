@@ -19,28 +19,17 @@ ingredients the completion pipeline uses:
   computed once and reused for every target) and ``projected_ols``.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError
 from .regression import GroupEstimates, ols_fit
-from .spectral import mode_gram, noise_floor_rank, select_rank
+from .spectral import mode_gram, noise_floor_rank
 
-__all__ = ["BaselineEstimate", "single_task_ols", "pooled_gram", "maximin",
-           "shared_subspace", "projected_ols", "meta_lm_star"]
+__all__ = ["single_task_ols", "pooled_gram", "maximin", "shared_subspace",
+           "projected_ols", "meta_lm_star"]
 
 MAXIMIN_TOL = 1e-10
 MAXIMIN_MAX_ITER = 1_000
-
-
-@dataclass(frozen=True)
-class BaselineEstimate:
-    """A baseline's answer for one target: method tag, p-vector, extras."""
-
-    method: str
-    coef: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
 
 def single_task_ols(ds, g):
@@ -164,21 +153,15 @@ def maximin(estimates, pooled, tol=MAXIMIN_TOL, max_iter=MAXIMIN_MAX_ITER,
             history.append(float(w @ gram @ w))
 
 
-def shared_subspace(est, pattern, c=None):
+def shared_subspace(est, pattern):
     """Basis of the coefficient subspace shared by the source groups.
 
     Builds the mode-0 bias-corrected Gram of the source estimates, picks
-    its rank by the noise-floor rule (the concentration threshold with
-    constant ``c`` when given) and returns the leading eigenvectors as a
-    p x r orthonormal matrix. It uses no target data, so one basis
-    serves every target group.
+    its rank by the noise-floor rule and returns the leading
+    eigenvectors as a p x r orthonormal matrix. It uses no target data,
+    so one basis serves every target group.
     """
-    gram = mode_gram(est, pattern, 0)
-    if c is None:
-        spec = noise_floor_rank(gram, True)
-    else:
-        spec = select_rank(gram, est.n_bar, len(pattern.observed), c)
-    return spec.basis
+    return noise_floor_rank(mode_gram(est, pattern, 0), True).basis
 
 
 def projected_ols(basis, X, y):
@@ -198,13 +181,11 @@ def projected_ols(basis, X, y):
     return basis @ score
 
 
-def meta_lm_star(est, pattern, X, y, c=None):
+def meta_lm_star(est, pattern, X, y):
     """Shared-subspace regression for a target group.
 
-    Learns the mode-0 basis V0 from the source groups (``shared_subspace``;
-    noise-floor rank rule by default, concentration threshold with
-    constant ``c`` when given), then returns V0 times the OLS fit of y
-    on X V0 (``projected_ols``). The output therefore lies in the span
-    of V0.
+    Learns the mode-0 basis V0 from the source groups (``shared_subspace``,
+    noise-floor rank rule), then returns V0 times the OLS fit of y on
+    X V0 (``projected_ols``). The output therefore lies in the span of V0.
     """
-    return projected_ols(shared_subspace(est, pattern, c), X, y)
+    return projected_ols(shared_subspace(est, pattern), X, y)

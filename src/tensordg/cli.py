@@ -10,6 +10,8 @@ Subcommands:
   saved model and a target sample CSV.
 * ``experiment``: run a Monte Carlo sweep config and write the metrics
   CSV (``cell_param,cell_value,rep,method,al2e,adge,tle,failed,seconds``).
+  The paper's six runs are the configs in ``configs/``; ``--reps``,
+  ``--seed`` and ``--workers`` override a config's values.
 * ``ingest``: parse a dataset CSV and report the inferred group space,
   per-group counts, and level mappings.
 """
@@ -137,13 +139,10 @@ def cmd_transfer(args):
 
 def cmd_experiment(args):
     cfg = ExperimentConfig.from_dict(_load_json(args.config))
-    overrides = {}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    overrides = {"replications": args.reps, "seed": args.seed,
+                 "workers": args.workers}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items()
+                                      if v is not None})
     records = run_experiment(cfg)
     write_metrics_csv(args.out, records, summaries=not args.no_summaries)
     for row in summarize(records):
@@ -151,10 +150,10 @@ def cmd_experiment(args):
             continue
         cell = f"{row['cell_param']}={row['cell_value']}" \
             if row["cell_value"] else row["cell_param"]
-        adge = "nan" if row["adge"] is None else f"{row['adge']:.4f}"
-        al2e = "nan" if row["al2e"] is None else f"{row['al2e']:.4f}"
+        al2e, adge, tle = ("nan" if row[k] is None else f"{row[k]:.4f}"
+                           for k in ("al2e", "adge", "tle"))
         print(f"{cell} {row['method']}: mean_al2e={al2e} mean_adge={adge} "
-              f"failed={row['failed']}")
+              f"mean_tle={tle} failed={row['failed']}")
     print(f"wrote {args.out}")
     return 0
 
@@ -257,6 +256,8 @@ def build_parser():
     exp.add_argument("--config", required=True,
                      help="experiment config JSON")
     exp.add_argument("--out", required=True, help="metrics CSV path")
+    exp.add_argument("--reps", type=int, default=None,
+                     help="override the config replication count")
     exp.add_argument("--workers", type=int, default=None,
                      help="override the config worker count")
     exp.add_argument("--seed", type=int, default=None,

@@ -28,6 +28,10 @@ share that fit (and ``tensordg``/``tensortl`` one completion fit). The
 seconds column charges each shared stage to the first method that needs
 it, so it depends on the method order.
 
+The paper's six runs (method comparison, rank, arm and body sweeps, and
+the transfer comparison with and without a sparse shift) are checked in
+as ``configs/*.json`` and run by ``tensordg experiment``.
+
 Failures are isolated: a method that raises records a failed=1 row and
 the run continues; a failed shared stage is retried by the next method
 that needs it. Records are merged in a deterministic order (cell,
@@ -107,7 +111,6 @@ class ExperimentConfig:
         """(cell_value, ScenarioConfig) per cell, in declared order."""
         base = dict(self.scenario)
         base["seed"] = self.seed
-        base.setdefault("replications", self.replications)
         if self.sweep == "default":
             return [("", ScenarioConfig.from_dict(base))]
         out = []

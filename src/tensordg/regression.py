@@ -64,9 +64,6 @@ class GroupedDataset:
             raise DimensionError("empty dataset")
         return next(iter(self.groups.values()))[0].shape[1]
 
-    def n_samples(self, g):
-        return self.groups[tuple(g)][1].size
-
     def subset(self, keep):
         keep = set(tuple(g) for g in keep)
         return GroupedDataset({g: xy for g, xy in self.groups.items()

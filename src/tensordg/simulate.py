@@ -39,7 +39,6 @@ class ScenarioConfig:
     signal_scale: float = 1.0
     rank_margin: float = 0.13       # smallest acceptable sigma_r / sigma_1
     seed: int = 0
-    replications: int = 100
 
     def __post_init__(self):
         for name in ("group_dims", "ranks", "body_sizes", "arm_sizes"):
@@ -57,13 +56,6 @@ class ScenarioConfig:
                 raise ValueError("need rank <= body size <= group dim")
         if self.design not in ("identity", "ar1"):
             raise ValueError(f"unknown design {self.design!r}")
-
-    def to_dict(self):
-        out = {}
-        for name in self.__dataclass_fields__:
-            val = getattr(self, name)
-            out[name] = list(val) if isinstance(val, tuple) else val
-        return out
 
     @classmethod
     def from_dict(cls, cfg):

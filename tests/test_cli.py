@@ -132,6 +132,13 @@ def test_experiment_subcommand(tmp_path, capsys):
     assert rows[0] == CSV_HEADER
     assert len(rows) == 1 + 2 * 2 + 2 * 2
 
+    rc = main(["experiment", "--config", str(cfg_path),
+               "--out", str(out_path), "--reps", "1"])
+    assert rc == 0
+    assert "mean_tle=" in capsys.readouterr().out
+    with open(out_path, newline="") as handle:
+        assert len(list(csv.reader(handle))) == 1 + 1 * 2 + 2 * 2
+
 
 def test_ingest_subcommand(tmp_path, capsys):
     path = tmp_path / "people.csv"

@@ -1,7 +1,9 @@
 """Experiment harness: config handling, scoring, determinism, CSV output."""
 
 import csv
+import json
 import math
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +53,25 @@ def test_config_dict_roundtrip():
     assert again == cfg
     with pytest.raises(ValueError, match="unknown experiment fields"):
         ExperimentConfig.from_dict({"sweep": "default", "replicas": 3})
+    # the replication count belongs to the experiment, not the scenario
+    with pytest.raises(ValueError,
+                       match=r"unknown scenario fields \['replications'\]"):
+        small_cfg(scenario=dict(SMALL, replications=3)).cells()
+
+
+def test_battery_configs_load():
+    """The checked-in battery: six configs, each named after its file."""
+    paths = sorted(pathlib.Path(__file__).resolve().parents[1]
+                   .joinpath("configs").glob("*.json"))
+    names = []
+    for path in paths:
+        cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
+        assert cfg.name == path.stem
+        assert cfg.cells()
+        names.append(cfg.name)
+    assert sorted(names) == sorted([
+        "method_comparison", "rank_sweep", "arm_sweep", "body_sweep",
+        "transfer_delta0", "transfer_delta3"])
 
 
 def test_cells_sweep_semantics():
