@@ -44,7 +44,10 @@ def single_task_ols(ds, g):
 def pooled_gram(ds):
     """Sample-size weighted average of the per-group design Grams.
 
-    Equals X'X / N for the row-stacked design over every group.
+    Equals X'X / N for the row-stacked design over every group. ``fit_all``
+    forms the same matrix from its own products as
+    ``GroupEstimates.pooled``; this function serves a dataset that was
+    not fitted.
     """
     if not ds.groups:
         raise DimensionError("empty dataset")
@@ -71,6 +74,51 @@ def _coef_matrix(estimates):
     return np.column_stack([coefs[g] for g in order]), order
 
 
+def _advance(w, idx, step):
+    """Weights moved by ``step`` on the working set ``idx``, stopping at
+    the first weight that would go negative. Returns (weights, the index
+    that left the working set or None)."""
+    # a near-singular bordered system meets its constraint row only to
+    # the solve's cutoff; keep the weights on the simplex exactly
+    step = step - step.mean()
+    current = w[idx]
+    target = current + step
+    w = w.copy()
+    blocking = np.flatnonzero(target <= 0.0)
+    if not blocking.size:
+        w[idx] = target
+        return w, None
+    at = current[blocking]
+    ratios = np.divide(at, at - target[blocking],
+                       out=np.zeros_like(at), where=at > 0.0)
+    first = int(np.argmin(ratios))
+    w[idx] = np.maximum(current + ratios[first] * step, 0.0)
+    drop = idx[blocking[first]]
+    w[drop] = 0.0
+    return w, drop
+
+
+def _working_set_step(gram, w, idx, grad, value):
+    """The step to the best point of the affine hull of ``idx``, through
+    ``_advance``. The bordered system is solved by LU and redone by
+    minimum-norm least squares where LU raises, returns non-finite
+    values or would raise w' G w above ``value``."""
+    k = idx.size
+    bordered = np.ones((k + 1, k + 1))
+    bordered[:k, :k] = gram[np.ix_(idx, idx)]
+    bordered[k, k] = 0.0
+    rhs = np.append(-grad[idx], 0.0)
+    try:
+        step = np.linalg.solve(bordered, rhs)[:k]
+    except np.linalg.LinAlgError:
+        step = None
+    if step is not None and np.isfinite(step).all():
+        new, drop = _advance(w, idx, step)
+        if float(new @ gram @ new) <= value:
+            return new, drop
+    return _advance(w, idx, np.linalg.lstsq(bordered, rhs, rcond=None)[0][:k])
+
+
 def maximin(estimates, pooled, tol=MAXIMIN_TOL, max_iter=MAXIMIN_MAX_ITER,
             history=None):
     """Worst-case-optimal convex combination of per-group estimates.
@@ -82,17 +130,24 @@ def maximin(estimates, pooled, tol=MAXIMIN_TOL, max_iter=MAXIMIN_MAX_ITER,
     the best point of its affine hull. A weight that would go negative
     stops the step at that bound and leaves P. At the best point of the
     hull the index with the most negative gradient relative to the
-    multiplier joins P. The bordered solve is a minimum-norm least
-    squares solve, so a singular G_PP (duplicate or antipodal estimates,
-    more groups than features) needs no ridge.
+    multiplier joins P. The bordered system is solved by LU. Where LU
+    raises, returns non-finite values, or gives a step that would raise
+    w' G w, the step is redone with the minimum-norm least squares
+    solve, so a singular G_PP (duplicate or antipodal estimates, more
+    groups than features) needs no ridge. In exact arithmetic the
+    joining index always gets a positive step; where rounding in a
+    singular solve gives it none, it moves toward its own vertex by an
+    exact line search instead, which lowers w' G w where repeating the
+    step would cycle.
 
     The solver stops when the KKT certificate holds: the gradient G w is
     equal on the support and no smaller off it, both to ``tol`` times
-    the largest diagonal entry of G. Returns (coefficient vector,
-    weights). ``max_iter`` caps the active-set steps; running out raises
-    ConvergenceError carrying the final KKT residual. ``history``, when
-    a list, collects the objective value of every iterate; the values do
-    not increase.
+    the largest diagonal entry of G. ``pooled`` is S, for example
+    ``GroupEstimates.pooled`` or ``pooled_gram``. Returns (coefficient
+    vector, weights). ``max_iter`` caps the active-set steps; running
+    out raises ConvergenceError carrying the final KKT residual.
+    ``history``, when a list, collects the objective value of every
+    iterate; the values do not increase beyond the rounding of w' G w.
     """
     basis, _ = _coef_matrix(estimates)
     pooled = np.asarray(pooled, dtype=float)
@@ -107,8 +162,9 @@ def maximin(estimates, pooled, tol=MAXIMIN_TOL, max_iter=MAXIMIN_MAX_ITER,
     free = np.zeros(m, dtype=bool)
     free[np.argmin(diag)] = True
     w = free.astype(float)
+    value = float(w @ gram @ w)
     if history is not None:
-        history.append(float(w @ gram @ w))
+        history.append(value)
     steps = 0
     while True:
         grad = gram @ w
@@ -123,34 +179,29 @@ def maximin(estimates, pooled, tol=MAXIMIN_TOL, max_iter=MAXIMIN_MAX_ITER,
                 f"maximin KKT certificate not reached in {max_iter} "
                 f"active-set steps", residual=max(spread, gap))
         steps += 1
+        joined = None
         if spread <= slack:
-            free[outside[np.argmin(grad[outside])]] = True
-        idx = np.flatnonzero(free)
-        k = idx.size
-        bordered = np.ones((k + 1, k + 1))
-        bordered[:k, :k] = gram[np.ix_(idx, idx)]
-        bordered[k, k] = 0.0
-        rhs = np.append(-grad[idx], 0.0)
-        step = np.linalg.lstsq(bordered, rhs, rcond=None)[0][:k]
-        # a near-singular bordered system meets its constraint row only to
-        # the solve's cutoff; keep the weights on the simplex exactly
-        step -= step.mean()
-        current = w[idx]
-        target = current + step
-        blocking = np.flatnonzero(target <= 0.0)
-        if blocking.size:
-            at = current[blocking]
-            ratios = np.divide(at, at - target[blocking],
-                               out=np.zeros_like(at), where=at > 0.0)
-            first = int(np.argmin(ratios))
-            w[idx] = np.maximum(current + ratios[first] * step, 0.0)
-            drop = idx[blocking[first]]
-            w[drop] = 0.0
+            joined = outside[np.argmin(grad[outside])]
+            free[joined] = True
+        new, drop = _working_set_step(gram, w, np.flatnonzero(free), grad,
+                                      value)
+        if joined is not None and drop == joined:
+            # the joining index would leave again at once; its gradient is
+            # below the level, so the segment to its vertex descends
+            slope = grad[joined] - level
+            curv = gram[joined, joined] - 2.0 * grad[joined] + level
+            t = 1.0 if curv <= -slope else -slope / curv
+            new = (1.0 - t) * w
+            new[joined] += t
+            drop = None
+            if t == 1.0:
+                free[:] = False
+                free[joined] = True
+        w, value = new, float(new @ gram @ new)
+        if drop is not None:
             free[drop] = False
-        else:
-            w[idx] = target
         if history is not None:
-            history.append(float(w @ gram @ w))
+            history.append(value)
 
 
 def shared_subspace(est, pattern):

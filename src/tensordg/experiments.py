@@ -17,7 +17,8 @@ Each method yields a full coefficient tensor and per-target vectors:
 * ``ols``: per-group least squares; unobserved groups use their own
   target samples (the data-rich single-task reference).
 * ``maximin``: the worst-case-optimal convex combination of the
-  observed-group fits, used for every combination.
+  observed-group fits, used for every combination. Its pooled Gram
+  comes from the shared fit, so its seconds do not include forming it.
 * ``metalm``: shared-subspace regression per unobserved group on its
   target sample; observed groups keep their own fits. The subspace is
   learned from the sources once per replication.
@@ -48,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .baselines import maximin, pooled_gram, projected_ols, shared_subspace
+from .baselines import maximin, projected_ols, shared_subspace
 from .completion import fit_tensordg
 from .metrics import adge, al2e, tle
 from .regression import fit_all, ols_fit
@@ -210,7 +211,7 @@ def _ols(ctx):
 
 def _maximin(ctx):
     scenario = ctx.scenario
-    coef, _ = maximin(ctx.est, pooled_gram(scenario.train))
+    coef, _ = maximin(ctx.est, ctx.est.pooled)
     arr = np.broadcast_to(coef.reshape((-1,) + (1,) * scenario.pattern.q),
                           scenario.truth.dims)
     return DenseTensor(np.array(arr)), {g: coef for g in scenario.targets}

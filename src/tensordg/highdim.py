@@ -208,6 +208,14 @@ def choose_lambda(ds, lambdas=None, holdout=0.2, seed=0, rule="1se",
     training rows are stacked once for the whole path; each solve is
     group_lasso, stopped at absolute KKT residual ``tol``.
     """
+    return _choose_lambda(ds, lambdas, holdout, seed, rule, tol,
+                          max_iter)[0]
+
+
+def _choose_lambda(ds, lambdas=None, holdout=0.2, seed=0, rule="1se",
+                   tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER):
+    """choose_lambda's penalty and the path's training-row solution at it,
+    a warm start for the full-data solve."""
     if not 0.0 < holdout < 1.0:
         raise ValueError(f"holdout fraction must be in (0,1), got {holdout}")
     if rule not in ("min", "1se"):
@@ -228,25 +236,23 @@ def choose_lambda(ds, lambdas=None, holdout=0.2, seed=0, rule="1se",
     if lambdas is None:
         lambdas = lambda_grid(stack)
     lambdas = sorted((float(l) for l in lambdas), reverse=True)
-    means, warm = [], None
-    sq_errors = []
+    means, path, sq_errors = [], [], []
     for lam in lambdas:
-        warm = group_lasso(stack, lam, tol=tol, max_iter=max_iter,
-                           init=warm)
-        sq = np.concatenate([(yv - Xv @ warm[g]) ** 2
+        path.append(group_lasso(stack, lam, tol=tol, max_iter=max_iter,
+                                init=path[-1] if path else None))
+        sq = np.concatenate([(yv - Xv @ path[-1][g]) ** 2
                              for g, (Xv, yv) in sorted(valid.items())])
         sq_errors.append(sq)
         means.append(float(sq.mean()))
-    best = int(np.argmin(means))
-    if rule == "min":
-        return lambdas[best]
-    sq = sq_errors[best]
-    se = float(sq.std(ddof=1) / math.sqrt(sq.size)) if sq.size > 1 else 0.0
-    cutoff = means[best] + se
-    for lam, mean in zip(lambdas, means):
-        if mean <= cutoff:
-            return lam
-    return lambdas[best]
+    best = pick = int(np.argmin(means))
+    if rule == "1se":
+        sq = sq_errors[best]
+        se = float(sq.std(ddof=1) / math.sqrt(sq.size)) if sq.size > 1 \
+            else 0.0
+        cutoff = means[best] + se
+        pick = next((k for k, mean in enumerate(means) if mean <= cutoff),
+                    best)
+    return lambdas[pick], path[pick]
 
 
 def fit_highdim(ds, pattern, lam=None, threshold=None, support=None,
@@ -259,17 +265,20 @@ def fit_highdim(ds, pattern, lam=None, threshold=None, support=None,
     same ``lam``), fits the completion pipeline on the selected columns,
     and embeds the result into the full feature space with zero rows off
     the support. A known ``support`` (0-based column indices) skips the
-    selection stage entirely. The selection is recorded in
-    model.diagnostics. ``tol`` (absolute KKT residual) and ``max_iter``
-    go to choose_lambda and group_lasso.
+    selection stage entirely. When ``lam`` is chosen here, the full-data
+    solve starts from the path's solution at it. The selection is
+    recorded in model.diagnostics. ``tol`` (absolute KKT residual) and
+    ``max_iter`` go to choose_lambda and group_lasso.
     """
     if support is not None:
         support = tuple(sorted(int(j) for j in support))
         lam = float(lam) if lam is not None else 0.0
     else:
+        warm = None
         if lam is None:
-            lam = choose_lambda(ds, seed=seed, tol=tol, max_iter=max_iter)
-        beta = group_lasso(ds, lam, tol=tol, max_iter=max_iter)
+            lam, warm = _choose_lambda(ds, seed=seed, tol=tol,
+                                       max_iter=max_iter)
+        beta = group_lasso(ds, lam, tol=tol, max_iter=max_iter, init=warm)
         support = select_support(beta,
                                  lam if threshold is None else threshold)
     if not support:

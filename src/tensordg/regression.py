@@ -79,7 +79,7 @@ class GroupedDataset:
 def _lu_fit(X, y):
     """Least squares by one LU solve of G = X'X/n against [X'y/n | I].
 
-    Returns (GroupFit, G). G is singular when its smallest eigenvalue is
+    Returns (GroupFit, X'X). G is singular when its smallest eigenvalue is
     at most GRAM_EIGENVALUE_FLOOR times its largest. The eigenvalues are
     only computed when the solve does not certify that they are not: for
     symmetric G, kappa_2 <= kappa_1 = ||G||_1 ||G^-1||_1, and kappa_1
@@ -90,7 +90,8 @@ def _lu_fit(X, y):
     n, p = X.shape
     if n <= p:
         raise DimensionError(f"need n > p, got n={n}, p={p}")
-    gram = X.T @ X / n
+    xtx = X.T @ X
+    gram = xtx / n
     try:
         sol = np.linalg.solve(gram, np.column_stack([X.T @ y / n, np.eye(p)]))
         kappa1 = np.linalg.norm(gram, 1) * np.linalg.norm(sol[:, 1:], 1)
@@ -109,7 +110,7 @@ def _lu_fit(X, y):
     sigma2 = max(rss, 0.0) / (n - p)
     noise_cov = sol[:, 1:] * (sigma2 / n)
     return GroupFit(coef, sigma2, n, noise_cov,
-                    float(np.trace(noise_cov))), gram
+                    float(np.trace(noise_cov))), xtx
 
 
 def ols_fit(X, y):
@@ -118,8 +119,8 @@ def ols_fit(X, y):
     Returns (coef, gram, sigma2) where gram = X'X/n and sigma2 is the
     residual variance on n - p degrees of freedom.
     """
-    fit, gram = _lu_fit(X, y)
-    return fit.coef, gram, fit.sigma2
+    fit, xtx = _lu_fit(X, y)
+    return fit.coef, xtx / fit.n, fit.sigma2
 
 
 def split_sample(ds, seed):
@@ -139,17 +140,25 @@ def split_sample(ds, seed):
 
 @dataclass
 class GroupEstimates:
-    """Fold-wise per-group fits: tilde = fold 1, ring = fold 2."""
+    """Fold-wise per-group fits: tilde = fold 1, ring = fold 2.
+
+    ``pooled`` is the pooled second-moment matrix of the fold-1 designs,
+    sum X'X / sum n over the observed groups, summed in ``observed_list``
+    order from the products the fits formed. Without a split it equals
+    ``baselines.pooled_gram`` of the observed groups bit for bit.
+    """
 
     tilde: dict
     ring: dict
     n_bar: float
+    pooled: np.ndarray
 
 
 def fit_all(ds, pattern, split=False, seed=0):
     """OLS fits for every observed group, on both folds when splitting.
 
-    Without a split both folds alias the same full-sample fits. Errors
+    Without a split both folds alias the same full-sample fits. The
+    fold-1 fits also sum their X'X into the pooled Gram. Errors
     from a small or singular group are re-raised naming the group (as
     ``where``) and, when splitting, the fold.
     """
@@ -161,16 +170,20 @@ def fit_all(ds, pattern, split=False, seed=0):
     else:
         fold1 = fold2 = ds
 
-    def run(fold, name):
+    def run(fold, name, total=None):
         fits = {}
         for g in pattern.observed_list():
             try:
-                fits[g] = _lu_fit(*fold.groups[g])[0]
+                fits[g], xtx = _lu_fit(*fold.groups[g])
             except (ConditioningError, DimensionError) as exc:
                 raise type(exc)(f"group {g}{name}: {exc}", where=g) from exc
+            if total is not None:
+                total += xtx
         return fits
 
-    tilde = run(fold1, ", fold 1" if split else "")
+    total = np.zeros((ds.p, ds.p))
+    tilde = run(fold1, ", fold 1" if split else "", total)
     ring = tilde if not split else run(fold2, ", fold 2")
-    n_bar = float(np.mean([fit.n for fit in tilde.values()]))
-    return GroupEstimates(tilde, ring, n_bar)
+    sizes = [fit.n for fit in tilde.values()]
+    return GroupEstimates(tilde, ring, float(np.mean(sizes)),
+                          total / sum(sizes))

@@ -4,7 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from maximin_reference import lstsq_maximin
 from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
                       build_pattern, fit_all, maximin, meta_lm_star, ols_fit,
                       pooled_gram, single_task_ols, tucker_assemble)
@@ -194,6 +197,94 @@ def test_maximin_more_estimates_than_features():
         < np.count_nonzero(support)
     assert abs(float(w @ gram @ w)) <= 1e-12 * float(np.diag(gram).max())
     assert np.allclose(coef, 0.0, atol=1e-8)
+
+
+def scattered_instance(seed, m, p, n_dup, n_anti):
+    """m estimates in p dims scattered around a common coefficient, with
+    n_dup exact duplicates and n_anti exact negations of other estimates.
+    The pooled Gram is that of p + 10 Gaussian samples whose columns are
+    scaled by factors from 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    common = rng.normal(size=p)
+    coefs = [common + rng.uniform(0.1, 2.0) * rng.normal(size=p)
+             for _ in range(m)]
+    for _ in range(n_dup):
+        i, j = rng.choice(m, 2, replace=False)
+        coefs[j] = coefs[i].copy()
+    for _ in range(n_anti):
+        i, j = rng.choice(m, 2, replace=False)
+        coefs[j] = -coefs[i]
+    scale = 10.0 ** rng.uniform(-3, 3, size=p)
+    A = rng.normal(size=(p + 10, p)) * scale
+    return {(g,): b for g, b in enumerate(coefs)}, A.T @ A / (p + 10)
+
+
+@given(m=st.integers(2, 60), p=st.integers(2, 70),
+       n_dup=st.integers(0, 3), n_anti=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+# an LU step that would raise w' G w and is redone by least squares
+@example(m=23, p=5, n_dup=0, n_anti=1, seed=545757574)
+def test_maximin_matches_lstsq_reference(m, p, n_dup, n_anti, seed):
+    """LU steps with the least squares fallback against the solver that
+    takes least squares on every step: a KKT point whose history does not
+    increase beyond the rounding of w' G w, the reference's objective to
+    within twice the solver slack (two KKT points of a convex problem are
+    no further apart), and where G is well conditioned (kappa < 1e8) the
+    reference's weights."""
+    n_dup, n_anti = min(n_dup, m // 2), min(n_anti, m // 2)
+    coefs, pooled = scattered_instance(seed, m, p, n_dup, n_anti)
+    history = []
+    _, w = maximin(coefs, pooled, history=history)
+    gram = maximin_gram(coefs, pooled)
+    assert_kkt_certificate(gram, w)
+    slack = 1e-10 * float(np.diag(gram).max())
+    assert np.all(np.diff(history) <= 1e-2 * slack)
+    try:
+        _, ref = lstsq_maximin(coefs, pooled)
+    except ConvergenceError:
+        return      # the reference cycles on some degenerate instances
+    assert abs(float(w @ gram @ w) - float(ref @ gram @ ref)) <= 2 * slack
+    if np.linalg.cond(gram) < 1e8:
+        assert np.max(np.abs(w - ref)) <= 1e-9
+
+
+def test_maximin_breaks_degenerate_cycle():
+    """57 estimates in p=18 with three antipodal pairs, so the optimum is
+    0 and G_PP goes singular along the way. Rounding there gives the
+    joining index a negative step, which would drop it again at once;
+    the reference solver repeats that until its step cap. The vertex
+    step breaks the cycle and the solve certifies."""
+    coefs, pooled = scattered_instance(79, 57, 18, 0, 3)
+    with pytest.raises(ConvergenceError):
+        lstsq_maximin(coefs, pooled)
+    history = []
+    _, w = maximin(coefs, pooled, history=history)
+    assert_kkt_certificate(maximin_gram(coefs, pooled), w)
+    assert np.all(np.diff(history) <= 0.0)
+
+
+@pytest.mark.parametrize("failure", ["raise", "nan", "uphill"])
+def test_maximin_falls_back_to_least_squares(monkeypatch, failure):
+    """An LU step that raises, returns non-finite values or would raise
+    w' G w is taken by least squares instead: the solve lands on the
+    reference's weights with a non-increasing history."""
+    coefs, pooled = reference_size_instance(13)
+    _, ref = lstsq_maximin(coefs, pooled)
+    lu = np.linalg.solve
+
+    def broken(a, b):
+        if failure == "raise":
+            raise np.linalg.LinAlgError("singular matrix")
+        step = lu(a, b)
+        # three times too long overshoots the best point of the hull
+        return step * np.nan if failure == "nan" else 3.0 * step
+
+    monkeypatch.setattr(np.linalg, "solve", broken)
+    history = []
+    _, w = maximin(coefs, pooled, history=history)
+    assert np.max(np.abs(w - ref)) <= 1e-9
+    assert np.all(np.diff(history) <= 0.0)
 
 
 def test_maximin_step_cap_raises():

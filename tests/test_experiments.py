@@ -9,12 +9,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import tensordg.baselines as baselines
 import tensordg.completion as completion
 import tensordg.experiments as experiments
 from tensordg import (CSV_HEADER, DenseTensor, ExperimentConfig,
                       MetricsRecord, adge, al2e, fit_all, make_scenario,
                       meta_lm_star, run_experiment, summarize, tle,
                       write_metrics_csv)
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # Small, well-conditioned design so a replication costs milliseconds.
 SMALL = {"p": 8, "group_dims": (5, 4), "ranks": (3, 2, 2),
@@ -61,8 +64,7 @@ def test_config_dict_roundtrip():
 
 def test_battery_configs_load():
     """The checked-in battery: six configs, each named after its file."""
-    paths = sorted(pathlib.Path(__file__).resolve().parents[1]
-                   .joinpath("configs").glob("*.json"))
+    paths = sorted(ROOT.joinpath("configs").glob("*.json"))
     names = []
     for path in paths:
         cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
@@ -141,6 +143,23 @@ def test_one_replication_fits_the_groups_once(monkeypatch):
     records = run_experiment(small_cfg(methods=ALL_METHODS, replications=1))
     assert [r.failed for r in records] == [0] * len(ALL_METHODS)
     assert len(calls) == 1
+
+
+def test_one_replication_forms_the_pooled_gram_once(monkeypatch):
+    """maximin reads the pooled Gram that the shared fit summed, so no
+    replication calls pooled_gram to form it a second time."""
+    calls = []
+    original = baselines.pooled_gram
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "pooled_gram", counted)
+    monkeypatch.setattr(experiments, "pooled_gram", counted, raising=False)
+    records = run_experiment(small_cfg(methods=ALL_METHODS, replications=1))
+    assert [r.failed for r in records] == [0] * len(ALL_METHODS)
+    assert calls == []
 
 
 def test_methods_share_no_state_through_the_replication():
@@ -272,3 +291,36 @@ def test_metrics_csv_layout_and_determinism(tmp_path):
     write_metrics_csv(without_summaries, records, summaries=False)
     assert len(strip_seconds(without_summaries)) == \
         1 + cfg.replications * n_methods
+
+
+BATTERY = ROOT / "tests" / "data" / "battery"
+NUMERIC = {"al2e", "adge", "tle"}
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.stem for path in (ROOT / "configs").glob("*.json")))
+def test_battery_matches_golden_csv(name, tmp_path):
+    """Each checked-in config, rerun with 3 replications from seed 5,
+    writes the CSV stored in tests/data/battery in every column but
+    seconds: text exactly, metrics to 1e-10 relative."""
+    cfg = ExperimentConfig.from_dict(
+        json.loads((ROOT / "configs" / f"{name}.json").read_text()))
+    out = tmp_path / f"{name}.csv"
+    write_metrics_csv(out, run_experiment(replace(cfg, replications=3,
+                                                  seed=5)))
+    with open(out, newline="") as handle:
+        got = list(csv.DictReader(handle))
+    with open(BATTERY / f"{name}.csv", newline="") as handle:
+        want = list(csv.DictReader(handle))
+    assert len(got) == len(want)
+    for row, golden in zip(got, want):
+        assert row.keys() == golden.keys()
+        for column in CSV_HEADER:
+            if column == "seconds":
+                continue
+            if column in NUMERIC and golden[column]:
+                assert math.isclose(float(row[column]),
+                                    float(golden[column]), rel_tol=1e-10,
+                                    abs_tol=0.0), (column, row, golden)
+            else:
+                assert row[column] == golden[column], (column, row, golden)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tensordg import (ConditioningError, DimensionError, GroupedDataset,
                       NonFiniteError, build_pattern, fit_all, ols_fit,
-                      split_sample)
+                      pooled_gram, split_sample)
 
 
 def normal_equations_oracle(X, y):
@@ -103,6 +103,19 @@ def test_fit_all_split_uses_disjoint_halves():
     assert est.n_bar == 20.0
     g = (1, 1)
     assert not np.allclose(est.tilde[g].coef, est.ring[g].coef)
+
+
+def test_fit_all_pooled_gram_is_pooled_gram_bitwise():
+    """Without a split the pooled Gram summed from the fits' own X'X is
+    pooled_gram of the dataset bit for bit; with a split it is
+    pooled_gram of fold 1, also with unequal group sizes."""
+    ds, pat = toy_dataset(n=31, p=4)
+    X, y = ds.groups[(2, 1)]
+    ds.groups[(2, 1)] = (X[:17], y[:17])
+    assert np.array_equal(fit_all(ds, pat).pooled, pooled_gram(ds))
+    est = fit_all(ds, pat, split=True, seed=5)
+    fold1, _ = split_sample(ds, 5)
+    assert np.array_equal(est.pooled, pooled_gram(fold1))
 
 
 def test_fit_all_reports_missing_group():
