@@ -1,7 +1,7 @@
 """Structured tensor completion for multi-environment linear regression."""
 
 from .baselines import (maximin, meta_lm_star, pooled_gram, projected_ols,
-                        shared_subspace, single_task_ols)
+                        shared_subspace)
 from .completion import (CompletionModel, diagnose_generalizability,
                          estimate_loading, fit_tensordg, load_model,
                          save_model, unfold_blocks)
@@ -13,17 +13,16 @@ from .experiments import (CSV_HEADER, ExperimentConfig, MetricsRecord,
 from .highdim import (choose_lambda, fit_highdim, group_lasso,
                       group_lasso_kkt, select_support)
 from .metrics import adge, al2e, tle
-from .patterns import (ObservationPattern, build_pattern, enumerate_block,
-                       is_observed, load_pattern, pattern_from_config,
-                       pattern_to_config, save_pattern)
+from .patterns import (ObservationPattern, build_pattern, load_pattern,
+                       pattern_from_config, pattern_to_config, save_pattern)
 from .regression import (GroupedDataset, GroupEstimates, GroupFit, fit_all,
-                         ols_fit, split_sample)
+                         ols_fit)
 from .simulate import (Scenario, ScenarioConfig, default_pattern,
                        generate_data, generate_tensor, make_scenario)
 from .spectral import ModeSpectrum, mode_gram, select_rank, spectral_step
 from .transfer import (TransferResult, cross_validate_lambda,
                        default_lambda, lasso_kkt, lasso_offset, tensortl)
-from .tensor import (DenseTensor, dematricize, load_tensor, matricize,
-                     mode_product, save_tensor, tucker_assemble, tucker_ranks)
+from .tensor import (DenseTensor, load_tensor, matricize, mode_product,
+                     save_tensor, tucker_assemble)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,10 +1,9 @@
-"""Comparison estimators: single-task OLS, Maximin, and Meta-LM*.
+"""Comparison estimators: Maximin and Meta-LM*.
 
 Each baseline produces a p-vector for a target group from the same raw
-ingredients the completion pipeline uses:
+ingredients the completion pipeline uses (single-task OLS on the target
+group's own samples is ``regression.ols_fit``):
 
-* ``single_task_ols`` fits the target group's own samples and nothing
-  else.
 * ``maximin`` aggregates the per-group estimates into the convex
   combination whose pooled-design prediction risk is smallest in the
   worst case, following the convex-hull characterization: minimize
@@ -25,20 +24,11 @@ from .errors import ConvergenceError, DimensionError
 from .regression import GroupEstimates, ols_fit
 from .spectral import mode_gram, noise_floor_rank
 
-__all__ = ["single_task_ols", "pooled_gram", "maximin", "shared_subspace",
+__all__ = ["pooled_gram", "maximin", "shared_subspace",
            "projected_ols", "meta_lm_star"]
 
 MAXIMIN_TOL = 1e-10
 MAXIMIN_MAX_ITER = 1_000
-
-
-def single_task_ols(ds, g):
-    """OLS coefficient vector fitted on group g's samples alone."""
-    g = tuple(int(i) for i in g)
-    if g not in ds.groups:
-        raise DimensionError(f"group {g} not present in the dataset")
-    X, y = ds.groups[g]
-    return ols_fit(X, y)[0]
 
 
 def pooled_gram(ds):

@@ -83,13 +83,12 @@ def cmd_fit(args):
     pattern = load_pattern(args.pattern)
     if args.highdim:
         lam = None if args.lam in (None, "auto") else float(args.lam)
-        model = fit_highdim(ds, pattern, lam=lam, split=args.split,
-                            seed=args.seed, threshold_c=args.threshold_c)
+        model = fit_highdim(ds, pattern, lam=lam, seed=args.seed,
+                            threshold_c=args.threshold_c)
     else:
         if args.lam is not None:
             raise ValueError("--lambda requires --highdim")
-        model = fit_tensordg(ds, pattern, split=args.split, seed=args.seed,
-                             threshold_c=args.threshold_c)
+        model = fit_tensordg(ds, pattern, threshold_c=args.threshold_c)
     diag = model.diagnostics
     print(f"ranks: {','.join(str(r) for r in model.ranks)}")
     print(f"generalizability: "
@@ -218,10 +217,8 @@ def build_parser():
     fit.add_argument("--data", required=True, help="dataset CSV")
     fit.add_argument("--pattern", required=True,
                      help="observation pattern JSON")
-    fit.add_argument("--split", action="store_true",
-                     help="sample-split the spectral and transport steps")
     fit.add_argument("--seed", type=int, default=0,
-                     help="seed for the sample split")
+                     help="seed for the --highdim lambda holdout")
     fit.add_argument("--threshold-c", type=float, default=None,
                      help="rank-threshold constant (default: noise floor)")
     fit.add_argument("--highdim", action="store_true",

@@ -62,70 +62,57 @@ class CompletionModel:
 def unfold_blocks(est, pattern, t):
     """Stacked estimate blocks used by the mode-t transport solve.
 
-    Returns (joint fold-1, joint fold-2, target fold-2). For t >= 1 the
-    joint blocks stack the arm tuples against body levels and the target
-    block spans all levels of mode t; rows are arm tuples crossed with the
-    coefficient index, in a fixed lexicographic order shared by all three.
-    Mode 0 returns the observed-group coefficient stacks, where the target
-    equals the joint block.
+    Returns (joint, target). For t >= 1 the target block stacks the arm
+    tuples against every level of mode t, and the joint block is its
+    body-level columns, copied C-contiguous; rows are arm tuples crossed
+    with the coefficient index, in lexicographic order. Mode 0 returns
+    the observed-group coefficient stack as both blocks.
     """
     if t == 0:
-        order = pattern.observed_list()
-        b_tilde = np.vstack([est.tilde[g].coef for g in order])
-        b_ring = np.vstack([est.ring[g].coef for g in order])
-        return b_tilde, b_ring, b_ring
+        stack = np.vstack([est.tilde[g].coef
+                           for g in pattern.observed_list()])
+        return stack, stack
     if not 1 <= t <= pattern.q:
         raise ValueError(f"mode {t} out of range 0..{pattern.q}")
-    arms = pattern.arm_tuples(t)
-    body_levels = pattern.body[t - 1]
-    all_levels = range(1, pattern.space[t - 1] + 1)
-    return (stack_block(est.tilde, arms, t, body_levels)[0],
-            stack_block(est.ring, arms, t, body_levels)[0],
-            stack_block(est.ring, arms, t, all_levels)[0])
+    target = stack_block(est.tilde, pattern.arm_tuples(t), t,
+                         range(1, pattern.space[t - 1] + 1))[0]
+    body = np.asarray(pattern.body[t - 1]) - 1
+    return np.ascontiguousarray(target[:, body]), target
 
 
-def estimate_loading(t, b_jo_tilde, b_jo_ring, b_target, basis):
+def estimate_loading(t, b_joint, b_target, basis):
     """Solve the mode-t transport system on the selected basis.
 
     Returns the loading matrix (rank x target dim) and the condition
     number of the inner system.
     """
-    inner = basis.T @ b_jo_tilde.T @ b_jo_ring @ basis
+    inner = basis.T @ b_joint.T @ b_joint @ basis
     cond = float(np.linalg.cond(inner))
     if not np.isfinite(cond) or cond > LOADING_COND_LIMIT:
         raise ConditioningError(
             f"mode {t}: transport system condition {cond:.2e} exceeds "
             f"{LOADING_COND_LIMIT:.0e}", where=t)
-    rhs = basis.T @ b_jo_tilde.T @ b_target
+    rhs = basis.T @ b_joint.T @ b_target
     return np.linalg.solve(inner, rhs), cond
 
 
 def _body_tensor(est, pattern):
     shape = tuple(len(levels) for levels in pattern.body)
-    cols = [est.ring[g].coef for g in pattern.body_groups()]
+    cols = [est.tilde[g].coef for g in pattern.body_groups()]
     return DenseTensor(np.stack(cols, axis=-1).reshape((-1,) + shape))
 
 
-def fit_tensordg(ds, pattern, split=False, seed=0, threshold_c=None,
-                 rank_override=None):
+def fit_tensordg(ds, pattern, threshold_c=None, rank_override=None):
     """Fit the completion estimator on an observed-pattern dataset.
 
     ds is a GroupedDataset, or the GroupEstimates ``fit_all`` made from
-    one, used as fitted. split (dataset only) enables the 50/50 sample
-    split between the spectral and transport steps, seeded by seed (off
-    by default; the no-split variant uses every sample twice and is the
-    stronger finite-sample choice). threshold_c picks the rank selector:
-    None (default) uses the noise-floor rule, a float uses the
+    one, used as fitted. The spectral step and the transport solves read
+    the same per-group fits. threshold_c picks the rank selector: None
+    (default) uses the noise-floor rule, a float uses the
     concentration-bound threshold with that constant. rank_override
     bypasses rank selection with fixed per-mode ranks.
     """
-    if isinstance(ds, GroupEstimates):
-        if split:
-            raise ValueError("split needs a dataset; these estimates "
-                             "were already fitted on their folds")
-        est = ds
-    else:
-        est = fit_all(ds, pattern, split=split, seed=seed)
+    est = ds if isinstance(ds, GroupEstimates) else fit_all(ds, pattern)
     spectra = spectral_step(est, pattern, c=threshold_c,
                             rank_override=rank_override)
     loadings, conds = [], []
@@ -146,7 +133,6 @@ def fit_tensordg(ds, pattern, split=False, seed=0, threshold_c=None,
         "spectral": [s.summary() for s in spectra],
         "loading_condition_numbers": conds,
         "generalizability": diagnose_generalizability(est, pattern),
-        "split": est.tilde is not est.ring,
         "n_bar": est.n_bar,
         "warnings": warnings,
     }

@@ -187,7 +187,7 @@ class _Replication:
     def observed(self):
         """Zero tensor with the observed fibers set to their OLS fits."""
         return _with_fibers(DenseTensor(np.zeros(self.scenario.truth.dims)),
-                            {g: self.est.ring[g].coef
+                            {g: self.est.tilde[g].coef
                              for g in self.scenario.pattern.observed_list()})
 
 

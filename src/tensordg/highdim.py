@@ -256,15 +256,15 @@ def _choose_lambda(ds, lambdas=None, holdout=0.2, seed=0, rule="1se",
 
 
 def fit_highdim(ds, pattern, lam=None, threshold=None, support=None,
-                split=False, seed=0, threshold_c=None, rank_override=None,
+                seed=0, threshold_c=None, rank_override=None,
                 tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER):
     """Support selection followed by completion on the selected columns.
 
-    Runs the group lasso at ``lam`` (chosen by holdout validation when
-    omitted), thresholds row norms at ``threshold`` (defaults to the
-    same ``lam``), fits the completion pipeline on the selected columns,
-    and embeds the result into the full feature space with zero rows off
-    the support. A known ``support`` (0-based column indices) skips the
+    Runs the group lasso at ``lam`` (chosen by holdout validation on a
+    split seeded by ``seed`` when omitted), thresholds row norms at
+    ``threshold`` (defaults to the same ``lam``), fits the completion
+    pipeline on the selected columns, and embeds the result into the full
+    feature space with zero rows off the support. A known ``support`` (0-based column indices) skips the
     selection stage entirely. When ``lam`` is chosen here, the full-data
     solve starts from the path's solution at it. The selection is
     recorded in model.diagnostics. ``tol`` (absolute KKT residual) and
@@ -289,8 +289,7 @@ def fit_highdim(ds, pattern, lam=None, threshold=None, support=None,
             f"support size {len(support)} is not below the smallest group "
             f"sample count {min_n}")
     sub = fit_tensordg(ds.restrict_columns(list(support)), pattern,
-                       split=split, seed=seed, threshold_c=threshold_c,
-                       rank_override=rank_override)
+                       threshold_c=threshold_c, rank_override=rank_override)
     p = ds.p
     rows = np.asarray(support, dtype=int)
 

@@ -119,36 +119,6 @@ def _check_levels(levels, p, what):
     return tuple(levels)
 
 
-def enumerate_block(pattern, kind, t=None):
-    """Groups of a declared block, in lexicographic order.
-
-    kind 'body' lists the body; the mode-specific kinds need t in 1..q:
-    'arm' is arm t crossed with all of [p_t], 'joint' is arm t crossed
-    with Omega_t, 'cset' is C_t crossed with Omega_t.
-    """
-    if kind == "body":
-        return sorted(pattern.body_groups())
-    if kind not in ("arm", "joint", "cset"):
-        raise ValueError(f"unknown block kind {kind!r}")
-    if t is None or not 1 <= t <= pattern.q:
-        raise ValueError(f"kind {kind!r} needs a mode t in 1..{pattern.q}")
-    if kind == "arm":
-        return sorted(pattern.arm_groups(t))
-    if kind == "joint":
-        return sorted(pattern.arm_groups(t, pattern.body[t - 1]))
-    return sorted(_insert(rest, t, lev)
-                  for rest in pattern.cset_tuples(t)
-                  for lev in pattern.body[t - 1])
-
-
-def is_observed(pattern, group):
-    group = tuple(int(i) for i in group)
-    if len(group) != pattern.q:
-        raise ValueError(
-            f"group {group} has {len(group)} coordinates, expected {pattern.q}")
-    return group in pattern.observed
-
-
 def pattern_to_config(pattern):
     cfg = {
         "space": list(pattern.space),

@@ -1,7 +1,8 @@
-"""Per-group least squares fits and the optional sample split.
+"""Per-group least squares fits, one per observed group.
 
 One LU solve per group gives the coefficient and the inverse Gram; each
 fit stores its noise covariance and trace, so no later stage inverts.
+Every stage of the completion reads this one set of fits.
 """
 
 from dataclasses import dataclass, field
@@ -123,67 +124,40 @@ def ols_fit(X, y):
     return fit.coef, xtx / fit.n, fit.sigma2
 
 
-def split_sample(ds, seed):
-    """Random 50/50 split of every group, sizes differing by at most one."""
-    rng = np.random.default_rng(int(seed))
-    fold1, fold2 = {}, {}
-    for g in sorted(ds.groups):
-        X, y = ds.groups[g]
-        n = y.size
-        perm = rng.permutation(n)
-        half = n // 2
-        a, b = perm[:half], perm[half:]
-        fold1[g] = (X[a], y[a])
-        fold2[g] = (X[b], y[b])
-    return GroupedDataset(fold1), GroupedDataset(fold2)
-
-
 @dataclass
 class GroupEstimates:
-    """Fold-wise per-group fits: tilde = fold 1, ring = fold 2.
+    """Per-group OLS fits of the observed groups.
 
-    ``pooled`` is the pooled second-moment matrix of the fold-1 designs,
-    sum X'X / sum n over the observed groups, summed in ``observed_list``
-    order from the products the fits formed. Without a split it equals
-    ``baselines.pooled_gram`` of the observed groups bit for bit.
+    ``tilde`` maps each observed group to its GroupFit (the paper's
+    beta-tilde); ``n_bar`` is their mean sample count. ``pooled`` is the
+    pooled second-moment matrix sum X'X / sum n over the observed groups,
+    summed in ``observed_list`` order from the products the fits formed.
+    It equals ``baselines.pooled_gram`` of the observed groups bit for
+    bit.
     """
 
     tilde: dict
-    ring: dict
     n_bar: float
     pooled: np.ndarray
 
 
-def fit_all(ds, pattern, split=False, seed=0):
-    """OLS fits for every observed group, on both folds when splitting.
+def fit_all(ds, pattern):
+    """OLS fits for every observed group, in one pass over the dataset.
 
-    Without a split both folds alias the same full-sample fits. The
-    fold-1 fits also sum their X'X into the pooled Gram. Errors
-    from a small or singular group are re-raised naming the group (as
-    ``where``) and, when splitting, the fold.
+    The pass also sums each group's X'X into the pooled Gram. Errors from
+    a small or singular group are re-raised naming the group (as
+    ``where``).
     """
     missing = [g for g in pattern.observed_list() if g not in ds.groups]
     if missing:
         raise DimensionError(f"dataset lacks observed groups {missing[:5]}")
-    if split:
-        fold1, fold2 = split_sample(ds, seed)
-    else:
-        fold1 = fold2 = ds
-
-    def run(fold, name, total=None):
-        fits = {}
-        for g in pattern.observed_list():
-            try:
-                fits[g], xtx = _lu_fit(*fold.groups[g])
-            except (ConditioningError, DimensionError) as exc:
-                raise type(exc)(f"group {g}{name}: {exc}", where=g) from exc
-            if total is not None:
-                total += xtx
-        return fits
-
+    fits = {}
     total = np.zeros((ds.p, ds.p))
-    tilde = run(fold1, ", fold 1" if split else "", total)
-    ring = tilde if not split else run(fold2, ", fold 2")
-    sizes = [fit.n for fit in tilde.values()]
-    return GroupEstimates(tilde, ring, float(np.mean(sizes)),
-                          total / sum(sizes))
+    for g in pattern.observed_list():
+        try:
+            fits[g], xtx = _lu_fit(*ds.groups[g])
+        except (ConditioningError, DimensionError) as exc:
+            raise type(exc)(f"group {g}: {exc}", where=g) from exc
+        total += xtx
+    sizes = [fit.n for fit in fits.values()]
+    return GroupEstimates(fits, float(np.mean(sizes)), total / sum(sizes))

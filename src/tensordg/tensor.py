@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NonFiniteError
 
 
 @dataclass(frozen=True)
@@ -40,16 +40,6 @@ class DenseTensor:
     @property
     def order(self):
         return self.array.ndim
-
-    def entry(self, *index):
-        """Entry at a 1-based multi-index."""
-        if len(index) != self.order:
-            raise DimensionError(
-                f"expected {self.order} indices, got {len(index)}")
-        for i, (idx, d) in enumerate(zip(index, self.dims)):
-            if not 1 <= idx <= d:
-                raise DimensionError(f"index {idx} out of range for mode {i}")
-        return float(self.array[tuple(i - 1 for i in index)])
 
     def ravel(self):
         """Entries in canonical (last mode fastest) order."""
@@ -82,20 +72,6 @@ def matricize(tensor, t):
     if not 0 <= t < arr.ndim:
         raise DimensionError(f"mode {t} out of range for order {arr.ndim}")
     return np.moveaxis(arr, t, 0).reshape(arr.shape[t], -1, order="F")
-
-
-def dematricize(mat, t, dims):
-    """Inverse of :func:`matricize` for the given target dims."""
-    mat = np.asarray(mat, dtype=float)
-    dims = tuple(int(d) for d in dims)
-    if not 0 <= t < len(dims):
-        raise DimensionError(f"mode {t} out of range for order {len(dims)}")
-    rest = tuple(d for l, d in enumerate(dims) if l != t)
-    if mat.shape != (dims[t], int(np.prod(rest, dtype=int))):
-        raise DimensionError(
-            f"matrix shape {mat.shape} does not match dims {dims} at mode {t}")
-    arr = mat.reshape((dims[t],) + rest, order="F")
-    return DenseTensor(np.moveaxis(arr, 0, t))
 
 
 def mode_product(tensor, mat, t):
@@ -131,21 +107,6 @@ def tucker_assemble(core, factors):
     return out
 
 
-def tucker_ranks(tensor, tol=1e-10):
-    """Per-mode matricization ranks.
-
-    A singular value counts toward the rank when it exceeds tol times the
-    largest singular value of that matricization.
-    """
-    arr = _as_array(tensor)
-    ranks = []
-    for t in range(arr.ndim):
-        s = np.linalg.svd(matricize(arr, t), compute_uv=False)
-        top = s[0] if s.size else 0.0
-        ranks.append(int(np.sum(s > tol * top)))
-    return tuple(ranks)
-
-
 def save_tensor(tensor, path):
     """Write a tensor as text: a dims header line, then canonical entries."""
     tensor = tensor if isinstance(tensor, DenseTensor) else DenseTensor(tensor)
@@ -160,7 +121,8 @@ def save_tensor(tensor, path):
 def load_tensor(path):
     """Read the text format written by :func:`save_tensor`.
 
-    Rejects inputs whose value count disagrees with the dims line.
+    Rejects inputs whose value count disagrees with the dims line, and
+    NaN or infinite values.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -179,4 +141,6 @@ def load_tensor(path):
             f"{path}: expected {expected} values for dims {dims}, "
             f"found {len(body)}")
     values = np.array([float(tok) for tok in body])
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"{path}: tensor holds non-finite values")
     return DenseTensor.from_flat(dims, values)

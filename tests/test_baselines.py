@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from maximin_reference import lstsq_maximin
 from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
                       build_pattern, fit_all, maximin, meta_lm_star, ols_fit,
-                      pooled_gram, single_task_ols, tucker_assemble)
+                      pooled_gram, tucker_assemble)
 
 
 def make_truth(rng, p, space, ranks, scale=1.0):
@@ -30,24 +30,12 @@ def make_dataset(rng, truth, pattern, n, noise=1.0):
     return GroupedDataset(groups)
 
 
-def test_single_task_ols_matches_ols_fit():
-    """Same answer as the shared OLS routine on that group."""
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(30, 4))
-    y = X @ np.array([1.0, -2.0, 0.0, 3.0]) + rng.normal(size=30)
-    ds = GroupedDataset({(1, 1): (X, y)})
-    assert np.array_equal(single_task_ols(ds, (1, 1)), ols_fit(X, y)[0])
-    with pytest.raises(DimensionError):
-        single_task_ols(ds, (2, 1))
-
-
 def test_single_task_ols_noiseless_exact():
     """Noiseless data recovers the group coefficient."""
     rng = np.random.default_rng(1)
     beta = rng.normal(size=5)
     X = rng.normal(size=(20, 5))
-    ds = GroupedDataset({(1,): (X, X @ beta)})
-    assert np.allclose(single_task_ols(ds, (1,)), beta, atol=1e-10)
+    assert np.allclose(ols_fit(X, X @ beta)[0], beta, atol=1e-10)
 
 
 def test_single_task_ols_risk_scale():

@@ -115,6 +115,24 @@ def test_transfer_missing_group_errors(tmp_path, capsys):
     assert "not in the data" in capsys.readouterr().err
 
 
+def test_transfer_rejects_corrupt_model(tmp_path, capsys):
+    """One NaN in a saved model's tensor file fails the load, naming the
+    file, instead of yielding a NaN transfer fit."""
+    data, pattern_path, _ = simulate(tmp_path, "--with-targets")
+    model_path = tmp_path / "model.tns"
+    assert main(["fit", "--data", data, "--pattern", pattern_path,
+                 "--out", str(model_path)]) == 0
+    header, first, *rest = model_path.read_text().splitlines(keepends=True)
+    values = first.split()
+    values[0] = "nan"
+    model_path.write_text("".join([header, " ".join(values) + "\n", *rest]))
+    capsys.readouterr()
+    rc = main(["transfer", "--model", str(model_path), "--target-group",
+               "5,3", "--data", str(tmp_path / "demo_target_5-3.csv")])
+    assert rc == 2
+    assert str(model_path) in capsys.readouterr().err
+
+
 def test_experiment_subcommand(tmp_path, capsys):
     cfg_path = tmp_path / "experiment.json"
     cfg_path.write_text(json.dumps({

@@ -43,35 +43,59 @@ def fiber(tensor, g):
     return tensor.array[(slice(None),) + tuple(i - 1 for i in g)]
 
 
+def scenario(q):
+    """A noisy q=2 or q=3 scenario: training data and pattern."""
+    if q == 2:
+        cfg = ScenarioConfig(p=12, group_dims=(5, 5), ranks=(3, 2, 2),
+                             body_sizes=(3, 3), arm_sizes=(2, 2), n=40,
+                             n_target=2, seed=3)
+    else:
+        cfg = ScenarioConfig(q=3, p=10, group_dims=(4, 4, 4),
+                             ranks=(3, 2, 2, 2), body_sizes=(2, 2, 2),
+                             arm_sizes=(2, 2, 2), n=30, n_target=2, seed=4)
+    sc = make_scenario(cfg, 0)
+    return sc.train, sc.pattern
+
+
 def test_unfold_block_shapes_and_content():
     truth, pattern, ds, _ = standard_instance()
     est = fit_all(ds, pattern)
     p = ds.p
 
-    b0_tilde, b0_ring, b0_target = unfold_blocks(est, pattern, 0)
+    b0_joint, b0_target = unfold_blocks(est, pattern, 0)
     obs = pattern.observed_list()
-    assert b0_tilde.shape == (len(obs), p)
-    assert b0_target is b0_ring
+    assert b0_joint.shape == (len(obs), p)
+    assert b0_target is b0_joint
     for i, g in enumerate(obs):
-        assert np.allclose(b0_tilde[i], fiber(truth, g), atol=1e-8)
+        assert np.allclose(b0_joint[i], fiber(truth, g), atol=1e-8)
 
-    bt, br, btar = unfold_blocks(est, pattern, 1)
+    # column j of the target block stacks the arm-tuple coefficients at
+    # level j; rows run through arm tuples in sorted order
+    _, target = unfold_blocks(est, pattern, 1)
     arms = pattern.arm_tuples(1)
-    assert bt.shape == (len(arms) * p, len(pattern.body[0]))
-    assert btar.shape == (len(arms) * p, pattern.space[0])
-    # column j of the joint block stacks the arm-tuple coefficients at
-    # body level j; rows run through arm tuples in sorted order
-    for j, lev in enumerate(pattern.body[0]):
-        for a, rest in enumerate(arms):
-            g = (lev,) + rest
-            assert np.allclose(bt[a * p:(a + 1) * p, j], fiber(truth, g),
-                               atol=1e-8)
+    assert target.shape == (len(arms) * p, pattern.space[0])
     for lev in range(1, pattern.space[0] + 1):
         for a, rest in enumerate(arms):
             g = (lev,) + rest
-            assert np.allclose(btar[a * p:(a + 1) * p, lev - 1],
+            assert np.allclose(target[a * p:(a + 1) * p, lev - 1],
                                fiber(truth, g), atol=1e-8)
-    assert np.allclose(bt, br)
+
+    # the joint block is the target's body-level columns, C-contiguous
+    for ds, pattern in (scenario(2), scenario(3)):
+        est = fit_all(ds, pattern)
+        p = ds.p
+        for t in range(1, pattern.q + 1):
+            joint, target = unfold_blocks(est, pattern, t)
+            arms, body = pattern.arm_tuples(t), pattern.body[t - 1]
+            assert joint.shape == (len(arms) * p, len(body))
+            assert joint.flags.c_contiguous
+            assert np.array_equal(joint, target[:, np.asarray(body) - 1])
+            for a, rest in enumerate(arms):
+                for lev in range(1, pattern.space[t - 1] + 1):
+                    g = rest[:t - 1] + (lev,) + rest[t - 1:]
+                    assert np.array_equal(
+                        target[a * p:(a + 1) * p, lev - 1],
+                        est.tilde[g].coef)
 
 
 def test_estimate_loading_matches_pinv_transport():
@@ -80,11 +104,11 @@ def test_estimate_loading_matches_pinv_transport():
     truth, pattern, ds, ranks = standard_instance()
     est = fit_all(ds, pattern)
     for t in (1, 2):
-        bt, br, btar = unfold_blocks(est, pattern, t)
+        bt, btar = unfold_blocks(est, pattern, t)
         gram = bt.T @ bt
         eigval, eigvec = np.linalg.eigh(gram)
         basis = eigvec[:, ::-1][:, :ranks[t]]
-        loading, cond = estimate_loading(t, bt, br, btar, basis)
+        loading, cond = estimate_loading(t, bt, btar, basis)
         assert loading.shape == (ranks[t], pattern.space[t - 1])
         assert np.isfinite(cond)
         assert np.allclose(bt @ (basis @ loading), btar, atol=1e-7)
@@ -106,7 +130,7 @@ def test_estimate_loading_flags_degenerate_basis():
     null -= good * (good @ null)
     basis = np.column_stack([good, null / np.linalg.norm(null)])
     with pytest.raises(ConditioningError) as err:
-        estimate_loading(1, b, b, b, basis)
+        estimate_loading(1, b, b, basis)
     assert err.value.where == 1
 
 
@@ -147,37 +171,10 @@ def assert_same_fit(a, b):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_fit_from_estimates_equals_fit_from_dataset(q):
-    """Estimates fitted beforehand give the same model as the dataset,
-    with and without a sample split."""
-    if q == 2:
-        cfg = ScenarioConfig(p=12, group_dims=(5, 5), ranks=(3, 2, 2),
-                             body_sizes=(3, 3), arm_sizes=(2, 2), n=40,
-                             n_target=2, seed=3)
-    else:
-        cfg = ScenarioConfig(q=3, p=10, group_dims=(4, 4, 4),
-                             ranks=(3, 2, 2, 2), body_sizes=(2, 2, 2),
-                             arm_sizes=(2, 2, 2), n=30, n_target=2, seed=4)
-    sc = make_scenario(cfg, 0)
-    ds, pattern = sc.train, sc.pattern
+    """Estimates fitted beforehand give the same model as the dataset."""
+    ds, pattern = scenario(q)
     est = fit_all(ds, pattern)
     assert_same_fit(fit_tensordg(est, pattern), fit_tensordg(ds, pattern))
-    split_est = fit_all(ds, pattern, split=True, seed=1)
-    from_split = fit_tensordg(split_est, pattern)
-    assert from_split.diagnostics["split"] is True
-    assert_same_fit(from_split, fit_tensordg(ds, pattern, split=True, seed=1))
-    with pytest.raises(ValueError, match="split"):
-        fit_tensordg(est, pattern, split=True)
-
-
-def test_split_fit_differs_but_stays_close():
-    truth, pattern, ds, _ = standard_instance(noise=0.5, n=300)
-    a = fit_tensordg(ds, pattern, split=False)
-    b = fit_tensordg(ds, pattern, split=True, seed=1)
-    assert not np.allclose(a.tensor.array, b.tensor.array)
-    for model in (a, b):
-        rel = np.linalg.norm(model.tensor.array - truth.array) \
-            / np.linalg.norm(truth.array)
-        assert rel < 0.5
 
 
 def test_level_relabelling_equivariance():
@@ -276,13 +273,12 @@ def test_fit_rejects_non_finite_group_data():
     assert info.value.where == bad
 
 
-@pytest.mark.parametrize("split", [False, True])
-def test_fit_runs_without_explicit_inverse(monkeypatch, split):
+def test_fit_runs_without_explicit_inverse(monkeypatch):
     _, pattern, ds, ranks = standard_instance(noise=0.5)
 
     def no_inverse(*args, **kwargs):
         raise AssertionError("np.linalg.inv called")
 
     monkeypatch.setattr(np.linalg, "inv", no_inverse)
-    model = fit_tensordg(ds, pattern, split=split, seed=1)
+    model = fit_tensordg(ds, pattern)
     assert model.ranks == ranks

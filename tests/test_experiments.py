@@ -186,7 +186,7 @@ def test_metalm_row_matches_per_target_meta_lm_star():
     est = fit_all(scenario.train, scenario.pattern)
     arr = np.zeros(scenario.truth.dims)
     for g in scenario.pattern.observed_list():
-        arr[(slice(None),) + tuple(i - 1 for i in g)] = est.ring[g].coef
+        arr[(slice(None),) + tuple(i - 1 for i in g)] = est.tilde[g].coef
     errors = []
     for g, (X, y) in sorted(scenario.targets.items()):
         coef = meta_lm_star(est, scenario.pattern, X, y)

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensordg import (build_pattern, enumerate_block, is_observed,
-                      pattern_from_config, pattern_to_config)
+from tensordg import build_pattern, pattern_from_config, pattern_to_config
 
 
 def default_pattern(p=8, w=5, a=5):
@@ -22,20 +21,20 @@ def test_default_design_counts():
     assert len(pat.unobserved_list()) == 9
     assert pat.unobserved_list() == [
         (i, j) for i in (6, 7, 8) for j in (6, 7, 8)]
-    assert len(enumerate_block(pat, "body")) == 25
+    assert len(pat.body_groups()) == 25
     for t in (1, 2):
-        assert len(enumerate_block(pat, "arm", t)) == 40
-        assert len(enumerate_block(pat, "joint", t)) == 25
+        assert len(pat.arm_groups(t)) == 40
+        assert len(pat.arm_groups(t, pat.body[t - 1])) == 25
         assert len(pat.cset_tuples(t)) == 5
 
 
 def test_membership_examples():
     pat = default_pattern()
-    assert is_observed(pat, (3, 3))
-    assert is_observed(pat, (8, 3))   # arm 1 reaches every level of mode 1
-    assert is_observed(pat, (3, 8))
-    assert not is_observed(pat, (6, 6))
-    assert not is_observed(pat, (8, 8))
+    assert (3, 3) in pat.observed
+    assert (8, 3) in pat.observed   # arm 1 reaches every level of mode 1
+    assert (3, 8) in pat.observed
+    assert (6, 6) not in pat.observed
+    assert (8, 8) not in pat.observed
 
 
 def test_cset_unions_body_and_arm():
@@ -43,31 +42,32 @@ def test_cset_unions_body_and_arm():
     pat = build_pattern((8, 8), body=[range(1, 7), range(1, 7)],
                         arm_subsets=[[range(1, 6)], [range(1, 6)]])
     assert pat.cset_tuples(1) == [(i,) for i in range(1, 7)]
-    assert len(enumerate_block(pat, "cset", 1)) == 6 * 6
 
 
 def test_single_mode_space_arm_is_everything():
     pat = build_pattern((7,), body=[(2, 3)], arm_subsets=[[]])
     assert pat.arm_tuples(1) == [()]
     assert sorted(pat.observed) == [(i,) for i in range(1, 8)]
-    assert enumerate_block(pat, "joint", 1) == [(2,), (3,)]
-    assert len(enumerate_block(pat, "cset", 1)) == 2
+    assert pat.arm_groups(1, pat.body[0]) == [(2,), (3,)]
+    assert pat.cset_tuples(1) == [()]
 
 
 def test_extra_groups_are_observed():
     pat = build_pattern((4, 4), body=[(1, 2), (1, 2)],
                         arm_subsets=[[(1,)], [(1,)]], extra=[(4, 4)])
-    assert is_observed(pat, (4, 4))
     assert (4, 4) in pat.observed
     # extras do not join the declared blocks
-    assert (4, 4) not in enumerate_block(pat, "arm", 1)
+    assert (4, 4) not in pat.arm_groups(1)
+    assert (4, 4) not in pat.body_groups()
 
 
 def test_enumeration_is_sorted_and_deterministic():
-    pat = default_pattern()
-    for kind, t in [("body", None), ("arm", 1), ("joint", 2), ("cset", 1)]:
-        block = enumerate_block(pat, kind, t)
+    pat, again = default_pattern(), default_pattern()
+    for block in (pat.body_groups(), pat.observed_list(), pat.arm_tuples(1),
+                  pat.cset_tuples(2), pat.unobserved_list()):
         assert block == sorted(block)
+    for t in (1, 2):
+        assert pat.arm_groups(t) == again.arm_groups(t)
 
 
 def test_validation_errors():
@@ -80,13 +80,6 @@ def test_validation_errors():
     with pytest.raises(ValueError, match="outside"):
         build_pattern((4, 4), body=[(1,), (1,)],
                       arm_subsets=[[(1,)], [(1,)]], extra=[(5, 1)])
-    pat = default_pattern()
-    with pytest.raises(ValueError, match="kind"):
-        enumerate_block(pat, "everything")
-    with pytest.raises(ValueError, match="mode"):
-        enumerate_block(pat, "arm")
-    with pytest.raises(ValueError, match="coordinates"):
-        is_observed(pat, (1, 2, 3))
 
 
 subset_st = st.sets(st.integers(1, 4), min_size=1, max_size=4)
@@ -115,8 +108,8 @@ def test_observed_equals_brute_force_union(q, data):
             for lev in range(1, space[t - 1] + 1):
                 expected.add(rest[:t - 1] + (lev,) + rest[t - 1:])
     assert pat.observed == expected
-    for g in itertools.product(*(range(1, p + 1) for p in space)):
-        assert is_observed(pat, g) == (g in expected)
+    full = set(itertools.product(*(range(1, p + 1) for p in space)))
+    assert set(pat.unobserved_list()) == full - expected
 
 
 def test_json_roundtrip():

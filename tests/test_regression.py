@@ -1,4 +1,4 @@
-"""Per-group OLS and the sample split."""
+"""Per-group OLS fits and the dataset they read."""
 
 import re
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tensordg import (ConditioningError, DimensionError, GroupedDataset,
                       NonFiniteError, build_pattern, fit_all, ols_fit,
-                      pooled_gram, split_sample)
+                      pooled_gram)
 
 
 def normal_equations_oracle(X, y):
@@ -72,50 +72,20 @@ def toy_dataset(seed=0, n=24, p=3):
     return GroupedDataset(groups), pat
 
 
-def test_split_partitions_each_group():
-    ds, _ = toy_dataset(n=25)
-    f1, f2 = split_sample(ds, seed=7)
-    for g, (X, y) in ds.groups.items():
-        n1, n2 = f1.groups[g][1].size, f2.groups[g][1].size
-        assert n1 + n2 == y.size
-        assert abs(n1 - n2) <= 1
-        merged = np.sort(np.concatenate([f1.groups[g][1], f2.groups[g][1]]))
-        assert np.array_equal(merged, np.sort(y))
-    again = split_sample(ds, seed=7)
-    assert np.array_equal(again[0].groups[(1, 1)][1], f1.groups[(1, 1)][1])
-    other = split_sample(ds, seed=8)
-    assert not np.array_equal(other[0].groups[(1, 1)][1],
-                              f1.groups[(1, 1)][1])
-
-
-def test_fit_all_no_split_aliases_folds():
+def test_fit_all_fits_every_observed_group():
     ds, pat = toy_dataset()
-    est = fit_all(ds, pat, split=False)
-    assert est.tilde is est.ring
+    est = fit_all(ds, pat)
     assert est.n_bar == 24.0
     assert set(est.tilde) == pat.observed
 
 
-def test_fit_all_split_uses_disjoint_halves():
-    ds, pat = toy_dataset(n=40)
-    est = fit_all(ds, pat, split=True, seed=3)
-    assert est.tilde is not est.ring
-    assert est.n_bar == 20.0
-    g = (1, 1)
-    assert not np.allclose(est.tilde[g].coef, est.ring[g].coef)
-
-
 def test_fit_all_pooled_gram_is_pooled_gram_bitwise():
-    """Without a split the pooled Gram summed from the fits' own X'X is
-    pooled_gram of the dataset bit for bit; with a split it is
-    pooled_gram of fold 1, also with unequal group sizes."""
+    """The pooled Gram summed from the fits' own X'X is pooled_gram of
+    the dataset bit for bit, also with unequal group sizes."""
     ds, pat = toy_dataset(n=31, p=4)
     X, y = ds.groups[(2, 1)]
     ds.groups[(2, 1)] = (X[:17], y[:17])
     assert np.array_equal(fit_all(ds, pat).pooled, pooled_gram(ds))
-    est = fit_all(ds, pat, split=True, seed=5)
-    fold1, _ = split_sample(ds, 5)
-    assert np.array_equal(est.pooled, pooled_gram(fold1))
 
 
 def test_fit_all_reports_missing_group():
@@ -146,18 +116,13 @@ def test_dataset_validation():
 
 def test_noise_cov_is_scaled_inverse_gram():
     ds, pat = toy_dataset(n=30, p=4)
-    for split in (False, True):
-        est = fit_all(ds, pat, split=split, seed=2)
-        folds = split_sample(ds, 2) if split else (ds, ds)
-        for fits, fold in ((est.tilde, folds[0]), (est.ring, folds[1])):
-            for g, fit in fits.items():
-                X, _ = fold.groups[g]
-                n = X.shape[0]
-                want = fit.sigma2 / n * np.linalg.inv(X.T @ X / n)
-                scale = np.abs(want).max()
-                assert np.abs(fit.noise_cov - want).max() <= 1e-12 * scale
-                assert fit.noise_trace == pytest.approx(np.trace(want),
-                                                        rel=1e-12)
+    for g, fit in fit_all(ds, pat).tilde.items():
+        X, _ = ds.groups[g]
+        n = X.shape[0]
+        want = fit.sigma2 / n * np.linalg.inv(X.T @ X / n)
+        scale = np.abs(want).max()
+        assert np.abs(fit.noise_cov - want).max() <= 1e-12 * scale
+        assert fit.noise_trace == pytest.approx(np.trace(want), rel=1e-12)
 
 
 def planted_design(rng, p, kappa):
@@ -215,18 +180,6 @@ def test_fit_all_names_group_with_too_few_samples():
     with pytest.raises(DimensionError, match=r"group \(2, 1\)") as err:
         fit_all(ds, pat)
     assert err.value.where == (2, 1)
-    assert "fold" not in str(err.value)
-
-
-def test_fit_all_names_group_and_fold_too_small_after_split():
-    ds, pat = toy_dataset()
-    X, y = ds.groups[(1, 2)]
-    ds.groups[(1, 2)] = (X[:7], y[:7])   # folds of 3 and 4 samples, p=3
-    with pytest.raises(DimensionError,
-                       match=r"group \(1, 2\), fold 1") as err:
-        fit_all(ds, pat, split=True, seed=1)
-    assert err.value.where == (1, 2)
-    fit_all(ds, pat)
 
 
 @given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
