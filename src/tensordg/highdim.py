@@ -35,9 +35,15 @@ LAMBDA_GRID_SPAN = 100.0
 
 @dataclass(frozen=True)
 class _Stack:
-    """Groups zero-padded to one (K, n_max, p) design and (K, n_max)
-    response. Padded rows are zero, so they add nothing to the loss or
-    its gradient."""
+    """Groups zero-padded to one (..., K, n_max, p) design and
+    (..., K, n_max) response. Padded rows are zero, so they add nothing
+    to the loss or its gradient.
+
+    Optional leading axes batch independent problems that share the
+    groups ``order`` and the penalty: the loss sums over the batch, and
+    a row norm couples only the K groups of one problem. The iterate is
+    (..., K, p), and a solution map holds (..., p) arrays per group.
+    """
 
     order: tuple
     X: np.ndarray
@@ -58,23 +64,29 @@ def _stack(ds):
 
 
 def _loss_grad(stack, B):
-    """(1/N) sum_k ||y_k - X_k b_k||^2 and its gradient, rows b_k of B."""
-    resid = np.matmul(stack.X, B[:, :, None])[:, :, 0] - stack.y
-    grad = np.matmul(resid[:, None, :], stack.X)[:, 0, :]
+    """(1/N) sum ||y_k - X_k b_k||^2 over all groups and problems, and
+    its gradient, rows b_k of B."""
+    resid = np.matmul(stack.X, B[..., None])[..., 0] - stack.y
+    grad = np.matmul(resid[..., None, :], stack.X)[..., 0, :]
     return (float(np.vdot(resid, resid)) / stack.n_total,
             grad * (2.0 / stack.n_total))
 
 
 def _norms(B):
-    """Cross-group norm of every coordinate (column of B)."""
-    return np.sqrt(np.einsum("kj,kj->j", B, B))
+    """Cross-group norm of every coordinate of every problem, (..., 1, p)."""
+    return np.sqrt(np.add.reduce(B * B, axis=-2, keepdims=True))
+
+
+def _rows(mask):
+    """Coordinates flagged in any problem: the batch's union, (p,)."""
+    return mask.reshape(-1, mask.shape[-1]).any(axis=0)
 
 
 def _kkt(B, grad, lam):
     norms = _norms(B)
-    res = np.maximum(_norms(grad) - lam, 0.0)
     on = norms > 0.0
-    res[on] = _norms(grad[:, on] + lam * B[:, on] / norms[on])
+    res = np.where(on, _norms(grad + lam * B / np.where(on, norms, 1.0)),
+                   np.maximum(_norms(grad) - lam, 0.0))
     return float(res.max())
 
 
@@ -96,31 +108,38 @@ def group_lasso(ds, lam, tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER,
     choose_lambda builds once per path; ``init`` warm-starts from a
     solution map; ``history`` collects the objective after every
     iteration (non-increasing); ``max_iter`` counts all iterations.
+
+    A stack with leading batch axes is solved as one problem whose
+    objective is the sum of the independent ones: the batch shares one
+    working set (the union of the columns any problem needs), one step
+    1/L (L from one stacked eigvalsh over every problem and group), one
+    monotone test and one momentum, and ``tol`` bounds every problem's
+    own KKT residual. The map then holds (..., p) arrays.
     """
     if not lam > 0:
         raise ValueError(f"penalty must be positive, got {lam}")
     stack = _stack(ds)
-    x = np.zeros((len(stack.order), stack.X.shape[2]))
+    x = np.zeros(stack.X.shape[:-2] + stack.X.shape[-1:])
     for k, g in enumerate(stack.order):
         if init is not None and g in init:
-            x[k] = np.asarray(init[g], dtype=float)
+            x[..., k, :] = np.asarray(init[g], dtype=float)
     history = [] if history is None else history
     loss, grad = _loss_grad(stack, x)
     fx = loss + lam * float(_norms(x).sum())
     history.append(fx)
-    work = _norms(x) > 0.0
+    work = _rows(_norms(x) > 0.0)
     solved, iters = not work.any(), 0
     while True:
-        new = ~work & (_norms(grad) > lam + tol)
+        new = ~work & _rows(_norms(grad) > lam + tol)
         if solved and not new.any():
-            return {g: x[k].copy() for k, g in enumerate(stack.order)}
+            return {g: x[..., k, :].copy() for k, g in enumerate(stack.order)}
         work |= new
         cols = np.flatnonzero(work)
-        sub = replace(stack, X=stack.X[:, :, cols])
-        Xt = sub.X.transpose(0, 2, 1)
-        gram = Xt @ sub.X if cols.size <= sub.X.shape[1] else sub.X @ Xt
-        step = stack.n_total / (2.0 * np.linalg.eigvalsh(gram)[:, -1].max())
-        xs, gx, solved = x[:, cols], grad[:, cols], False
+        sub = replace(stack, X=stack.X[..., cols])
+        Xt = sub.X.swapaxes(-1, -2)
+        gram = Xt @ sub.X if cols.size <= sub.X.shape[-2] else sub.X @ Xt
+        step = stack.n_total / (2.0 * np.linalg.eigvalsh(gram)[..., -1].max())
+        xs, gx, solved = x[..., cols], grad[..., cols], False
         y, gy, t, restarted = xs, gx, 1.0, True
         while not solved and iters < max_iter:
             iters += 1
@@ -145,7 +164,7 @@ def group_lasso(ds, lam, tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER,
                 # the gradient is affine, so it extrapolates with the iterate
                 y, gy, t = (xs + mom * (xs - x_old), gx + mom * (gx - g_old),
                             t_next)
-        x[:, cols] = xs
+        x[..., cols] = xs
         grad = _loss_grad(stack, x)[1]
         if not solved:
             raise ConvergenceError(
@@ -158,10 +177,11 @@ def group_lasso_kkt(ds, beta, lam):
 
     Zero rows must have smooth-gradient row norm at most ``lam``; active
     rows must satisfy grad_row + lam * row / ||row|| = 0. Returns the
-    worst row's residual.
+    worst row's residual, over every problem of a batched stack.
     """
     stack = _stack(ds)
-    B = np.vstack([np.asarray(beta[g], dtype=float) for g in stack.order])
+    B = np.stack([np.asarray(beta[g], dtype=float) for g in stack.order],
+                 axis=-2)
     return _kkt(B, _loss_grad(stack, B)[1], lam)
 
 
@@ -187,7 +207,7 @@ def lambda_grid(ds):
     ``ds`` is a GroupedDataset or its stack, as in group_lasso.
     """
     stack = _stack(ds)
-    zero = np.zeros((len(stack.order), stack.X.shape[2]))
+    zero = np.zeros(stack.X.shape[:-2] + stack.X.shape[-1:])
     lam_max = float(_norms(_loss_grad(stack, zero)[1]).max())
     if lam_max <= 0.0:
         raise DimensionError("all responses are zero; nothing to select")

@@ -47,7 +47,8 @@ class TransferResult:
 
 def _offset_stack(X, y, offset):
     """The offset lasso as a one-group stack: design X, response
-    y - X offset."""
+    y - X offset. Raises NonFiniteError naming the argument ("X", "y" or
+    "offset") that holds NaN or infinite values."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     offset = np.asarray(offset, dtype=float).ravel()
@@ -57,6 +58,10 @@ def _offset_stack(X, y, offset):
     if offset.size != X.shape[1]:
         raise DimensionError(
             f"offset has {offset.size} entries, expected {X.shape[1]}")
+    for name, arr in (("X", X), ("y", y), ("offset", offset)):
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"{name} holds non-finite values",
+                                 where=name)
     return _Stack((0,), X[None], (y - X @ offset)[None], y.size)
 
 
@@ -107,15 +112,15 @@ def cross_validate_lambda(X, y, offset, lambdas=None, folds=5, seed=0,
     comes from a seeded permutation, so the choice is deterministic.
     The first penalty in ``lambdas`` order with the lowest error wins.
 
-    All folds' lassos are one group_lasso problem per penalty,
-    warm-started down the grid: a one-group stack whose design is
-    block diagonal, block k holding fold k's training rows of X and of
-    y - X offset scaled by sqrt(N / n_k). The pooled loss is then the
-    sum of the folds' own (1/n_k) losses, each fold's gradient is its
-    own and the l1 penalty separates, so ``tol`` bounds every fold's
-    lasso_kkt and ``max_iter`` counts FISTA iterations per penalty. The
-    design holds about folds * (folds - 1) * n * p floats (1.4 MB at
-    n = 150, p = 60), which suits the small target samples this is for.
+    All folds' lassos are one group_lasso call per penalty,
+    warm-started down the grid, on a stack whose leading axis is a
+    batch of the folds: fold k holds its training rows of X and of
+    y - X offset scaled by sqrt(N / n_k), zero-padded to the largest
+    fold. The batch's loss is then the sum of the folds' own (1/n_k)
+    losses, each fold's gradient is its own and the l1 penalty
+    separates, so ``tol`` bounds every fold's lasso_kkt and
+    ``max_iter`` counts FISTA iterations per penalty. The stack holds
+    folds * n_max * p floats (0.3 MB at n = 150, p = 60).
     """
     full = _offset_stack(X, y, offset)
     X, resid = full.X[0], full.y[0]
@@ -132,20 +137,20 @@ def cross_validate_lambda(X, y, offset, lambdas=None, folds=5, seed=0,
     perm = np.random.default_rng(int(seed)).permutation(n)
     splits = np.array_split(perm, folds)
     trains = [np.setdiff1d(perm, hold, assume_unique=True) for hold in splits]
-    rows = np.cumsum([0] + [train.size for train in trains])
-    design = np.zeros((rows[-1], folds * p))
-    response = np.empty(rows[-1])
+    n_total = sum(train.size for train in trains)
+    design = np.zeros((folds, 1, max(train.size for train in trains), p))
+    response = np.zeros(design.shape[:-1])
     for k, train in enumerate(trains):
-        scale = math.sqrt(rows[-1] / train.size)
-        design[rows[k]:rows[k + 1], k * p:(k + 1) * p] = scale * X[train]
-        response[rows[k]:rows[k + 1]] = scale * resid[train]
-    stack = _Stack((0,), design[None], response[None], int(rows[-1]))
+        scale = math.sqrt(n_total / train.size)
+        design[k, 0, :train.size] = scale * X[train]
+        response[k, 0, :train.size] = scale * resid[train]
+    stack = _Stack((0,), design, response, n_total)
     best_lam, best_err, warm = None, np.inf, None
     for lam in lambdas:
         warm = group_lasso(stack, float(lam), tol=tol, max_iter=max_iter,
                            init=warm)
         err = sum(float(np.sum((resid[hold] - X[hold] @ delta) ** 2))
-                  for hold, delta in zip(splits, warm[0].reshape(folds, p)))
+                  for hold, delta in zip(splits, warm[0]))
         if err < best_err - 1e-15:
             best_err, best_lam = err, float(lam)
     return best_lam

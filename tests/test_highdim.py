@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
                       build_pattern, choose_lambda, fit_highdim, fit_tensordg,
-                      group_lasso, group_lasso_kkt, select_support,
-                      tucker_assemble)
-from tensordg.highdim import lambda_grid
+                      group_lasso, group_lasso_kkt, lasso_kkt, lasso_offset,
+                      select_support, tucker_assemble)
+from tensordg.highdim import _stack, _Stack, lambda_grid
 
 from lasso_reference import cd_lasso
 
@@ -163,6 +163,62 @@ def test_group_lasso_unequal_sizes_padding(data, p, seed, frac):
     inside = np.linalg.norm(grad, axis=0) < lam - 1e-6
     assert np.all(B[:, inside] == 0.0)
     assert np.all(np.diff(history) <= 1e-12)
+
+
+@given(data=st.data(), p=st.integers(2, 12), seed=st.integers(0, 10**6),
+       frac=st.floats(0.1, 0.9))
+@settings(max_examples=40, deadline=None)
+def test_group_lasso_batch_of_independent_problems(data, p, seed, frac):
+    """B one-group lassos of unequal n, zero-padded along a leading
+    batch axis and scaled by sqrt(N / n_b), are solved as one problem:
+    each meets its own lasso_kkt on its unpadded rows and matches its
+    separate lasso_offset solve."""
+    sizes = data.draw(st.lists(st.integers(5, 40), min_size=2, max_size=6))
+    rng = np.random.default_rng(seed)
+    problems = []
+    for n in sizes:
+        X = rng.normal(size=(n, p))
+        b = np.where(rng.random(p) < 0.5, rng.normal(size=p), 0.0)
+        problems.append((X, X @ b + rng.normal(size=n)))
+    lam = frac * max(2.0 * float(np.abs(X.T @ y).max()) / y.size
+                     for X, y in problems)
+    n_total = sum(sizes)
+    design = np.zeros((len(sizes), 1, max(sizes), p))
+    response = np.zeros(design.shape[:-1])
+    for b, (X, y) in enumerate(problems):
+        scale = math.sqrt(n_total / y.size)
+        design[b, 0, :y.size], response[b, 0, :y.size] = scale * X, scale * y
+    tol = 1e-10
+    deltas = group_lasso(_Stack((0,), design, response, n_total), lam,
+                         tol=tol)[0]
+    assert deltas.shape == (len(sizes), p)
+    zero = np.zeros(p)
+    for (X, y), delta in zip(problems, deltas):
+        assert lasso_kkt(X, y, zero, delta, lam) <= tol
+        assert np.max(np.abs(delta - lasso_offset(X, y, zero, lam, tol=tol))
+                      ) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_group_lasso_batch_of_one_is_bitwise_unbatched(seed):
+    """A leading batch axis of size 1 changes no bit of the solution or
+    of the objective history."""
+    rng = np.random.default_rng(seed)
+    groups = {}
+    for g, n in zip(((1,), (2,), (3,)), (12, 30, 21)):
+        X = rng.normal(size=(n, 16))
+        b = np.where(rng.random(16) < 0.3, rng.normal(size=16), 0.0)
+        groups[g] = (X, X @ b + rng.normal(size=n))
+    stack = _stack(GroupedDataset(groups))
+    batch = _Stack(stack.order, stack.X[None], stack.y[None], stack.n_total)
+    lam = 0.2 * float(lambda_grid(stack)[0])
+    h_one, h_batch = [], []
+    one = group_lasso(stack, lam, history=h_one)
+    batched = group_lasso(batch, lam, history=h_batch)
+    assert h_one == h_batch
+    for g in stack.order:
+        assert batched[g].shape == (1, 16)
+        assert np.array_equal(batched[g][0], one[g])
 
 
 def test_group_lasso_iteration_cap_raises():

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
                       NonFiniteError, build_pattern, cross_validate_lambda, default_lambda,
-                      fit_tensordg, lasso_offset, ols_fit, tensortl,
-                      tucker_assemble)
+                      fit_tensordg, lasso_kkt, lasso_offset, ols_fit,
+                      tensortl, tucker_assemble)
+from tensordg import transfer
 
 from lasso_reference import cd_lasso
 
@@ -214,11 +215,11 @@ def per_fold_cv(X, y, offset, lambdas, folds=5, seed=0):
 @pytest.mark.parametrize("n, p, seed", [(6, 3, 1), (7, 3, 5), (7, 6, 0),
                                         (13, 4, 3), (40, 8, 4), (62, 12, 5)])
 def test_cross_validate_lambda_matches_per_fold_loop(n, p, seed):
-    """All folds solved as one block-diagonal problem pick the same
-    penalty as a per-fold loop, on the default grid and on an increasing
-    user grid. n = 7 with 5 folds gives training sizes 5/5/6/6/6, and
-    n = 6 gives 4/5/5/5/5: blocks must be scaled fold by fold, not by
-    one common factor."""
+    """All folds solved as one batch of problems pick the same penalty
+    as a per-fold loop, on the default grid and on an increasing user
+    grid. n = 7 with 5 folds gives training sizes 5/5/6/6/6, and n = 6
+    gives 4/5/5/5/5: folds must be scaled fold by fold, not by one
+    common factor, and the shorter folds are zero-padded."""
     rng = np.random.default_rng(200 + seed)
     X = rng.normal(size=(n, p))
     offset = rng.normal(size=p)
@@ -232,6 +233,78 @@ def test_cross_validate_lambda_matches_per_fold_loop(n, p, seed):
     rising = list(np.linspace(0.01, 1.0, 40) * lam_max)
     assert (cross_validate_lambda(X, y, offset, rising, seed=seed)
             == per_fold_cv(X, y, offset, rising, seed=seed))
+
+
+def test_cross_validate_lambda_certifies_every_fold(monkeypatch):
+    """At every penalty of the path, the batched solve meets each fold's
+    own lasso_kkt on its training rows. The stack is a batch of the
+    folds, (folds, 1, n_max, p), not a block-diagonal design."""
+    rng = np.random.default_rng(21)
+    n, p, folds, seed, tol = 47, 9, 5, 2, 1e-8
+    X = rng.normal(size=(n, p))
+    offset = rng.normal(size=p)
+    delta = np.zeros(p)
+    delta[[1, 5, 7]] = [1.0, -0.8, 0.6]
+    y = X @ (offset + delta) + 0.5 * rng.normal(size=n)
+    solves, group_lasso = [], transfer.group_lasso
+
+    def recording(stack, lam, **kwargs):
+        out = group_lasso(stack, lam, **kwargs)
+        solves.append((stack.X.shape, lam, out[0]))
+        return out
+
+    monkeypatch.setattr(transfer, "group_lasso", recording)
+    cross_validate_lambda(X, y, offset, folds=folds, seed=seed, tol=tol)
+    perm = np.random.default_rng(seed).permutation(n)
+    trains = [np.setdiff1d(perm, hold, assume_unique=True)
+              for hold in np.array_split(perm, folds)]
+    assert len(solves) == 20
+    for shape, lam, deltas in solves:
+        assert shape == (folds, 1, max(t.size for t in trains), p)
+        for train, d in zip(trains, deltas):
+            assert lasso_kkt(X[train], y[train], offset, d, lam) <= tol
+
+
+def non_finite_input(where):
+    rng = np.random.default_rng(22)
+    X = rng.normal(size=(30, 4))
+    offset = rng.normal(size=4)
+    y = X @ offset + rng.normal(size=30)
+    if where == "X":
+        X[3, 1] = -np.inf
+    elif where == "y":
+        y[11] = np.nan
+    else:
+        offset[2] = np.inf
+    return X, y, offset
+
+
+@pytest.mark.parametrize("where", ["X", "y", "offset"])
+def test_lasso_offset_rejects_non_finite(where):
+    """A NaN or inf in any argument is a NonFiniteError naming it, not
+    an all-zero delta or a run to the iteration cap."""
+    X, y, offset = non_finite_input(where)
+    with pytest.raises(NonFiniteError, match=where) as info:
+        lasso_offset(X, y, offset, 0.1)
+    assert info.value.where == where
+
+
+@pytest.mark.parametrize("where", ["X", "y", "offset"])
+def test_lasso_kkt_rejects_non_finite(where):
+    X, y, offset = non_finite_input(where)
+    with pytest.raises(NonFiniteError, match=where) as info:
+        lasso_kkt(X, y, offset, np.zeros(4), 0.1)
+    assert info.value.where == where
+
+
+@pytest.mark.parametrize("where", ["X", "y", "offset"])
+def test_cross_validate_lambda_rejects_non_finite(where):
+    """Fails before the grid is built, not with "penalty must be
+    positive, got nan"."""
+    X, y, offset = non_finite_input(where)
+    with pytest.raises(NonFiniteError, match=where) as info:
+        cross_validate_lambda(X, y, offset)
+    assert info.value.where == where
 
 
 def fit_noiseless_model(rng):
