@@ -49,6 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._threads import run_serially
 from .baselines import maximin, projected_ols, shared_subspace
 from .completion import fit_tensordg
 from .metrics import adge, al2e, tle
@@ -254,9 +255,10 @@ def _evaluate_cell_rep(cell_param, cell_value, scenario_cfg, rep, methods):
 def run_experiment(cfg):
     """Execute every cell x replication x method; returns sorted records.
 
-    With workers > 1 the replications run in a process pool; the merge
-    order is fixed by (cell order, replication, method order), so the
-    result is identical to a serial run.
+    With workers > 1 the replications run in a process pool whose workers
+    run the per-group stages serially, so the workers do not start threads
+    of their own; the merge order is fixed by (cell order, replication,
+    method order), so the result is identical to a serial run.
     """
     jobs = []
     for cell_value, scenario_cfg in cfg.cells():
@@ -266,7 +268,8 @@ def run_experiment(cfg):
     if cfg.workers == 1:
         batches = [_evaluate_cell_rep(*job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=cfg.workers,
+                                 initializer=run_serially) as pool:
             futures = [pool.submit(_evaluate_cell_rep, *job) for job in jobs]
             batches = [f.result() for f in futures]
     records = [rec for batch in batches for rec in batch]

@@ -2,13 +2,17 @@
 
 One LU solve per group gives the coefficient and the inverse Gram; each
 fit stores its noise covariance and trace, so no later stage inverts.
-Every stage of the completion reads this one set of fits.
+Every stage of the completion reads this one set of fits. The groups are
+fitted side by side on threads, one per usable CPU (``_threads``); each
+fit's arithmetic is the serial one, so the fits are bitwise identical to
+a one-group-at-a-time loop when BLAS runs single-threaded.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._threads import map_groups
 from .errors import ConditioningError, DimensionError, NonFiniteError
 
 # Gram matrices with smaller relative eigenvalues than this are treated as
@@ -77,12 +81,14 @@ class GroupedDataset:
                                for g, (X, y) in self.groups.items()})
 
 
-def _lu_fit(X, y):
+def _lu_fit(X, y, xtx=None, noise_cov=None):
     """Least squares by one LU solve of G = X'X/n against [X'y/n | I].
 
-    Returns (GroupFit, X'X). G is singular when its smallest eigenvalue is
-    at most GRAM_EIGENVALUE_FLOOR times its largest. The eigenvalues are
-    only computed when the solve does not certify that they are not: for
+    Returns (GroupFit, X'X); X'X and the noise covariance are written
+    into ``xtx`` and ``noise_cov`` when those (p, p) arrays are given. G
+    is singular when its smallest eigenvalue is at most
+    GRAM_EIGENVALUE_FLOOR times its largest. The eigenvalues are only
+    computed when the solve does not certify that they are not: for
     symmetric G, kappa_2 <= kappa_1 = ||G||_1 ||G^-1||_1, and kappa_1
     below 1 / (2 GRAM_EIGENVALUE_FLOOR) leaves a factor two for rounding.
     """
@@ -91,7 +97,7 @@ def _lu_fit(X, y):
     n, p = X.shape
     if n <= p:
         raise DimensionError(f"need n > p, got n={n}, p={p}")
-    xtx = X.T @ X
+    xtx = np.matmul(X.T, X, out=xtx)
     gram = xtx / n
     try:
         sol = np.linalg.solve(gram, np.column_stack([X.T @ y / n, np.eye(p)]))
@@ -109,7 +115,7 @@ def _lu_fit(X, y):
     coef = sol[:, 0].copy()
     rss = float(np.sum((y - X @ coef) ** 2))
     sigma2 = max(rss, 0.0) / (n - p)
-    noise_cov = sol[:, 1:] * (sigma2 / n)
+    noise_cov = np.multiply(sol[:, 1:], sigma2 / n, out=noise_cov)
     return GroupFit(coef, sigma2, n, noise_cov,
                     float(np.trace(noise_cov))), xtx
 
@@ -144,20 +150,35 @@ class GroupEstimates:
 def fit_all(ds, pattern):
     """OLS fits for every observed group, in one pass over the dataset.
 
-    The pass also sums each group's X'X into the pooled Gram. Errors from
-    a small or singular group are re-raised naming the group (as
-    ``where``).
+    The groups are fitted in contiguous chunks on threads, one per usable
+    CPU. The threads call only the private ``_lu_fit``, never ``ols_fit``,
+    so the public functions that ``perfbench/spans.py`` wraps by name stay
+    on the calling thread. That thread allocates each fit's X'X and noise
+    covariance, and afterwards sums the X'X into the pooled Gram in
+    ``observed_list`` order. Errors from a small or singular group are
+    re-raised naming the group (as ``where``); with several bad groups,
+    the first in ``observed_list`` order is named.
     """
-    missing = [g for g in pattern.observed_list() if g not in ds.groups]
+    observed = pattern.observed_list()
+    missing = [g for g in observed if g not in ds.groups]
     if missing:
         raise DimensionError(f"dataset lacks observed groups {missing[:5]}")
-    fits = {}
-    total = np.zeros((ds.p, ds.p))
-    for g in pattern.observed_list():
+    p = ds.p
+
+    def fit(job):
+        g, xtx, noise_cov = job
         try:
-            fits[g], xtx = _lu_fit(*ds.groups[g])
+            return _lu_fit(*ds.groups[g], xtx, noise_cov)
         except (ConditioningError, DimensionError) as exc:
             raise type(exc)(f"group {g}: {exc}", where=g) from exc
+
+    # outputs allocated on this thread, so that no worker's malloc arena
+    # holds long-lived data (see _threads)
+    pairs = map_groups(fit, [(g, np.empty((p, p)), np.empty((p, p)))
+                             for g in observed])
+    total = np.zeros((p, p))
+    for _, xtx in pairs:
         total += xtx
-    sizes = [fit.n for fit in fits.values()]
+    fits = {g: group_fit for g, (group_fit, _) in zip(observed, pairs)}
+    sizes = [group_fit.n for group_fit in fits.values()]
     return GroupEstimates(fits, float(np.mean(sizes)), total / sum(sizes))

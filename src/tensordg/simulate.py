@@ -5,12 +5,18 @@ symmetric body-and-arm observation layout, Gaussian designs for every
 observed group, and evaluation samples for the unobserved groups. Target
 coefficients of unobserved groups can receive a sparse additive shift for
 the transfer experiments.
+
+Every group's sample is drawn from its own generator, seeded from the
+scenario seed, the replication and the group, so the groups are drawn
+side by side on threads, one per usable CPU (``_threads``), and the
+draws are bitwise those of a serial loop.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import map_groups
 from .patterns import build_pattern
 from .regression import GroupedDataset
 from .tensor import DenseTensor, matricize, tucker_assemble
@@ -148,13 +154,21 @@ def generate_tensor(cfg, rep=0):
         f"(margin {cfg.rank_margin})")
 
 
-def _design_matrix(rng, n, cfg):
-    X = rng.normal(size=(n, cfg.p))
-    if cfg.design == "ar1":
-        cov = cfg.ar1_rho ** np.abs(np.subtract.outer(np.arange(cfg.p),
-                                                      np.arange(cfg.p)))
-        X = X @ np.linalg.cholesky(cov).T
-    return X
+def _ar1_factor(cfg):
+    """Cholesky factor of the AR(1) feature covariance; None for identity."""
+    if cfg.design != "ar1":
+        return None
+    lags = np.abs(np.subtract.outer(np.arange(cfg.p), np.arange(cfg.p)))
+    return np.linalg.cholesky(cfg.ar1_rho ** lags)
+
+
+def _design_matrix(rng, factor, out):
+    """Fill out (n, p) with iid normal rows, times factor' when given."""
+    z = rng.normal(size=out.shape)
+    if factor is None:
+        out[...] = z
+    else:
+        np.matmul(z, factor.T, out=out)
 
 
 def inject_delta(coef, cfg, rng):
@@ -174,22 +188,31 @@ def generate_data(truth, pattern, cfg, rep=0, overrides=None):
     supplies a replacement coefficient for a group.
     """
     overrides = overrides or {}
-    space = pattern.space
-    train = {}
-    for g in pattern.observed_list():
-        rng = _rng(cfg, _STAGE_TRAIN, rep, _group_code(space, g))
-        X = _design_matrix(rng, cfg.n, cfg)
-        coef = truth.array[(slice(None),) + tuple(i - 1 for i in g)]
-        y = X @ coef + cfg.noise_std * rng.normal(size=cfg.n)
-        train[g] = (X, y)
-    targets = {}
-    for g in pattern.unobserved_list():
-        rng = _rng(cfg, _STAGE_TARGET, rep, _group_code(space, g))
-        X = _design_matrix(rng, cfg.n_target, cfg)
-        coef = overrides.get(
-            g, truth.array[(slice(None),) + tuple(i - 1 for i in g)])
-        y = X @ coef + cfg.noise_std * rng.normal(size=cfg.n_target)
-        targets[g] = (X, y)
+    factor = _ar1_factor(cfg)
+    observed, unobserved = pattern.observed_list(), pattern.unobserved_list()
+
+    def fiber(g):
+        return truth.array[(slice(None),) + tuple(i - 1 for i in g)]
+
+    # The samples are allocated here and filled on the worker threads, so
+    # no worker's malloc arena holds long-lived data (see _threads).
+    jobs = ([(g, _STAGE_TRAIN, fiber(g), np.empty((cfg.n, cfg.p)),
+              np.empty(cfg.n)) for g in observed]
+            + [(g, _STAGE_TARGET, overrides.get(g, fiber(g)),
+                np.empty((cfg.n_target, cfg.p)), np.empty(cfg.n_target))
+               for g in unobserved])
+
+    def draw(job):
+        g, stage, coef, X, y = job
+        rng = _rng(cfg, stage, rep, _group_code(pattern.space, g))
+        _design_matrix(rng, factor, X)
+        np.matmul(X, coef, out=y)
+        y += cfg.noise_std * rng.normal(size=y.size)
+
+    map_groups(draw, jobs)
+    samples = [(X, y) for *_, X, y in jobs]
+    train = dict(zip(observed, samples[:len(observed)]))
+    targets = dict(zip(unobserved, samples[len(observed):]))
     return GroupedDataset(train), targets
 
 
