@@ -19,7 +19,7 @@ from .regression import (GroupedDataset, GroupEstimates, GroupFit, fit_all,
                          ols_fit)
 from .simulate import (Scenario, ScenarioConfig, default_pattern,
                        generate_data, generate_tensor, make_scenario)
-from .spectral import ModeSpectrum, mode_gram, select_rank, spectral_step
+from .spectral import ModeSpectrum, mode_gram, spectral_step
 from .transfer import (TransferResult, cross_validate_lambda,
                        default_lambda, lasso_kkt, lasso_offset, tensortl)
 from .tensor import (DenseTensor, load_tensor, matricize, mode_product,

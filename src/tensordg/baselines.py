@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError
 from .regression import GroupEstimates, ols_fit
-from .spectral import mode_gram, noise_floor_rank
+from .spectral import mode_spectrum
 
 __all__ = ["pooled_gram", "maximin", "shared_subspace",
            "projected_ols", "meta_lm_star"]
@@ -197,12 +197,13 @@ def maximin(estimates, pooled, tol=MAXIMIN_TOL, max_iter=MAXIMIN_MAX_ITER,
 def shared_subspace(est, pattern):
     """Basis of the coefficient subspace shared by the source groups.
 
-    Builds the mode-0 bias-corrected Gram of the source estimates, picks
-    its rank by the noise-floor rule and returns the leading
-    eigenvectors as a p x r orthonormal matrix. It uses no target data,
-    so one basis serves every target group.
+    The mode-0 basis of the completion fit (``spectral.mode_spectrum``):
+    the leading eigenvectors of the bias-corrected Gram of the source
+    estimates, as many as the noise-floor rule counts, as a p x r
+    orthonormal matrix. It uses no target data, so one basis serves
+    every target group.
     """
-    return noise_floor_rank(mode_gram(est, pattern, 0), True).basis
+    return mode_spectrum(est, pattern, 0).basis
 
 
 def projected_ols(basis, X, y):

@@ -5,7 +5,9 @@ Subcommands:
 * ``simulate``: generate one replication of a scenario config and write
   the dataset CSV, the observation-pattern JSON, and the truth tensor.
 * ``fit``: fit the completion estimator on a dataset CSV plus pattern
-  JSON, optionally with the sparse high-dimensional front end.
+  JSON, optionally with the sparse high-dimensional front end. Every
+  mode's rank comes from the one noise-floor rule; there is no option
+  for it.
 * ``transfer``: sparse-offset transfer fit for one target group from a
   saved model and a target sample CSV.
 * ``experiment``: run a Monte Carlo sweep config and write the metrics
@@ -83,12 +85,11 @@ def cmd_fit(args):
     pattern = load_pattern(args.pattern)
     if args.highdim:
         lam = None if args.lam in (None, "auto") else float(args.lam)
-        model = fit_highdim(ds, pattern, lam=lam, seed=args.seed,
-                            threshold_c=args.threshold_c)
+        model = fit_highdim(ds, pattern, lam=lam, seed=args.seed)
     else:
         if args.lam is not None:
             raise ValueError("--lambda requires --highdim")
-        model = fit_tensordg(ds, pattern, threshold_c=args.threshold_c)
+        model = fit_tensordg(ds, pattern)
     diag = model.diagnostics
     print(f"ranks: {','.join(str(r) for r in model.ranks)}")
     print(f"generalizability: "
@@ -213,14 +214,13 @@ def build_parser():
                      help="also write one CSV per unobserved group")
     sim.set_defaults(func=cmd_simulate)
 
-    fit = sub.add_parser("fit", help="fit the completion estimator")
+    fit = sub.add_parser("fit", help="fit the completion estimator "
+                         "(ranks by the noise-floor rule)")
     fit.add_argument("--data", required=True, help="dataset CSV")
     fit.add_argument("--pattern", required=True,
                      help="observation pattern JSON")
     fit.add_argument("--seed", type=int, default=0,
                      help="seed for the --highdim lambda holdout")
-    fit.add_argument("--threshold-c", type=float, default=None,
-                     help="rank-threshold constant (default: noise floor)")
     fit.add_argument("--highdim", action="store_true",
                      help="group-lasso support selection before completion")
     fit.add_argument("--lambda", dest="lam", default=None,

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConditioningError, DimensionError
 from .patterns import pattern_from_config, pattern_to_config
 from .regression import GroupEstimates, fit_all
-from .spectral import spectral_step, stack_block, tail_floor
+from .spectral import floor_rank, spectral_step, stack_block
 from .tensor import DenseTensor, load_tensor, mode_product, save_tensor, \
     tucker_assemble
 
@@ -102,19 +102,17 @@ def _body_tensor(est, pattern):
     return DenseTensor(np.stack(cols, axis=-1).reshape((-1,) + shape))
 
 
-def fit_tensordg(ds, pattern, threshold_c=None, rank_override=None):
+def fit_tensordg(ds, pattern, rank_override=None):
     """Fit the completion estimator on an observed-pattern dataset.
 
     ds is a GroupedDataset, or the GroupEstimates ``fit_all`` made from
     one, used as fitted. The spectral step and the transport solves read
-    the same per-group fits. threshold_c picks the rank selector: None
-    (default) uses the noise-floor rule, a float uses the
-    concentration-bound threshold with that constant. rank_override
-    bypasses rank selection with fixed per-mode ranks.
+    the same per-group fits. Each mode's rank comes from the noise-floor
+    rule (``spectral.floor_rank``); rank_override bypasses it with fixed
+    per-mode ranks.
     """
     est = ds if isinstance(ds, GroupEstimates) else fit_all(ds, pattern)
-    spectra = spectral_step(est, pattern, c=threshold_c,
-                            rank_override=rank_override)
+    spectra = spectral_step(est, pattern, rank_override=rank_override)
     loadings, conds = [], []
     for t in range(pattern.q + 1):
         blocks = unfold_blocks(est, pattern, t)
@@ -150,13 +148,6 @@ DIAG_FLOOR_JOINT = 2.0
 DIAG_FLOOR_ARM = 4.5
 
 
-def _floor_count(eigenvalues, multiplier):
-    if eigenvalues.size < 2:
-        return 1
-    lam = tail_floor(eigenvalues, multiplier)
-    return max(int(np.sum(eigenvalues >= lam)), 1)
-
-
 def diagnose_generalizability(est, pattern):
     """Compare joint-block and arm-block ranks mode by mode.
 
@@ -176,8 +167,8 @@ def diagnose_generalizability(est, pattern):
         joint_eig, arm_eig = (
             np.linalg.eigvalsh(stack_block(est.tilde, arms, t, lev)[1])[::-1]
             for lev in (body_levels, all_levels))
-        joint_rank = _floor_count(joint_eig, DIAG_FLOOR_JOINT)
-        arm_rank = _floor_count(arm_eig, DIAG_FLOOR_ARM)
+        joint_rank = floor_rank(joint_eig, DIAG_FLOOR_JOINT)[0]
+        arm_rank = floor_rank(arm_eig, DIAG_FLOOR_ARM)[0]
         agree = joint_rank == arm_rank
         ok = ok and agree
         modes.append({

@@ -275,16 +275,17 @@ def _choose_lambda(ds, lambdas=None, holdout=0.2, seed=0, rule="1se",
     return lambdas[pick], path[pick]
 
 
-def fit_highdim(ds, pattern, lam=None, threshold=None, support=None,
-                seed=0, threshold_c=None, rank_override=None,
-                tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER):
+def fit_highdim(ds, pattern, lam=None, support=None, seed=0,
+                rank_override=None, tol=GROUP_LASSO_TOL,
+                max_iter=GROUP_LASSO_MAX_ITER):
     """Support selection followed by completion on the selected columns.
 
     Runs the group lasso at ``lam`` (chosen by holdout validation on a
-    split seeded by ``seed`` when omitted), thresholds row norms at
-    ``threshold`` (defaults to the same ``lam``), fits the completion
-    pipeline on the selected columns, and embeds the result into the full
-    feature space with zero rows off the support. A known ``support`` (0-based column indices) skips the
+    split seeded by ``seed`` when omitted), keeps the rows whose norm is
+    at least that same ``lam``, fits the completion pipeline (noise-floor
+    ranks unless ``rank_override`` fixes them) on the selected columns,
+    and embeds the result into the full feature space with zero rows off
+    the support. A known ``support`` (0-based column indices) skips the
     selection stage entirely. When ``lam`` is chosen here, the full-data
     solve starts from the path's solution at it. The selection is
     recorded in model.diagnostics. ``tol`` (absolute KKT residual) and
@@ -299,8 +300,7 @@ def fit_highdim(ds, pattern, lam=None, threshold=None, support=None,
             lam, warm = _choose_lambda(ds, seed=seed, tol=tol,
                                        max_iter=max_iter)
         beta = group_lasso(ds, lam, tol=tol, max_iter=max_iter, init=warm)
-        support = select_support(beta,
-                                 lam if threshold is None else threshold)
+        support = select_support(beta, lam)
     if not support:
         raise DimensionError(f"no coordinate survived the penalty {lam}")
     min_n = min(y.size for _, y in ds.groups.values())
@@ -309,7 +309,7 @@ def fit_highdim(ds, pattern, lam=None, threshold=None, support=None,
             f"support size {len(support)} is not below the smallest group "
             f"sample count {min_n}")
     sub = fit_tensordg(ds.restrict_columns(list(support)), pattern,
-                       threshold_c=threshold_c, rank_override=rank_override)
+                       rank_override=rank_override)
     p = ds.p
     rows = np.asarray(support, dtype=int)
 

@@ -1,16 +1,16 @@
 """Spectral rank and basis selection from per-group OLS estimates.
 
 For each mode the stacked coefficient estimates form a Gram matrix whose
-noise bias is removed with a plug-in correction; ranks are chosen by
-thresholding eigenvalues and the leading eigenvectors give the column
-space basis used by the completion step. The correction reads each
-group fit's stored noise covariance (sigma2/n) G^-1 and its trace, so
-no Gram is inverted here.
+noise bias is removed with a plug-in correction. The correction reads
+each group fit's stored noise covariance (sigma2/n) G^-1 and its trace,
+so no Gram is inverted here. One rule picks every rank: the count of
+eigenvalues at or above a noise floor estimated from the spectrum's own
+bottom half (``floor_rank``). The leading eigenvectors give the column
+space basis used by the completion step.
 """
 
 import math
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,53 +88,6 @@ def mode_gram(est, pattern, t):
                        pattern.body[t - 1])[1]
 
 
-def _eig_desc(gram):
-    eigval, eigvec = np.linalg.eigh(gram)
-    return eigval[::-1], eigvec[:, ::-1]
-
-
-def rank_threshold(spectral_norm, dim, n_bar, block_size, c=1.0):
-    return c * math.sqrt(
-        max(spectral_norm, 0.0) * (dim + math.log(n_bar))
-        / (n_bar * block_size))
-
-
-def _spectrum(gram, rule, block_size, rank=None):
-    """ModeSpectrum (mode unset, -1) from one eigendecomposition of gram.
-
-    ``rule`` maps the descending eigenvalues to the threshold. The rank
-    is ``rank`` when given, else the count of eigenvalues at or above the
-    threshold, floored at one and flagged via ``floored``.
-    """
-    gram = np.asarray(gram, dtype=float)
-    if not np.all(np.isfinite(gram)):
-        raise ValueError("second-moment matrix has non-finite entries")
-    eigval, eigvec = _eig_desc(gram)
-    lam = rule(eigval)
-    floored = False
-    if rank is None:
-        rank = int(np.sum(eigval >= lam))
-        floored = rank < 1
-        rank = max(rank, 1)
-    return ModeSpectrum(-1, gram, eigval, rank, eigvec[:, :rank],
-                        lam, block_size, floored)
-
-
-def _bound_threshold(eigval, n_bar, block_size, c):
-    return rank_threshold(abs(eigval).max(initial=0.0), eigval.size, n_bar,
-                          block_size, c)
-
-
-def select_rank(gram, n_bar, block_size, c=1.0):
-    """Threshold-rule rank: count of eigenvalues at or above the cut.
-
-    Returns a ModeSpectrum with mode unset (-1); spectral_step fills it.
-    The rank is floored at one, flagged via ``floored``.
-    """
-    return _spectrum(gram, partial(_bound_threshold, n_bar=n_bar,
-                                   block_size=block_size, c=c), block_size)
-
-
 # Multipliers for the noise-floor threshold, calibrated on the reference
 # design. The coefficient mode averages many more estimates than the group
 # modes, so its corrected tail is tighter relative to its extremes and the
@@ -161,49 +114,63 @@ def tail_floor(eigenvalues, multiplier, robust=False):
                1e-8 * float(np.abs(eig).max(initial=0.0)))
 
 
-def noise_floor(eigenvalues, coefficient_mode):
-    """Per-mode default floor: calibrated multiples of the tail scale."""
-    if coefficient_mode:
-        return tail_floor(eigenvalues, FLOOR_SCALE_COEF, robust=True)
-    return tail_floor(eigenvalues, FLOOR_SCALE_GROUP)
+def floor_rank(eigenvalues, multiplier, robust=False):
+    """(rank, floor, floored) of a descending spectrum.
 
-
-def noise_floor_rank(gram, coefficient_mode):
-    """Rank selection with the data-driven noise-floor threshold.
-
-    Counts eigenvalues at or above the floor; same return convention as
-    select_rank. The floor is estimated from the bottom half of the
-    spectrum, so the largest rank it can detect is ceil(dim/2).
+    The rank counts the eigenvalues at or above ``tail_floor``, floored
+    at one; ``floored`` says the count was zero. A single eigenvalue has
+    no tail to estimate a floor from: it is its own floor, so the rank is
+    one and not floored. The largest rank the floor can detect is
+    ceil(dim/2).
     """
-    return _spectrum(gram, partial(noise_floor,
-                                   coefficient_mode=coefficient_mode), 0)
+    eig = np.asarray(eigenvalues, dtype=float)
+    if eig.size == 1:
+        return 1, float(eig[0]), False
+    lam = tail_floor(eig, multiplier, robust)
+    rank = int(np.sum(eig >= lam))
+    return max(rank, 1), lam, rank < 1
 
 
-def spectral_step(est, pattern, c=None, rank_override=None):
-    """ModeSpectrum for every mode 0..q.
+def mode_spectrum(est, pattern, t, rank=None):
+    """ModeSpectrum of mode t from one eigendecomposition of its Gram.
 
-    With c=None (the default) each rank comes from the noise-floor rule;
-    a float c switches to the concentration-bound threshold with that
-    constant. rank_override, when given, supplies one rank per mode and
-    bypasses selection entirely (the basis is still the leading
-    eigenvectors). Each mode Gram is decomposed once either way.
+    The rank is ``rank`` when given, else the noise-floor count: the
+    robust floor at FLOOR_SCALE_COEF on the coefficient mode, the mean
+    floor at FLOOR_SCALE_GROUP on the group modes. The basis is the
+    leading ``rank`` eigenvectors either way.
+    """
+    gram = mode_gram(est, pattern, t)
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("second-moment matrix has non-finite entries")
+    eigval, eigvec = np.linalg.eigh(gram)
+    eigval, eigvec = eigval[::-1], eigvec[:, ::-1]
+    if t == 0:
+        size = len(pattern.observed)
+        count, lam, floored = floor_rank(eigval, FLOOR_SCALE_COEF, True)
+    else:
+        size = len(pattern.cset_tuples(t))
+        count, lam, floored = floor_rank(eigval, FLOOR_SCALE_GROUP)
+    if rank is None:
+        rank = count
+    else:
+        rank, floored = int(rank), False
+        if not 1 <= rank <= gram.shape[0]:
+            raise ValueError(f"rank {rank} invalid for mode {t}")
+    return ModeSpectrum(t, gram, eigval, rank, eigvec[:, :rank], lam, size,
+                        floored)
+
+
+def spectral_step(est, pattern, rank_override=None):
+    """ModeSpectrum for every mode 0..q, each from ``mode_spectrum``.
+
+    rank_override, when given, supplies one rank per mode and bypasses
+    the noise-floor count (the basis is still the leading eigenvectors).
+    Each mode Gram is decomposed once either way.
     """
     q = pattern.q
-    if rank_override is not None and len(rank_override) != q + 1:
+    if rank_override is None:
+        rank_override = (None,) * (q + 1)
+    elif len(rank_override) != q + 1:
         raise ValueError(f"rank_override needs {q + 1} entries")
-    out = []
-    for t in range(q + 1):
-        gram = mode_gram(est, pattern, t)
-        size = len(pattern.observed) if t == 0 else len(pattern.cset_tuples(t))
-        rank = None
-        if rank_override is not None:
-            rank = int(rank_override[t])
-            if not 1 <= rank <= gram.shape[0]:
-                raise ValueError(f"rank {rank} invalid for mode {t}")
-        if c is None:
-            rule = partial(noise_floor, coefficient_mode=t == 0)
-        else:
-            rule = partial(_bound_threshold, n_bar=est.n_bar,
-                           block_size=size, c=c)
-        out.append(replace(_spectrum(gram, rule, size, rank), mode=t))
-    return out
+    return [mode_spectrum(est, pattern, t, rank)
+            for t, rank in enumerate(rank_override)]

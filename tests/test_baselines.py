@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from maximin_reference import lstsq_maximin
 from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
                       build_pattern, fit_all, maximin, meta_lm_star, ols_fit,
-                      pooled_gram, tucker_assemble)
+                      pooled_gram, shared_subspace, spectral_step,
+                      tucker_assemble)
 
 
 def make_truth(rng, p, space, ranks, scale=1.0):
@@ -339,3 +340,14 @@ def test_meta_lm_star_rejects_tiny_target():
     X = np.ones((2, p))
     with pytest.raises(DimensionError):
         meta_lm_star(est, pattern, X, np.ones(2))
+
+
+def test_shared_subspace_is_the_completion_mode0_basis():
+    """Meta-LM* and TensorDG pick the mode-0 rank and basis by one rule."""
+    rng = np.random.default_rng(12)
+    truth = make_truth(rng, 8, (5, 4), (3, 2, 2), scale=3.0)
+    pattern = build_pattern((5, 4), body=[(1, 2, 3), (1, 2, 3)],
+                            arm_subsets=[[(1, 2)], [(1, 2)]])
+    est = fit_all(make_dataset(rng, truth, pattern, n=80), pattern)
+    basis = shared_subspace(est, pattern)
+    assert np.array_equal(basis, spectral_step(est, pattern)[0].basis)

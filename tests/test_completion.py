@@ -145,6 +145,21 @@ def test_noiseless_fit_is_exact_with_default_selection():
         assert np.allclose(model.coefficient(g), fiber(truth, g), atol=1e-7)
 
 
+def test_one_level_body_mode_fits_at_rank_one():
+    """A body with one level on a mode gives that mode a 1x1 Gram; the
+    noise-floor rule counts it as rank one and the fit completes."""
+    rng = np.random.default_rng(3)
+    truth = make_truth(rng, 6, (3, 3), (2, 1, 2), scale=4.0)
+    pattern = build_pattern((3, 3), body=[(1,), (1, 2)],
+                            arm_subsets=[[(1,)], [(1,)]])
+    model = fit_tensordg(make_dataset(rng, truth, pattern, n=60, noise=0.5),
+                         pattern)
+    assert model.ranks[1] == 1
+    assert model.diagnostics["spectral"][1]["eigenvalues"] == \
+        [model.diagnostics["spectral"][1]["threshold"]]
+    assert np.all(np.isfinite(model.tensor.array))
+
+
 def test_fit_respects_rank_override():
     truth, pattern, ds, ranks = standard_instance()
     model = fit_tensordg(ds, pattern, rank_override=ranks)

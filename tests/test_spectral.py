@@ -1,16 +1,15 @@
-"""Rank selection: corrected Grams, threshold rule, noise-floor rule."""
-
-import math
+"""Rank selection: corrected Grams and the noise-floor rule."""
 
 import numpy as np
 import pytest
 
 from tensordg import (GroupedDataset, ScenarioConfig, build_pattern,
                       diagnose_generalizability, fit_all,
-                      make_scenario, mode_gram, select_rank, spectral_step,
+                      make_scenario, mode_gram, spectral_step,
                       tucker_assemble)
 from tensordg.patterns import _insert
-from tensordg.spectral import rank_threshold
+from tensordg.spectral import (FLOOR_SCALE_COEF, FLOOR_SCALE_GROUP,
+                               floor_rank, mode_spectrum, tail_floor)
 
 
 def make_truth(rng, p, space, ranks, scale=1.0):
@@ -30,32 +29,50 @@ def make_dataset(rng, truth, pattern, n, noise=1.0):
     return GroupedDataset(groups)
 
 
-def test_threshold_formula_value():
-    got = rank_threshold(2.0, 10, 100.0, 5, c=1.5)
-    assert got == pytest.approx(1.5 * math.sqrt(2.0 * (10 + math.log(100.0))
-                                                / (100.0 * 5)))
+def test_floor_rank_counts_and_floor():
+    """Count at or above the floor, floored at one; a single eigenvalue
+    is its own floor."""
+    assert floor_rank([3.0, 1.0, 0.2, 0.01, 0.0, 0.0], 2.0) == \
+        (4, pytest.approx(2.0 * 0.01 / 3), False)
+    assert floor_rank([3.0, 1.0, 0.2, 0.01, 0.0, 0.0], 2.0, robust=True) \
+        == (4, pytest.approx(3e-8), False)
+    # a tail wider than the top of the spectrum counts nothing
+    rank, lam, floored = floor_rank([1.0, 0.9, -5.0, -5.0], 2.0)
+    assert (rank, floored) == (1, True) and lam == pytest.approx(10.0)
+    assert floor_rank([-0.5], 4.5) == (1, -0.5, False)
 
 
-def test_select_rank_counts_and_floor():
-    gram = np.diag([3.0, 1.0, 0.2, 0.01])
-    spec = select_rank(gram, n_bar=1e6, block_size=10, c=1.0)
-    assert spec.rank == 4 and not spec.floored
-    spec = select_rank(np.diag([1e-8, 1e-9]), n_bar=100.0, block_size=2, c=1.0)
-    assert spec.rank == 1 and spec.floored
-    with pytest.raises(ValueError, match="finite"):
-        select_rank(np.array([[np.nan, 0.0], [0.0, 1.0]]), 10.0, 2)
-
-
-def test_select_rank_basis_spans_leading_space():
+def test_mode_spectrum_basis_spans_leading_space():
+    """Noiseless mode-0 Gram: the basis spans the population Gram's
+    leading eigenvectors and eigen_gap is its smallest gap above the cut."""
     rng = np.random.default_rng(0)
-    q_mat = np.linalg.qr(rng.normal(size=(6, 6)))[0]
-    gram = q_mat @ np.diag([5.0, 2.0, 1e-12, 0, 0, 0]) @ q_mat.T
-    spec = select_rank(gram, n_bar=1e4, block_size=20, c=1.0)
-    assert spec.rank == 2
-    proj = spec.basis @ spec.basis.T
-    target = q_mat[:, :2] @ q_mat[:, :2].T
-    assert np.allclose(proj, target, atol=1e-8)
-    assert spec.eigen_gap() == pytest.approx(2.0, abs=1e-9)
+    truth = make_truth(rng, 6, (4, 4), (2, 2, 2), scale=3.0)
+    pattern = build_pattern((4, 4), body=[(1, 2, 3), (1, 2, 3)],
+                            arm_subsets=[[(1, 2)], [(1, 2)]])
+    est = fit_all(make_dataset(rng, truth, pattern, n=60, noise=0.0),
+                  pattern)
+    stack = np.vstack([truth.array[(slice(None),) + tuple(i - 1 for i in g)]
+                       for g in pattern.observed_list()])
+    lam, vec = np.linalg.eigh(stack.T @ stack / len(stack))
+    lam, vec = lam[::-1], vec[:, ::-1]
+    spec = mode_spectrum(est, pattern, 0)
+    assert spec.mode == 0 and spec.rank == 2 and not spec.floored
+    assert np.allclose(spec.basis @ spec.basis.T, vec[:, :2] @ vec[:, :2].T,
+                       atol=1e-8)
+    assert spec.eigen_gap() == pytest.approx(min(lam[0] - lam[1], lam[1]),
+                                             rel=1e-8)
+
+
+def test_mode_spectrum_rejects_non_finite_gram(monkeypatch):
+    rng = np.random.default_rng(1)
+    truth = make_truth(rng, 5, (3, 3), (2, 2, 2))
+    pattern = build_pattern((3, 3), body=[(1, 2), (1, 2)],
+                            arm_subsets=[[(1,)], [(1,)]])
+    est = fit_all(make_dataset(rng, truth, pattern, n=30), pattern)
+    monkeypatch.setattr("tensordg.spectral.mode_gram",
+                        lambda *args: np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        mode_spectrum(est, pattern, 1)
 
 
 def test_noiseless_grams_match_population_blocks():
@@ -162,8 +179,6 @@ def test_tail_floor_frozen_values():
     three; mean and median variants scale them by the multiplier; the
     relative epsilon takes over when the tail is exactly zero.
     """
-    from tensordg.spectral import noise_floor, tail_floor
-
     ev = [10.0, 5.0, 1.0, 0.3, 0.2, 0.1]
     assert tail_floor(ev, 2.0) == pytest.approx(2.0 * 0.2)          # mean
     assert tail_floor(ev, 2.0, robust=True) == pytest.approx(0.4)   # median
@@ -174,15 +189,13 @@ def test_tail_floor_frozen_values():
     with pytest.raises(ValueError):
         tail_floor([1.0], 2.0)
     # mode-0 default is the robust variant at its own multiplier
-    assert noise_floor(ev, True) == pytest.approx(3.4 * 0.2)
-    assert noise_floor(ev, False) == pytest.approx(2.0 * 0.2)
+    assert floor_rank(ev, FLOOR_SCALE_COEF, True)[1] == pytest.approx(3.4 * 0.2)
+    assert floor_rank(ev, FLOOR_SCALE_GROUP)[1] == pytest.approx(2.0 * 0.2)
 
 
 def test_noise_floor_rank_noiseless_exact():
     """Noiseless spectra have exact-zero tails, so the floor
     rule recovers the true rank for every mode."""
-    from tensordg.spectral import noise_floor_rank
-
     rng = np.random.default_rng(21)
     truth = make_truth(rng, 8, (5, 4), (3, 2, 2), scale=4.0)
     pattern = build_pattern((5, 4), body=[(1, 2, 3), (1, 2, 3)],
@@ -190,15 +203,14 @@ def test_noise_floor_rank_noiseless_exact():
     ds = make_dataset(rng, truth, pattern, n=60, noise=0.0)
     est = fit_all(ds, pattern)
     for t, expect in ((0, 3), (1, 2), (2, 2)):
-        spec = noise_floor_rank(mode_gram(est, pattern, t), t == 0)
+        spec = mode_spectrum(est, pattern, t)
         assert spec.rank == expect
 
 
 def test_spectral_step_default_uses_noise_floor():
-    """With c=None the per-mode thresholds equal the
-    noise-floor values computed from the same Grams."""
-    from tensordg.spectral import noise_floor
-
+    """The per-mode thresholds equal the noise-floor values computed
+    from the same Grams: robust at FLOOR_SCALE_COEF on mode 0, the mean
+    floor at FLOOR_SCALE_GROUP elsewhere."""
     rng = np.random.default_rng(22)
     truth = make_truth(rng, 8, (5, 4), (3, 2, 2), scale=4.0)
     pattern = build_pattern((5, 4), body=[(1, 2, 3), (1, 2, 3)],
@@ -208,7 +220,10 @@ def test_spectral_step_default_uses_noise_floor():
     for t, spec in enumerate(spectral_step(est, pattern)):
         gram = mode_gram(est, pattern, t)
         eig = np.linalg.eigvalsh(gram)[::-1]
-        assert spec.threshold == pytest.approx(noise_floor(eig, t == 0))
+        expect = (floor_rank(eig, FLOOR_SCALE_COEF, True) if t == 0
+                  else floor_rank(eig, FLOOR_SCALE_GROUP))
+        assert (spec.rank, spec.floored) == (expect[0], expect[2])
+        assert spec.threshold == pytest.approx(expect[1])
 
 
 def explicit_inverse_block_gram(ds, fits, tuples, t, levels):
@@ -278,8 +293,7 @@ def test_stored_noise_terms_match_explicit_inverse(q):
                                   np.linalg.eigvalsh(old)[::-1])
 
 
-@pytest.mark.parametrize("c", [None, 1.0])
-def test_rank_override_decomposes_each_gram_once(monkeypatch, c):
+def test_rank_override_decomposes_each_gram_once(monkeypatch):
     """Overriding the ranks reuses the eigenpairs the rank rule computed:
     one symmetric eigendecomposition per mode with or without it."""
     cfg = ScenarioConfig(q=3, p=10, group_dims=(4, 4, 4), ranks=(3, 2, 2, 2),
@@ -296,10 +310,9 @@ def test_rank_override_decomposes_each_gram_once(monkeypatch, c):
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
 
-    default = spectral_step(est, sc.pattern, c=c)
+    default = spectral_step(est, sc.pattern)
     n_default = len(calls)
-    override = spectral_step(est, sc.pattern, c=c,
-                             rank_override=(4, 1, 2, 1))
+    override = spectral_step(est, sc.pattern, rank_override=(4, 1, 2, 1))
     assert n_default == len(calls) - n_default == sc.pattern.q + 1
     assert [s.rank for s in override] == [4, 1, 2, 1]
     for a, b in zip(default, override):
