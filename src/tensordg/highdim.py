@@ -11,7 +11,9 @@ groups:
 (N = total sample count). Coordinates whose cross-group row norm reaches
 ``lam`` form the support estimate; the completion pipeline then runs on
 those columns alone, and the result is embedded back into the full
-space with zero rows elsewhere.
+space with zero rows elsewhere. The stopping settings (``tol``, an
+absolute KKT residual, ``max_iter`` and ``history``) belong to
+group_lasso alone; choose_lambda and fit_highdim solve at its defaults.
 """
 
 import math
@@ -31,6 +33,7 @@ GROUP_LASSO_TOL = 1e-8
 GROUP_LASSO_MAX_ITER = 100_000
 LAMBDA_GRID_SIZE = 20
 LAMBDA_GRID_SPAN = 100.0
+HOLDOUT = 0.2
 
 
 @dataclass(frozen=True)
@@ -214,30 +217,22 @@ def lambda_grid(ds):
     return np.geomspace(lam_max, lam_max / LAMBDA_GRID_SPAN, LAMBDA_GRID_SIZE)
 
 
-def choose_lambda(ds, lambdas=None, holdout=0.2, seed=0, rule="1se",
-                  tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER):
+def choose_lambda(ds, seed=0, rule="1se"):
     """Penalty chosen by pooled holdout loss along a warm-started path.
 
-    Splits every group with a seeded permutation (at least one row held
-    out per group), fits the path from the largest penalty down, and
+    Splits every group with a seeded permutation (a HOLDOUT share of the
+    rows, at least one, held out per group), fits the path over
+    lambda_grid of the training rows from the largest penalty down, and
     scores each solution by the pooled squared prediction error on the
     held-out rows. ``rule`` is "min" for the loss minimizer or "1se"
     (default) for the one-standard-error convention: the largest penalty
     whose mean holdout loss stays within one standard error of the
     minimum, which favors sparser solutions on flat loss curves. The
     training rows are stacked once for the whole path; each solve is
-    group_lasso, stopped at absolute KKT residual ``tol``.
+    group_lasso at its default tolerance. Returns the penalty and the
+    path's training-row solution at it, a warm start for a full-data
+    solve.
     """
-    return _choose_lambda(ds, lambdas, holdout, seed, rule, tol,
-                          max_iter)[0]
-
-
-def _choose_lambda(ds, lambdas=None, holdout=0.2, seed=0, rule="1se",
-                   tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER):
-    """choose_lambda's penalty and the path's training-row solution at it,
-    a warm start for the full-data solve."""
-    if not 0.0 < holdout < 1.0:
-        raise ValueError(f"holdout fraction must be in (0,1), got {holdout}")
     if rule not in ("min", "1se"):
         raise ValueError(f"unknown selection rule {rule!r}")
     rng = np.random.default_rng(int(seed))
@@ -245,7 +240,7 @@ def _choose_lambda(ds, lambdas=None, holdout=0.2, seed=0, rule="1se",
     for g in sorted(ds.groups):
         X, y = ds.groups[g]
         n = y.size
-        n_hold = max(int(round(holdout * n)), 1)
+        n_hold = max(int(round(HOLDOUT * n)), 1)
         if n_hold >= n:
             raise DimensionError(f"group {g} too small to hold out from")
         perm = rng.permutation(n)
@@ -253,13 +248,10 @@ def _choose_lambda(ds, lambdas=None, holdout=0.2, seed=0, rule="1se",
         train[g] = (X[keep], y[keep])
         valid[g] = (X[hold], y[hold])
     stack = _stack(GroupedDataset(train))
-    if lambdas is None:
-        lambdas = lambda_grid(stack)
-    lambdas = sorted((float(l) for l in lambdas), reverse=True)
+    grid = [float(l) for l in lambda_grid(stack)]
     means, path, sq_errors = [], [], []
-    for lam in lambdas:
-        path.append(group_lasso(stack, lam, tol=tol, max_iter=max_iter,
-                                init=path[-1] if path else None))
+    for lam in grid:
+        path.append(group_lasso(stack, lam, init=path[-1] if path else None))
         sq = np.concatenate([(yv - Xv @ path[-1][g]) ** 2
                              for g, (Xv, yv) in sorted(valid.items())])
         sq_errors.append(sq)
@@ -272,35 +264,25 @@ def _choose_lambda(ds, lambdas=None, holdout=0.2, seed=0, rule="1se",
         cutoff = means[best] + se
         pick = next((k for k, mean in enumerate(means) if mean <= cutoff),
                     best)
-    return lambdas[pick], path[pick]
+    return grid[pick], path[pick]
 
 
-def fit_highdim(ds, pattern, lam=None, support=None, seed=0,
-                rank_override=None, tol=GROUP_LASSO_TOL,
-                max_iter=GROUP_LASSO_MAX_ITER):
+def fit_highdim(ds, pattern, lam=None, seed=0):
     """Support selection followed by completion on the selected columns.
 
-    Runs the group lasso at ``lam`` (chosen by holdout validation on a
-    split seeded by ``seed`` when omitted), keeps the rows whose norm is
-    at least that same ``lam``, fits the completion pipeline (noise-floor
-    ranks unless ``rank_override`` fixes them) on the selected columns,
-    and embeds the result into the full feature space with zero rows off
-    the support. A known ``support`` (0-based column indices) skips the
-    selection stage entirely. When ``lam`` is chosen here, the full-data
-    solve starts from the path's solution at it. The selection is
-    recorded in model.diagnostics. ``tol`` (absolute KKT residual) and
-    ``max_iter`` go to choose_lambda and group_lasso.
+    Runs the group lasso at ``lam`` (chosen by choose_lambda on a
+    holdout split seeded by ``seed`` when omitted; the full-data solve
+    then starts from the path's solution at it), keeps the rows whose
+    norm is at least that same ``lam``, fits the completion pipeline
+    with noise-floor ranks on the selected columns, and embeds the
+    result into the full feature space with zero rows off the support.
+    The selection is recorded in model.diagnostics.
     """
-    if support is not None:
-        support = tuple(sorted(int(j) for j in support))
-        lam = float(lam) if lam is not None else 0.0
-    else:
-        warm = None
-        if lam is None:
-            lam, warm = _choose_lambda(ds, seed=seed, tol=tol,
-                                       max_iter=max_iter)
-        beta = group_lasso(ds, lam, tol=tol, max_iter=max_iter, init=warm)
-        support = select_support(beta, lam)
+    warm = None
+    if lam is None:
+        lam, warm = choose_lambda(ds, seed=seed)
+    beta = group_lasso(ds, lam, init=warm)
+    support = select_support(beta, lam)
     if not support:
         raise DimensionError(f"no coordinate survived the penalty {lam}")
     min_n = min(y.size for _, y in ds.groups.values())
@@ -308,8 +290,7 @@ def fit_highdim(ds, pattern, lam=None, support=None, seed=0,
         raise DimensionError(
             f"support size {len(support)} is not below the smallest group "
             f"sample count {min_n}")
-    sub = fit_tensordg(ds.restrict_columns(list(support)), pattern,
-                       rank_override=rank_override)
+    sub = fit_tensordg(ds.restrict_columns(list(support)), pattern)
     p = ds.p
     rows = np.asarray(support, dtype=int)
 

@@ -69,11 +69,6 @@ class GroupedDataset:
             raise DimensionError("empty dataset")
         return next(iter(self.groups.values()))[0].shape[1]
 
-    def subset(self, keep):
-        keep = set(tuple(g) for g in keep)
-        return GroupedDataset({g: xy for g, xy in self.groups.items()
-                               if g in keep})
-
     def restrict_columns(self, cols):
         """Dataset with design columns limited to the given 0-based list."""
         cols = list(cols)

@@ -13,7 +13,9 @@ its monotone FISTA with a KKT stop is the package's one sparse solver.
 The returned coefficient is gamma_hat = beta_hat + delta_hat, which
 degrades gracefully: with no usable target signal the lasso shrinks
 delta to zero and the answer falls back to the completed tensor's
-coefficient.
+coefficient. The stopping settings (``tol``, an absolute KKT
+residual, ``max_iter`` and ``history``) belong to lasso_offset alone;
+cross_validate_lambda and tensortl solve at group_lasso's defaults.
 """
 
 import math
@@ -29,6 +31,7 @@ __all__ = ["TransferResult", "lasso_offset", "lasso_kkt", "default_lambda",
            "cross_validate_lambda", "tensortl"]
 
 DEFAULT_C0 = 2.0
+CV_FOLDS = 5
 
 
 @dataclass(frozen=True)
@@ -96,21 +99,22 @@ def lasso_kkt(X, y, offset, delta, lam):
                            lam)
 
 
-def default_lambda(p, n, c0=DEFAULT_C0):
-    """Theoretical penalty scale c0 * sqrt(log p / n)."""
+def default_lambda(p, n):
+    """Theoretical penalty scale DEFAULT_C0 * sqrt(log p / n)."""
     if p < 2 or n < 1:
         raise DimensionError(f"need p >= 2 and n >= 1, got p={p}, n={n}")
-    return c0 * math.sqrt(math.log(p) / n)
+    return DEFAULT_C0 * math.sqrt(math.log(p) / n)
 
 
-def cross_validate_lambda(X, y, offset, lambdas=None, folds=5, seed=0,
-                          tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER):
-    """Pick the penalty with the best k-fold held-out prediction error.
+def cross_validate_lambda(X, y, offset, seed=0):
+    """Pick the penalty with the best CV_FOLDS-fold held-out prediction
+    error.
 
-    The default grid is 20 geometric steps from the smallest
-    all-shrinking penalty lam_max down to lam_max / 100. Fold membership
-    comes from a seeded permutation, so the choice is deterministic.
-    The first penalty in ``lambdas`` order with the lowest error wins.
+    The grid is 20 geometric steps from the smallest all-shrinking
+    penalty lam_max down to lam_max / 100; when lam_max is zero (the
+    offset fits the target exactly) the answer is default_lambda. Fold
+    membership comes from a seeded permutation, so the choice is
+    deterministic. The largest penalty with the lowest error wins.
 
     All folds' lassos are one group_lasso call per penalty,
     warm-started down the grid, on a stack whose leading axis is a
@@ -118,27 +122,23 @@ def cross_validate_lambda(X, y, offset, lambdas=None, folds=5, seed=0,
     y - X offset scaled by sqrt(N / n_k), zero-padded to the largest
     fold. The batch's loss is then the sum of the folds' own (1/n_k)
     losses, each fold's gradient is its own and the l1 penalty
-    separates, so ``tol`` bounds every fold's lasso_kkt and
-    ``max_iter`` counts FISTA iterations per penalty. The stack holds
-    folds * n_max * p floats (0.3 MB at n = 150, p = 60).
+    separates, so group_lasso's tolerance bounds every fold's lasso_kkt.
+    The stack holds CV_FOLDS * n_max * p floats (0.3 MB at n = 150,
+    p = 60).
     """
     full = _offset_stack(X, y, offset)
     X, resid = full.X[0], full.y[0]
     n, p = X.shape
-    if folds < 2:
-        raise ValueError(f"need at least 2 folds, got {folds}")
-    if n < folds:
-        raise DimensionError(f"need at least {folds} samples, got {n}")
-    if lambdas is None:
-        lam_max = 2.0 * float(np.max(np.abs(X.T @ resid))) / n
-        if lam_max <= 0.0:
-            return default_lambda(max(p, 2), n)
-        lambdas = np.geomspace(lam_max, lam_max / 100.0, 20)
+    if n < CV_FOLDS:
+        raise DimensionError(f"need at least {CV_FOLDS} samples, got {n}")
+    lam_max = 2.0 * float(np.max(np.abs(X.T @ resid))) / n
+    if lam_max <= 0.0:
+        return default_lambda(max(p, 2), n)
     perm = np.random.default_rng(int(seed)).permutation(n)
-    splits = np.array_split(perm, folds)
+    splits = np.array_split(perm, CV_FOLDS)
     trains = [np.setdiff1d(perm, hold, assume_unique=True) for hold in splits]
     n_total = sum(train.size for train in trains)
-    design = np.zeros((folds, 1, max(train.size for train in trains), p))
+    design = np.zeros((CV_FOLDS, 1, max(train.size for train in trains), p))
     response = np.zeros(design.shape[:-1])
     for k, train in enumerate(trains):
         scale = math.sqrt(n_total / train.size)
@@ -146,9 +146,8 @@ def cross_validate_lambda(X, y, offset, lambdas=None, folds=5, seed=0,
         response[k, 0, :train.size] = scale * resid[train]
     stack = _Stack((0,), design, response, n_total)
     best_lam, best_err, warm = None, np.inf, None
-    for lam in lambdas:
-        warm = group_lasso(stack, float(lam), tol=tol, max_iter=max_iter,
-                           init=warm)
+    for lam in np.geomspace(lam_max, lam_max / 100.0, 20):
+        warm = group_lasso(stack, float(lam), init=warm)
         err = sum(float(np.sum((resid[hold] - X[hold] @ delta) ** 2))
                   for hold, delta in zip(splits, warm[0]))
         if err < best_err - 1e-15:
@@ -156,19 +155,16 @@ def cross_validate_lambda(X, y, offset, lambdas=None, folds=5, seed=0,
     return best_lam
 
 
-def tensortl(model, g_star, X, y, lam=None, cv=False, c0=DEFAULT_C0,
-             tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER, seed=0):
+def tensortl(model, g_star, X, y, lam=None, cv=False, seed=0):
     """Transfer the completed tensor's coefficient onto a target group.
 
     Takes beta_hat for ``g_star`` from the completion model, estimates
     the sparse offset on the target sample, and returns
     TransferResult(gamma_hat = beta_hat + delta_hat, ...). When ``lam``
-    is omitted the penalty defaults to c0 * sqrt(log p / n), or to the
-    cross-validated choice when ``cv`` is set. ``tol`` is an absolute
-    KKT residual (default GROUP_LASSO_TOL, 1e-8) and ``max_iter`` counts
-    FISTA iterations, both passed to lasso_offset and
-    cross_validate_lambda. Raises NonFiniteError naming ``g_star`` when
-    the target data hold NaN or infinite values.
+    is omitted the penalty defaults to default_lambda, or to the
+    cross-validated choice (folds seeded by ``seed``) when ``cv`` is
+    set. Raises NonFiniteError naming ``g_star`` when the target data
+    hold NaN or infinite values.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -182,11 +178,9 @@ def tensortl(model, g_star, X, y, lam=None, cv=False, c0=DEFAULT_C0,
             f"target design {X.shape} does not match p={beta_hat.size}")
     if lam is None:
         if cv:
-            lam = cross_validate_lambda(X, y, beta_hat, seed=seed,
-                                        tol=tol, max_iter=max_iter)
+            lam = cross_validate_lambda(X, y, beta_hat, seed=seed)
         else:
-            lam = default_lambda(beta_hat.size, y.size, c0)
-    delta = lasso_offset(X, y, beta_hat, float(lam), tol=tol,
-                         max_iter=max_iter)
+            lam = default_lambda(beta_hat.size, y.size)
+    delta = lasso_offset(X, y, beta_hat, float(lam))
     support = tuple(int(j) for j in np.flatnonzero(delta))
     return TransferResult(beta_hat + delta, delta, float(lam), support)

@@ -11,6 +11,7 @@ from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
                       build_pattern, choose_lambda, fit_highdim, fit_tensordg,
                       group_lasso, group_lasso_kkt, lasso_kkt, lasso_offset,
                       select_support, tucker_assemble)
+from tensordg import highdim
 from tensordg.highdim import _stack, _Stack, lambda_grid
 
 from lasso_reference import cd_lasso
@@ -276,8 +277,8 @@ def test_support_recovery_monte_carlo():
             X = rng.normal(size=(n, p))
             groups[g] = (X, X @ b + rng.normal(size=n))
         ds = GroupedDataset(groups)
-        lam = choose_lambda(ds, seed=rep, tol=1e-8)
-        beta = group_lasso(ds, lam, tol=1e-8)
+        lam, _ = choose_lambda(ds, seed=rep)
+        beta = group_lasso(ds, lam)
         if set(select_support(beta, lam)) == set(int(j) for j in support):
             hits += 1
     assert hits >= 90, f"support recovered in only {hits}/100 replications"
@@ -295,30 +296,10 @@ def highdim_scenario(rng, p=40, s=6):
     return full, support, pattern
 
 
-def test_fit_highdim_given_support_noiseless_exact():
-    """Support size 5 inside p=300, noiseless data, the true
-    support handed over: the completed tensor matches the embedded
-    truth and off-support rows are identically zero."""
-    rng = np.random.default_rng(4)
-    full, support, pattern = highdim_scenario(rng, p=300, s=5)
-    groups = {}
-    for g in pattern.observed_list():
-        X = rng.normal(size=(30, full.shape[0]))
-        coef = full[(slice(None),) + tuple(i - 1 for i in g)]
-        groups[g] = (X, X @ coef)
-    ds = GroupedDataset(groups)
-    model = fit_highdim(ds, pattern, support=[int(j) for j in support])
-    assert np.allclose(model.tensor.array, full, atol=1e-6)
-    got_support = model.diagnostics["support"]
-    assert set(got_support) == set(int(j) for j in support)
-    off = [j for j in range(full.shape[0]) if j not in got_support]
-    assert np.array_equal(model.tensor.array[off], np.zeros_like(
-        model.tensor.array[off]))
-
-
 def test_fit_highdim_selected_support_noiseless():
     """End-to-end with selection at a penalty inside the
-    separation window: planted support recovered, tensor exact."""
+    separation window: planted support recovered, tensor exact, and
+    off-support rows identically zero."""
     rng = np.random.default_rng(14)
     full, support, pattern = highdim_scenario(rng)
     groups = {}
@@ -328,8 +309,45 @@ def test_fit_highdim_selected_support_noiseless():
         groups[g] = (X, X @ coef)
     ds = GroupedDataset(groups)
     model = fit_highdim(ds, pattern)
-    assert set(model.diagnostics["support"]) == set(int(j) for j in support)
+    got_support = model.diagnostics["support"]
+    assert set(got_support) == set(int(j) for j in support)
     assert np.allclose(model.tensor.array, full, atol=1e-4)
+    off = [j for j in range(full.shape[0]) if j not in got_support]
+    assert np.array_equal(model.tensor.array[off], np.zeros_like(
+        model.tensor.array[off]))
+
+
+def test_fit_highdim_chooses_lambda_once_and_warm_starts(monkeypatch):
+    """Without a penalty, fit_highdim calls choose_lambda once, through
+    the module attribute (so a traced run records the path under it),
+    and the full-data solve starts from that call's solution."""
+    rng = np.random.default_rng(14)
+    full, support, pattern = highdim_scenario(rng)
+    groups = {}
+    for g in pattern.observed_list():
+        X = rng.normal(size=(30, full.shape[0]))
+        coef = full[(slice(None),) + tuple(i - 1 for i in g)]
+        groups[g] = (X, X @ coef)
+    ds = GroupedDataset(groups)
+    chosen, solves = [], []
+    choose, solve = highdim.choose_lambda, highdim.group_lasso
+
+    def counting_choose(*args, **kwargs):
+        chosen.append(choose(*args, **kwargs))
+        return chosen[-1]
+
+    def recording_solve(data, lam, **kwargs):
+        solves.append((data, lam, kwargs.get("init")))
+        return solve(data, lam, **kwargs)
+
+    monkeypatch.setattr(highdim, "choose_lambda", counting_choose)
+    monkeypatch.setattr(highdim, "group_lasso", recording_solve)
+    model = fit_highdim(ds, pattern)
+    assert len(chosen) == 1
+    lam, warm = chosen[0]
+    assert model.diagnostics["lambda"] == lam
+    data, final_lam, init = solves[-1]
+    assert data is ds and final_lam == lam and init is warm
 
 
 def test_fit_highdim_restriction_matches_lowdim_fit():
