@@ -53,11 +53,10 @@ def pooled_gram(ds):
 
 def _coef_matrix(estimates):
     """Stack per-group coefficient vectors as columns, sorted by group."""
-    if isinstance(estimates, GroupEstimates):
-        coefs = {g: fit.coef for g, fit in estimates.tilde.items()}
-    else:
-        coefs = {tuple(g): np.asarray(b, dtype=float)
-                 for g, b in dict(estimates).items()}
+    if isinstance(estimates, GroupEstimates):   # rows are in group order
+        return np.ascontiguousarray(estimates.coef.T), estimates.groups
+    coefs = {tuple(g): np.asarray(b, dtype=float)
+             for g, b in dict(estimates).items()}
     if not coefs:
         raise DimensionError("no source estimates to aggregate")
     order = sorted(coefs)

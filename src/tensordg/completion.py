@@ -69,12 +69,11 @@ def unfold_blocks(est, pattern, t):
     the observed-group coefficient stack as both blocks.
     """
     if t == 0:
-        stack = np.vstack([est.tilde[g].coef
-                           for g in pattern.observed_list()])
+        stack = est.coef[est.rows(pattern.observed_list())]
         return stack, stack
     if not 1 <= t <= pattern.q:
         raise ValueError(f"mode {t} out of range 0..{pattern.q}")
-    target = stack_block(est.tilde, pattern.arm_tuples(t), t,
+    target = stack_block(est, pattern.arm_tuples(t), t,
                          range(1, pattern.space[t - 1] + 1))[0]
     body = np.asarray(pattern.body[t - 1]) - 1
     return np.ascontiguousarray(target[:, body]), target
@@ -98,8 +97,9 @@ def estimate_loading(t, b_joint, b_target, basis):
 
 def _body_tensor(est, pattern):
     shape = tuple(len(levels) for levels in pattern.body)
-    cols = [est.tilde[g].coef for g in pattern.body_groups()]
-    return DenseTensor(np.stack(cols, axis=-1).reshape((-1,) + shape))
+    # C order: the core's mode products round differently on a strided one
+    cols = np.ascontiguousarray(est.coef[est.rows(pattern.body_groups())].T)
+    return DenseTensor(cols.reshape((-1,) + shape))
 
 
 def fit_tensordg(ds, pattern, rank_override=None):
@@ -131,7 +131,7 @@ def fit_tensordg(ds, pattern, rank_override=None):
         "spectral": [s.summary() for s in spectra],
         "loading_condition_numbers": conds,
         "generalizability": diagnose_generalizability(est, pattern),
-        "n_bar": est.n_bar,
+        "n_bar": float(est.n.mean()),
         "warnings": warnings,
     }
 
@@ -165,7 +165,7 @@ def diagnose_generalizability(est, pattern):
         body_levels = pattern.body[t - 1]
         all_levels = range(1, pattern.space[t - 1] + 1)
         joint_eig, arm_eig = (
-            np.linalg.eigvalsh(stack_block(est.tilde, arms, t, lev)[1])[::-1]
+            np.linalg.eigvalsh(stack_block(est, arms, t, lev)[1])[::-1]
             for lev in (body_levels, all_levels))
         joint_rank = floor_rank(joint_eig, DIAG_FLOOR_JOINT)[0]
         arm_rank = floor_rank(arm_eig, DIAG_FLOOR_ARM)[0]

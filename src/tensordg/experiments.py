@@ -187,9 +187,9 @@ class _Replication:
     @cached_property
     def observed(self):
         """Zero tensor with the observed fibers set to their OLS fits."""
-        return _with_fibers(DenseTensor(np.zeros(self.scenario.truth.dims)),
-                            {g: self.est.tilde[g].coef
-                             for g in self.scenario.pattern.observed_list()})
+        arr, seen = np.zeros(self.scenario.truth.dims), self.est.index >= 0
+        arr[:, seen] = self.est.coef[self.est.index[seen]].T
+        return DenseTensor(arr)
 
 
 def _tensordg(ctx):

@@ -2,10 +2,10 @@
 
 One LU solve per group gives the coefficient and the inverse Gram; each
 fit stores its noise covariance and trace, so no later stage inverts.
-Every stage of the completion reads this one set of fits. The groups are
-fitted side by side on threads, one per usable CPU (``_threads``); each
-fit's arithmetic is the serial one, so the fits are bitwise identical to
-a one-group-at-a-time loop when BLAS runs single-threaded.
+Every stage reads this one set of fits, held as row arrays. The groups
+are fitted side by side on threads, one per usable CPU (``_threads``);
+each fit's arithmetic is the serial one, so the fits are bitwise equal
+to a one-group-at-a-time loop when BLAS runs single-threaded.
 """
 
 from dataclasses import dataclass, field
@@ -127,19 +127,39 @@ def ols_fit(X, y):
 
 @dataclass
 class GroupEstimates:
-    """Per-group OLS fits of the observed groups.
-
-    ``tilde`` maps each observed group to its GroupFit (the paper's
-    beta-tilde); ``n_bar`` is their mean sample count. ``pooled`` is the
-    pooled second-moment matrix sum X'X / sum n over the observed groups,
-    summed in ``observed_list`` order from the products the fits formed.
-    It equals ``baselines.pooled_gram`` of the observed groups bit for
-    bit.
+    """Per-group OLS fits (the paper's beta-tilde), one row per group of
+    ``groups`` (``observed_list`` order): ``coef`` (G, p), ``noise_cov``
+    (G, p, p), ``noise_trace``, ``sigma2`` and ``n`` (G,). ``index``,
+    shaped as the group space, holds each group's row, or -1 where the
+    group has no fit; ``rows`` gathers through it. ``pooled``, sum X'X /
+    sum n summed in row order from the products the fits formed, equals
+    ``baselines.pooled_gram`` of the observed groups bit for bit.
     """
 
-    tilde: dict
-    n_bar: float
+    groups: list
+    coef: np.ndarray
+    noise_cov: np.ndarray
+    noise_trace: np.ndarray
+    sigma2: np.ndarray
+    n: np.ndarray
+    index: np.ndarray
     pooled: np.ndarray
+
+    @property
+    def tilde(self):
+        """Read-only {group: GroupFit} views of the rows."""
+        return {g: GroupFit(*fit) for g, *fit in zip(
+            self.groups, self.coef, self.sigma2.tolist(), self.n.tolist(),
+            self.noise_cov, self.noise_trace.tolist())}
+
+    def rows(self, groups):
+        """Rows of ``groups``, an int array (..., q) of 1-based levels; a
+        group with no fit raises DimensionError naming it (``where``)."""
+        rows = self.index[tuple(np.moveaxis(groups, -1, 0) - 1)]
+        if (rows < 0).any():
+            g = tuple(np.asarray(groups)[rows < 0][0].tolist())
+            raise DimensionError(f"group {g} has no fit", where=g)
+        return rows
 
 
 def fit_all(ds, pattern):
@@ -148,32 +168,30 @@ def fit_all(ds, pattern):
     The groups are fitted in contiguous chunks on threads, one per usable
     CPU. The threads call only the private ``_lu_fit``, never ``ols_fit``,
     so the public functions that ``perfbench/spans.py`` wraps by name stay
-    on the calling thread. That thread allocates each fit's X'X and noise
-    covariance, and afterwards sums the X'X into the pooled Gram in
-    ``observed_list`` order. Errors from a small or singular group are
-    re-raised naming the group (as ``where``); with several bad groups,
-    the first in ``observed_list`` order is named.
+    on the calling thread. That thread allocates the (G, p, p) blocks the
+    fits fill, so that no worker's malloc arena holds them (see
+    ``_threads``), and sums the X'X block into the pooled Gram in row
+    order. Errors from a small or singular group are re-raised naming it
+    (as ``where``); of several, the first in ``observed_list`` order.
     """
     observed = pattern.observed_list()
     missing = [g for g in observed if g not in ds.groups]
     if missing:
         raise DimensionError(f"dataset lacks observed groups {missing[:5]}")
-    p = ds.p
+    G, p = len(observed), ds.p
+    xtx, noise_cov = np.empty((G, p, p)), np.empty((G, p, p))
 
-    def fit(job):
-        g, xtx, noise_cov = job
+    def fit(i):
+        g = observed[i]
         try:
-            return _lu_fit(*ds.groups[g], xtx, noise_cov)
+            fit = _lu_fit(*ds.groups[g], xtx[i], noise_cov[i])[0]
         except (ConditioningError, DimensionError) as exc:
             raise type(exc)(f"group {g}: {exc}", where=g) from exc
+        return fit.coef, fit.sigma2, fit.n, fit.noise_trace
 
-    # outputs allocated on this thread, so that no worker's malloc arena
-    # holds long-lived data (see _threads)
-    pairs = map_groups(fit, [(g, np.empty((p, p)), np.empty((p, p)))
-                             for g in observed])
-    total = np.zeros((p, p))
-    for _, xtx in pairs:
-        total += xtx
-    fits = {g: group_fit for g, (group_fit, _) in zip(observed, pairs)}
-    sizes = [group_fit.n for group_fit in fits.values()]
-    return GroupEstimates(fits, float(np.mean(sizes)), total / sum(sizes))
+    coef, sigma2, n, noise_trace = map(
+        np.array, zip(*map_groups(fit, range(G))))
+    index = np.full(pattern.space, -1)
+    index[tuple(np.array(observed).T - 1)] = np.arange(G)
+    return GroupEstimates(observed, coef, noise_cov, noise_trace, sigma2, n,
+                          index, xtx.sum(axis=0) / n.sum())

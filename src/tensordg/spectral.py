@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patterns import _insert
-
 
 @dataclass(frozen=True)
 class ModeSpectrum:
@@ -49,20 +47,19 @@ class ModeSpectrum:
         }
 
 
-def stack_block(fits, tuples, t, levels):
+def stack_block(est, tuples, t, levels):
     """Mode-t block of stacked estimates and its bias-corrected Gram.
 
-    Column j stacks the coefficients of the groups that put ``levels[j]``
-    at mode t and one of ``tuples`` on the other modes. Returns that
-    matrix M and (M'M - diag(sum of noise_trace per column)) / #tuples,
-    symmetrized.
+    Column j stacks the coefficients of the groups of ``est`` that put
+    ``levels[j]`` at mode t and one of ``tuples`` on the other modes.
+    Returns that matrix M and (M'M - diag(sum of noise_trace per
+    column)) / #tuples, symmetrized.
     """
-    cols, diag = [], []
-    for lev in levels:
-        block = [fits[_insert(rest, t, lev)] for rest in tuples]
-        cols.append(np.concatenate([fit.coef for fit in block]))
-        diag.append(sum(fit.noise_trace for fit in block))
-    mat = np.column_stack(cols)
+    rest = np.repeat(np.array(tuples, dtype=int)[:, None], len(levels), 1)
+    rows = est.rows(np.insert(rest, t - 1, levels, axis=2))
+    mat = est.coef[rows].transpose(0, 2, 1).reshape(-1, len(levels))
+    # summed in tuples order; sum(axis=0) adds one column pairwise
+    diag = est.noise_trace[rows].cumsum(axis=0)[-1]
     gram = (mat.T @ mat - np.diag(diag)) / len(tuples)
     return mat, (gram + gram.T) / 2.0
 
@@ -70,21 +67,22 @@ def stack_block(fits, tuples, t, levels):
 def mode_gram(est, pattern, t):
     """Bias-corrected second-moment matrix for mode t.
 
-    Mode 0 stacks all observed-group estimates and subtracts their
-    averaged noise covariance; modes 1..q stack the C_t block columns by
-    body level and subtract a diagonal trace correction (stack_block).
+    Mode 0 averages the observed-group estimates' outer products less
+    their noise covariances (summed in place, in row order); modes 1..q
+    stack the C_t columns by body level, trace-corrected (stack_block).
     """
-    fits = est.tilde
     if t == 0:
-        observed = pattern.observed_list()
-        rows = np.vstack([fits[g].coef for g in observed])
-        corr = sum(fits[g].noise_cov for g in observed)
-        gram = (rows.T @ rows - corr) / len(observed)
+        rows = est.rows(pattern.observed_list())
+        stack = est.coef[rows]
+        picked = len(rows) == len(est.groups) or np.isin(  # all rows: no mask
+            np.arange(len(est.groups)), rows)[:, None, None]
+        corr = est.noise_cov.sum(axis=0, where=picked)
+        gram = (stack.T @ stack - corr) / len(rows)
         return (gram + gram.T) / 2.0
 
     if not 1 <= t <= pattern.q:
         raise ValueError(f"mode {t} out of range 0..{pattern.q}")
-    return stack_block(fits, pattern.cset_tuples(t), t,
+    return stack_block(est, pattern.cset_tuples(t), t,
                        pattern.body[t - 1])[1]
 
 

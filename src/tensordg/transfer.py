@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, NonFiniteError
 from .highdim import (GROUP_LASSO_MAX_ITER, GROUP_LASSO_TOL, _Stack,
-                      group_lasso, group_lasso_kkt)
+                      group_lasso, group_lasso_kkt, lambda_grid)
 
 __all__ = ["TransferResult", "lasso_offset", "lasso_kkt", "default_lambda",
            "cross_validate_lambda", "tensortl"]
@@ -110,10 +110,9 @@ def cross_validate_lambda(X, y, offset, seed=0):
     """Pick the penalty with the best CV_FOLDS-fold held-out prediction
     error.
 
-    The grid is 20 geometric steps from the smallest all-shrinking
-    penalty lam_max down to lam_max / 100; when lam_max is zero (the
-    offset fits the target exactly) the answer is default_lambda. Fold
-    membership comes from a seeded permutation, so the choice is
+    The grid is ``highdim.lambda_grid`` of all rows; where its top
+    penalty is zero (the offset fits y exactly) default_lambda is the
+    answer. Folds come from a seeded permutation, so the choice is
     deterministic. The largest penalty with the lowest error wins.
 
     All folds' lassos are one group_lasso call per penalty,
@@ -131,8 +130,9 @@ def cross_validate_lambda(X, y, offset, seed=0):
     n, p = X.shape
     if n < CV_FOLDS:
         raise DimensionError(f"need at least {CV_FOLDS} samples, got {n}")
-    lam_max = 2.0 * float(np.max(np.abs(X.T @ resid))) / n
-    if lam_max <= 0.0:
+    try:
+        grid = lambda_grid(full)
+    except DimensionError:
         return default_lambda(max(p, 2), n)
     perm = np.random.default_rng(int(seed)).permutation(n)
     splits = np.array_split(perm, CV_FOLDS)
@@ -146,7 +146,7 @@ def cross_validate_lambda(X, y, offset, seed=0):
         response[k, 0, :train.size] = scale * resid[train]
     stack = _Stack((0,), design, response, n_total)
     best_lam, best_err, warm = None, np.inf, None
-    for lam in np.geomspace(lam_max, lam_max / 100.0, 20):
+    for lam in grid:
         warm = group_lasso(stack, float(lam), init=warm)
         err = sum(float(np.sum((resid[hold] - X[hold] @ delta) ** 2))
                   for hold, delta in zip(splits, warm[0]))

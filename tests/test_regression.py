@@ -75,8 +75,16 @@ def toy_dataset(seed=0, n=24, p=3):
 def test_fit_all_fits_every_observed_group():
     ds, pat = toy_dataset()
     est = fit_all(ds, pat)
-    assert est.n_bar == 24.0
+    assert est.n.mean() == 24.0
     assert set(est.tilde) == pat.observed
+    assert est.index.shape == pat.space
+    for at in np.ndindex(*pat.space):
+        row, g = est.index[at], tuple(i + 1 for i in at)
+        if g in pat.observed:
+            assert est.groups[row] == g
+            assert np.array_equal(est.tilde[g].coef, est.coef[row])
+        else:
+            assert row == -1
 
 
 def test_fit_all_pooled_gram_is_pooled_gram_bitwise():

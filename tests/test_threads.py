@@ -138,9 +138,9 @@ def assert_bitwise_equal(a, b):
 def run_stages(cfg):
     sc = make_scenario(cfg, 1)
     est = fit_all(sc.train, sc.pattern)
-    fits = {g: (f.coef, f.noise_cov, f.sigma2, f.noise_trace)
-            for g, f in est.tilde.items()}
-    return sc.train.groups, sc.targets, fits, est.pooled, est.n_bar
+    return sc.train.groups, sc.targets, tuple(est.groups), est.coef, \
+        est.noise_cov, est.noise_trace, est.sigma2, est.n, est.index, \
+        est.pooled
 
 
 @pytest.mark.parametrize("cfg", [ScenarioConfig(seed=3),

@@ -14,6 +14,7 @@ from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
                       fit_tensordg, lasso_kkt, lasso_offset, ols_fit,
                       tensortl, tucker_assemble)
 from tensordg import transfer
+from tensordg.highdim import lambda_grid
 
 from lasso_reference import cd_lasso
 
@@ -212,17 +213,17 @@ def per_fold_cv(X, y, offset, lambdas, folds=5, seed=0):
                                         (13, 4, 3), (40, 8, 4), (62, 12, 5)])
 def test_cross_validate_lambda_matches_per_fold_loop(n, p, seed):
     """All folds solved as one batch of problems pick the same penalty
-    as a per-fold loop on the grid. n = 7 with 5 folds gives training sizes 5/5/6/6/6, and n = 6
-    gives 4/5/5/5/5: folds must be scaled fold by fold, not by one
-    common factor, and the shorter folds are zero-padded."""
+    as a per-fold loop on lambda_grid of the one-group stack. n = 7
+    with 5 folds gives training sizes 5/5/6/6/6, and n = 6 gives
+    4/5/5/5/5: folds must be scaled fold by fold, not by one common
+    factor, and the shorter folds are zero-padded."""
     rng = np.random.default_rng(200 + seed)
     X = rng.normal(size=(n, p))
     offset = rng.normal(size=p)
     delta = np.zeros(p)
     delta[rng.choice(p, 2, replace=False)] = [1.5, -1.0]
     y = X @ (offset + delta) + 0.5 * rng.normal(size=n)
-    lam_max = 2.0 * float(np.abs(X.T @ (y - X @ offset)).max()) / n
-    grid = np.geomspace(lam_max, lam_max / 100.0, 20)
+    grid = lambda_grid(GroupedDataset({(0,): (X, y - X @ offset)}))
     assert (cross_validate_lambda(X, y, offset, seed=seed)
             == per_fold_cv(X, y, offset, grid, seed=seed))
 
