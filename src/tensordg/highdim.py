@@ -13,7 +13,12 @@ groups:
 those columns alone, and the result is embedded back into the full
 space with zero rows elsewhere. The stopping settings (``tol``, an
 absolute KKT residual, ``max_iter`` and ``history``) belong to
-group_lasso alone; choose_lambda and fit_highdim solve at its defaults.
+group_lasso. fit_highdim's full-data solve keeps the default ``tol``.
+choose_lambda stops each path solve at a KKT residual of PATH_TOL * lam:
+a path solution only scores its penalty by holdout loss and warm-starts
+the next one, so it needs less accuracy than a final fit (Friedman,
+Hastie & Tibshirani 2010). Relative to the penalty, the rule does not
+depend on the scale of the data.
 """
 
 import math
@@ -30,6 +35,7 @@ __all__ = ["group_lasso", "group_lasso_kkt", "select_support",
            "choose_lambda", "fit_highdim"]
 
 GROUP_LASSO_TOL = 1e-8
+PATH_TOL = 1e-4           # choose_lambda's path solves: KKT residual / lam
 GROUP_LASSO_MAX_ITER = 100_000
 LAMBDA_GRID_SIZE = 20
 LAMBDA_GRID_SPAN = 100.0
@@ -228,10 +234,13 @@ def choose_lambda(ds, seed=0, rule="1se"):
     (default) for the one-standard-error convention: the largest penalty
     whose mean holdout loss stays within one standard error of the
     minimum, which favors sparser solutions on flat loss curves. The
-    training rows are stacked once for the whole path; each solve is
-    group_lasso at its default tolerance. Returns the penalty and the
-    path's training-row solution at it, a warm start for a full-data
-    solve.
+    training rows are stacked once for the whole path. Each solve stops
+    at a KKT residual of PATH_TOL * lam, not at the absolute default
+    tolerance of a final fit: a path solution only scores its penalty
+    and warm-starts the next, and the residual relative to the penalty
+    does not depend on the scale of the data. Returns the penalty and
+    the path's training-row solution at it, a warm start for a
+    full-data solve, which certifies its own tolerance.
     """
     if rule not in ("min", "1se"):
         raise ValueError(f"unknown selection rule {rule!r}")
@@ -251,7 +260,8 @@ def choose_lambda(ds, seed=0, rule="1se"):
     grid = [float(l) for l in lambda_grid(stack)]
     means, path, sq_errors = [], [], []
     for lam in grid:
-        path.append(group_lasso(stack, lam, init=path[-1] if path else None))
+        path.append(group_lasso(stack, lam, init=path[-1] if path else None,
+                                tol=PATH_TOL * lam))
         sq = np.concatenate([(yv - Xv @ path[-1][g]) ** 2
                              for g, (Xv, yv) in sorted(valid.items())])
         sq_errors.append(sq)

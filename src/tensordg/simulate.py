@@ -164,11 +164,10 @@ def _ar1_factor(cfg):
 
 def _design_matrix(rng, factor, out):
     """Fill out (n, p) with iid normal rows, times factor' when given."""
-    z = rng.normal(size=out.shape)
     if factor is None:
-        out[...] = z
+        rng.standard_normal(out=out)
     else:
-        np.matmul(z, factor.T, out=out)
+        np.matmul(rng.normal(size=out.shape), factor.T, out=out)
 
 
 def inject_delta(coef, cfg, rng):

@@ -260,23 +260,32 @@ def test_select_support_rules():
         select_support({(1,): np.array([np.nan])}, 0.1)
 
 
+# The three groups of recovery_problem as the whole of a one-mode space.
+RECOVERY_PATTERN = build_pattern((3,), body=[(1, 2, 3)], arm_subsets=[[]])
+
+
+def recovery_problem(rep, p=300, s=5, n=150):
+    """Planted joint support of size s with strong signals of random sign
+    in three groups, p > n. Returns the dataset and the support."""
+    rng = np.random.default_rng(1000 + rep)
+    support = rng.choice(p, size=s, replace=False)
+    groups = {}
+    for g in RECOVERY_PATTERN.observed_list():
+        b = np.zeros(p)
+        signs = rng.choice([-1.0, 1.0], size=s)
+        b[support] = signs * (2.0 + rng.uniform(0, 1, size=s))
+        X = rng.normal(size=(n, p))
+        groups[g] = (X, X @ b + rng.normal(size=n))
+    return GroupedDataset(groups), support
+
+
 def test_support_recovery_monte_carlo():
     """Planted joint support of size 5 with strong signals,
     n=150 per group, p=300: the holdout-selected penalty recovers the
     support in at least 90 of 100 replications."""
     hits = 0
     for rep in range(100):
-        rng = np.random.default_rng(1000 + rep)
-        p, s, n = 300, 5, 150
-        support = rng.choice(p, size=s, replace=False)
-        groups = {}
-        for g in ((1,), (2,), (3,)):
-            b = np.zeros(p)
-            signs = rng.choice([-1.0, 1.0], size=s)
-            b[support] = signs * (2.0 + rng.uniform(0, 1, size=s))
-            X = rng.normal(size=(n, p))
-            groups[g] = (X, X @ b + rng.normal(size=n))
-        ds = GroupedDataset(groups)
+        ds, support = recovery_problem(rep)
         lam, _ = choose_lambda(ds, seed=rep)
         beta = group_lasso(ds, lam)
         if set(select_support(beta, lam)) == set(int(j) for j in support):
@@ -348,6 +357,85 @@ def test_fit_highdim_chooses_lambda_once_and_warm_starts(monkeypatch):
     assert model.diagnostics["lambda"] == lam
     data, final_lam, init = solves[-1]
     assert data is ds and final_lam == lam and init is warm
+
+
+def path_problem(seed, p=80, n=40):
+    """A small noisy problem shaped like the highdim_path benchmark: a
+    Tucker truth on 6 of p rows, n < p samples in each of 13 groups."""
+    rng = np.random.default_rng(seed)
+    full, _, pattern = highdim_scenario(rng, p=p)
+    groups = {}
+    for g in pattern.observed_list():
+        X = rng.normal(size=(n, p))
+        coef = full[(slice(None),) + tuple(i - 1 for i in g)]
+        groups[g] = (X, X @ coef + rng.normal(size=n))
+    return GroupedDataset(groups), pattern
+
+
+def reference_choose_lambda(ds, seed=0):
+    """choose_lambda's holdout split and 1se rule, with every path solve
+    certified to the final-fit tolerance GROUP_LASSO_TOL."""
+    rng = np.random.default_rng(seed)
+    train, valid = {}, {}
+    for g, (X, y) in sorted(ds.groups.items()):
+        n_hold = max(int(round(highdim.HOLDOUT * y.size)), 1)
+        perm = rng.permutation(y.size)
+        valid[g] = (X[perm[:n_hold]], y[perm[:n_hold]])
+        train[g] = (X[perm[n_hold:]], y[perm[n_hold:]])
+    train = GroupedDataset(train)
+    path, beta = [], None
+    for lam in lambda_grid(train):
+        beta = group_lasso(train, float(lam), init=beta,
+                           tol=highdim.GROUP_LASSO_TOL)
+        sq = np.concatenate([(y - X @ beta[g]) ** 2
+                             for g, (X, y) in sorted(valid.items())])
+        path.append((float(lam), beta, sq))
+    means = [float(sq.mean()) for _, _, sq in path]
+    sq = path[int(np.argmin(means))][2]
+    cutoff = min(means) + float(sq.std(ddof=1) / math.sqrt(sq.size))
+    pick = next(k for k, mean in enumerate(means) if mean <= cutoff)
+    return path[pick][:2]
+
+
+@pytest.mark.parametrize("design", ["path", "recovery"])
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_highdim_matches_full_accuracy_path(monkeypatch, design, seed):
+    """Path solves stopped at PATH_TOL * lam choose the same penalty and
+    support as a path certified to GROUP_LASSO_TOL, so fit_highdim's
+    tensor is bitwise the one of the full-accuracy pipeline."""
+    if design == "path":
+        ds, pattern = path_problem(seed)
+    else:
+        ds, pattern = recovery_problem(seed)[0], RECOVERY_PATTERN
+    got = fit_highdim(ds, pattern, seed=seed)
+    monkeypatch.setattr(highdim, "choose_lambda", reference_choose_lambda)
+    ref = fit_highdim(ds, pattern, seed=seed)
+    assert got.diagnostics["lambda"] == ref.diagnostics["lambda"]
+    assert got.diagnostics["support"] == ref.diagnostics["support"]
+    assert got.tensor.array.tobytes() == ref.tensor.array.tobytes()
+
+
+def test_choose_lambda_path_solves_stop_relative_to_lambda(monkeypatch):
+    """Every path solve is asked for, and meets, a KKT residual of
+    PATH_TOL * lam on the training stack; fit_highdim's full-data solve
+    still meets GROUP_LASSO_TOL."""
+    ds, pattern = path_problem(0)
+    solves, solve = [], highdim.group_lasso
+
+    def recording_solve(data, lam, **kwargs):
+        beta = solve(data, lam, **kwargs)
+        solves.append((data, lam, kwargs.get("tol"), beta))
+        return beta
+
+    monkeypatch.setattr(highdim, "group_lasso", recording_solve)
+    model = fit_highdim(ds, pattern)
+    *path, (data, lam, tol, beta) = solves
+    assert len(path) == highdim.LAMBDA_GRID_SIZE
+    for stack, path_lam, path_tol, path_beta in path:
+        assert path_tol == highdim.PATH_TOL * path_lam
+        assert group_lasso_kkt(stack, path_beta, path_lam) <= path_tol
+    assert data is ds and lam == model.diagnostics["lambda"] and tol is None
+    assert group_lasso_kkt(ds, beta, lam) <= highdim.GROUP_LASSO_TOL
 
 
 def test_fit_highdim_restriction_matches_lowdim_fit():
