@@ -1,11 +1,12 @@
 """Map a function over independent groups on the usable CPUs.
 
-The per-group stages (each group's simulated draw, each group's OLS fit)
-read only their own group's data, so they can run side by side. numpy
-releases the GIL while it fills random arrays and inside BLAS and LAPACK,
-so threads give real parallelism there. Every group runs the same
-arithmetic whichever thread runs it, so results are bitwise identical to
-a serial loop as long as BLAS itself is single-threaded.
+The per-group stages (each group's simulated draw, each group's OLS fit,
+which ``regression.fit_all`` solves in blocks of groups on each thread's
+``chunks`` share) read only their own group's data, so they can run side
+by side. numpy releases the GIL while it fills random arrays and inside
+BLAS and LAPACK, so threads give real parallelism there. Every group runs
+the same arithmetic whichever thread runs it, so results are bitwise
+identical to a serial loop as long as BLAS itself is single-threaded.
 
 Threads live for one call only: no pool outlives it, so a process forked
 afterwards inherits no threads. Process-pool workers call ``run_serially``
@@ -47,6 +48,16 @@ def thread_count(n_items):
     return max(1, min(n_items, usable_cpus()))
 
 
+def chunks(n_items, k):
+    """k contiguous slices covering range(n_items), their sizes at most
+    one apart, the larger ones first."""
+    size, extra = divmod(n_items, k)
+    bounds = [0]
+    for i in range(k):
+        bounds.append(bounds[-1] + size + (i < extra))
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def map_groups(fn, items):
     """[fn(x) for x in items], with the items split into contiguous chunks.
 
@@ -59,16 +70,13 @@ def map_groups(fn, items):
     k = thread_count(len(items))
     if k == 1:
         return [fn(x) for x in items]
-    size, extra = divmod(len(items), k)
-    bounds = [0]
-    for i in range(k):
-        bounds.append(bounds[-1] + size + (i < extra))
+    parts = chunks(len(items), k)
     outcomes = [None] * k          # per chunk: (results, exception or None)
 
     def run(i):
         done = []
         try:
-            for x in items[bounds[i]:bounds[i + 1]]:
+            for x in items[parts[i]]:
                 done.append(fn(x))
         except Exception as exc:
             outcomes[i] = done, exc

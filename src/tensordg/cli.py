@@ -33,7 +33,7 @@ from .patterns import load_pattern, save_pattern
 from .regression import GroupedDataset
 from .simulate import ScenarioConfig, make_scenario
 from .tensor import save_tensor
-from .transfer import tensortl
+from .transfer import DEFAULT_C0, tensortl
 
 __all__ = ["main"]
 
@@ -240,7 +240,7 @@ def build_parser():
     lam_group = tra.add_mutually_exclusive_group()
     lam_group.add_argument("--lambda", dest="lam", type=float, default=None,
                            help="offset penalty (default: "
-                                "2.0*sqrt(log(p)/n))")
+                                f"{DEFAULT_C0}*sqrt(log(p)/n))")
     lam_group.add_argument("--cv", action="store_true",
                            help="pick the penalty by 5-fold cross "
                                 "validation")

@@ -6,10 +6,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from tensordg import CSV_HEADER, load_model, load_pattern
+from tensordg import CSV_HEADER, cli, load_model, load_pattern
 from tensordg.cli import main
 from tensordg.tensor import load_tensor
+from tensordg.transfer import DEFAULT_C0
 
 SCENARIO = {"p": 8, "group_dims": [5, 4], "ranks": [3, 2, 2],
             "body_sizes": [4, 4], "arm_sizes": [2, 2], "n": 40,
@@ -185,3 +187,15 @@ def test_help_via_module_invocation():
     assert proc.returncode == 0
     for name in ("simulate", "fit", "transfer", "experiment", "ingest"):
         assert name in proc.stdout
+
+
+def test_transfer_lambda_help_states_the_default_constant(monkeypatch,
+                                                          capsys):
+    def help_text():
+        with pytest.raises(SystemExit):
+            main(["transfer", "--help"])
+        return " ".join(capsys.readouterr().out.split())
+
+    assert f"{DEFAULT_C0}*sqrt(log(p)/n)" in help_text()
+    monkeypatch.setattr(cli, "DEFAULT_C0", 3.5)
+    assert "3.5*sqrt(log(p)/n)" in help_text()

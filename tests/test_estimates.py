@@ -85,3 +85,16 @@ def test_group_without_a_fit_is_named():
     with pytest.raises(DimensionError) as err:
         mode_gram(est, wider_body, 2)
     assert err.value.where == (3, 2)
+
+
+@pytest.mark.parametrize("group", [(0, 1), (1, 0), (9, 1), (1, 9)])
+def test_group_outside_the_space_is_named(group):
+    """A level of 0 does not wrap around to the last level (row 50 of
+    the reference design is group (8, 1)), and a level above the space
+    raises DimensionError, not a bare IndexError."""
+    sc = make_scenario(ScenarioConfig(seed=3), 0)
+    est = fit_all(sc.train, sc.pattern)
+    assert est.index.shape == (8, 8)
+    with pytest.raises(DimensionError, match=re.escape(str(group))) as err:
+        est.rows([[1, 1], list(group)])
+    assert err.value.where == group
