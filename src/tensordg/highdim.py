@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .completion import CompletionModel, fit_tensordg
-from .errors import ConvergenceError, DimensionError
+from .errors import ConvergenceError, DimensionError, NonFiniteError
 from .regression import GroupedDataset
 from .tensor import DenseTensor
 
@@ -99,6 +99,113 @@ def _kkt(B, grad, lam):
     return float(res.max())
 
 
+def _start(stack, init):
+    """The zero iterate with the warm start ``init`` written in. Raises
+    DimensionError for a group that is not in the stack or whose start
+    has the wrong shape, and NonFiniteError for one that holds NaN or
+    infinite values, each naming the group."""
+    x = np.zeros(stack.X.shape[:-2] + stack.X.shape[-1:])
+    shape = x.shape[:-2] + x.shape[-1:]
+    rows = {g: k for k, g in enumerate(stack.order)}
+    for g, b in ({} if init is None else init).items():
+        if g not in rows:
+            raise DimensionError(f"warm start for group {g}, which has no "
+                                 f"data", where=g)
+        b = np.asarray(b, dtype=float)
+        if b.shape != shape:
+            raise DimensionError(f"warm start for group {g} has shape "
+                                 f"{b.shape}, expected {shape}", where=g)
+        x[..., rows[g], :] = b
+    if not np.isfinite(x).all():
+        g = next(g for g in init
+                 if not np.isfinite(x[..., rows[g], :]).all())
+        raise NonFiniteError(f"warm start for group {g} holds non-finite "
+                             f"values", where=g)
+    return x
+
+
+def _fista(sub, x0, g0, fx, lam, step, tol, max_iter, history):
+    """Monotone FISTA with restart on the working-set stack ``sub`` from
+    the gathered iterate x0 with gradient g0 and objective fx, until the
+    prox point's KKT bound is at most ``tol`` or ``max_iter`` iterations
+    are done. Returns (iterate, objective, solved, iterations).
+
+    Every step writes into buffers allocated here, once, in C order. A
+    point and its gradient share one (2, ...) array, so one operation
+    extrapolates or differences both: the accepted point x, the one
+    before it and the prox point z rotate through three such arrays, and
+    the momentum point y, the difference z - y, the residual, the row
+    norms and two scratch arrays have their own. The first step alone
+    computes its prox point in x0's layout (group and batch axes
+    fastest), as elementwise operations on the gathers do: a
+    matrix-vector product and a sum of row norms round by layout, so
+    every step keeps the bits of a loop that allocates its temporaries.
+    """
+    X, resp, n_total = sub.X, sub.y, sub.n_total
+    cur, old, new, mom, diff = (np.empty((2,) + x0.shape) for _ in range(5))
+    v, sq = np.empty(x0.shape), np.empty(x0.shape)
+    resid = np.empty(X.shape[:-1])
+    norms = np.empty(x0.shape[:-2] + (1, x0.shape[-1]))
+    first = np.empty_like(x0), np.empty_like(x0)
+    cur[0], cur[1] = x0, g0
+
+    def row_norms(B):
+        np.multiply(B, B, out=sq)
+        return np.add.reduce(sq, axis=-2, keepdims=True, out=norms)
+
+    sl = step * lam
+    y, t, restarted, solved, iters = cur, 1.0, True, False, 0
+    while not solved and iters < max_iter:
+        iters += 1
+        z, gz = new[0], new[1]
+        vt, zt = first if iters == 1 else (v, z)  # x0's layout, see above
+        np.subtract(y[0], np.multiply(y[1], step, out=vt), out=vt)
+        shrink = _norms(vt) if iters == 1 else np.sqrt(row_norms(v),
+                                                       out=norms)
+        np.maximum(shrink, sl, out=shrink)
+        np.subtract(1.0, np.divide(sl, shrink, out=shrink), out=shrink)
+        np.multiply(vt, shrink, out=zt)
+        np.matmul(X, zt[..., None], out=resid[..., None])
+        np.subtract(resid, resp, out=resid)
+        np.matmul(resid[..., None, :], X, out=gz[..., None, :])
+        np.multiply(gz, 2.0 / n_total, out=gz)
+        if iters == 1:
+            pen = _norms(zt)
+            np.copyto(z, zt)
+        else:
+            pen = np.sqrt(row_norms(z), out=norms)
+        fz = (float(np.vdot(resid, resid)) / n_total
+              + lam * float(np.add.reduce(pen, None)))
+        # after a restart z is a proximal-gradient step from x, which
+        # lowers the objective up to rounding
+        if fz <= fx or restarted:
+            np.subtract(new, y, out=diff)
+            np.subtract(diff[1], np.divide(diff[0], step, out=v), out=v)
+            # sqrt is monotone: the largest norm is the root of the
+            # largest squared norm
+            worst = float(np.maximum.reduce(row_norms(v), None))
+            solved = math.sqrt(worst) <= tol
+            # (z - y)'(z - x) < 0 is the test (y - z)'(z - x) > 0 with
+            # every product negated, which IEEE arithmetic does exactly
+            restarted = float(np.vdot(diff[0],
+                                      np.subtract(z, cur[0], out=v))) < 0.0
+            old, cur, new = cur, new, old
+            fx = fz
+        else:
+            restarted = True
+        history.append(fx)
+        if restarted:
+            y, t = cur, 1.0
+        else:
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            # the gradient is affine, so it extrapolates with the iterate
+            np.subtract(cur, old, out=mom)
+            np.add(cur, np.multiply(mom, (t - 1.0) / t_next, out=mom),
+                   out=mom)
+            y, t = mom, t_next
+    return cur[0], fx, solved, iters
+
+
 def group_lasso(ds, lam, tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER,
                 init=None, history=None):
     """Row-sparse multi-group regression by monotone FISTA on working sets.
@@ -115,8 +222,16 @@ def group_lasso(ds, lam, tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER,
     it. So ``tol`` bounds group_lasso_kkt (absolute) at the returned
     {group: p-vector}. ``ds`` is a GroupedDataset or the stack that
     choose_lambda builds once per path; ``init`` warm-starts from a
-    solution map; ``history`` collects the objective after every
-    iteration (non-increasing); ``max_iter`` counts all iterations.
+    solution map, and a group it names must be in ``ds`` with a finite
+    start of the solution's shape (else DimensionError or
+    NonFiniteError naming the group); ``history`` collects the
+    objective after every iteration (non-increasing); ``max_iter``
+    counts all iterations.
+
+    Each working set allocates its buffers once (C order), and every
+    iteration writes into them: only a working set's first step, which
+    keeps the layout of the gathered iterate (see _fista), makes
+    temporary arrays.
 
     A stack with leading batch axes is solved as one problem whose
     objective is the sum of the independent ones: the batch shares one
@@ -128,10 +243,7 @@ def group_lasso(ds, lam, tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER,
     if not lam > 0:
         raise ValueError(f"penalty must be positive, got {lam}")
     stack = _stack(ds)
-    x = np.zeros(stack.X.shape[:-2] + stack.X.shape[-1:])
-    for k, g in enumerate(stack.order):
-        if init is not None and g in init:
-            x[..., k, :] = np.asarray(init[g], dtype=float)
+    x = _start(stack, init)
     history = [] if history is None else history
     loss, grad = _loss_grad(stack, x)
     fx = loss + lam * float(_norms(x).sum())
@@ -148,31 +260,10 @@ def group_lasso(ds, lam, tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER,
         Xt = sub.X.swapaxes(-1, -2)
         gram = Xt @ sub.X if cols.size <= sub.X.shape[-2] else sub.X @ Xt
         step = stack.n_total / (2.0 * np.linalg.eigvalsh(gram)[..., -1].max())
-        xs, gx, solved = x[..., cols], grad[..., cols], False
-        y, gy, t, restarted = xs, gx, 1.0, True
-        while not solved and iters < max_iter:
-            iters += 1
-            v = y - step * gy
-            z = v * (1.0 - step * lam / np.maximum(_norms(v), step * lam))
-            loss, gz = _loss_grad(sub, z)
-            fz = loss + lam * float(_norms(z).sum())
-            # after a restart z is a proximal-gradient step from xs, which
-            # lowers the objective up to rounding
-            if fz <= fx or restarted:
-                solved = _norms(gz - gy - (z - y) / step).max() <= tol
-                restarted = float(np.vdot(y - z, z - xs)) > 0.0
-                x_old, g_old, xs, gx, fx = xs, gx, z, gz, fz
-            else:
-                restarted = True
-            history.append(fx)
-            if restarted:
-                y, gy, t = xs, gx, 1.0
-            else:
-                t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-                mom = (t - 1.0) / t_next
-                # the gradient is affine, so it extrapolates with the iterate
-                y, gy, t = (xs + mom * (xs - x_old), gx + mom * (gx - g_old),
-                            t_next)
+        xs, fx, solved, done = _fista(sub, x[..., cols], grad[..., cols], fx,
+                                      lam, step, tol, max_iter - iters,
+                                      history)
+        iters += done
         x[..., cols] = xs
         grad = _loss_grad(stack, x)[1]
         if not solved:

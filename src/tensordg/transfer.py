@@ -113,7 +113,10 @@ def cross_validate_lambda(X, y, offset, seed=0):
     The grid is ``highdim.lambda_grid`` of all rows; where its top
     penalty is zero (the offset fits y exactly) default_lambda is the
     answer. Folds come from a seeded permutation, so the choice is
-    deterministic. The largest penalty with the lowest error wins.
+    deterministic. The largest penalty with the lowest error wins: a
+    penalty must undercut the best error so far by more than 1e-15 of
+    it, as a smaller gain is rounding. The margin is relative, so it
+    means the same at any scale of y and the offset.
 
     All folds' lassos are one group_lasso call per penalty,
     warm-started down the grid, on a stack whose leading axis is a
@@ -150,7 +153,7 @@ def cross_validate_lambda(X, y, offset, seed=0):
         warm = group_lasso(stack, float(lam), init=warm)
         err = sum(float(np.sum((resid[hold] - X[hold] @ delta) ** 2))
                   for hold, delta in zip(splits, warm[0]))
-        if err < best_err - 1e-15:
+        if err < best_err * (1.0 - 1e-15):
             best_err, best_lam = err, float(lam)
     return best_lam
 

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
-                      build_pattern, choose_lambda, fit_highdim, fit_tensordg,
-                      group_lasso, group_lasso_kkt, lasso_kkt, lasso_offset,
-                      select_support, tucker_assemble)
+                      NonFiniteError, build_pattern, choose_lambda,
+                      fit_highdim, fit_tensordg, group_lasso, group_lasso_kkt,
+                      lasso_kkt, lasso_offset, select_support,
+                      tucker_assemble)
 from tensordg import highdim
 from tensordg.highdim import _stack, _Stack, lambda_grid
 
@@ -244,6 +245,32 @@ def test_group_lasso_warm_start_at_solution():
     assert len(history) - 1 <= 3
     for g in beta:
         assert np.allclose(again[g], beta[g], atol=1e-8)
+
+
+@pytest.mark.parametrize("bad, error, match", [
+    (np.nan, NonFiniteError, "non-finite"),
+    (-np.inf, NonFiniteError, "non-finite"),
+    ("short", DimensionError, "shape"),
+    ("stranger", DimensionError, "no data")])
+def test_group_lasso_rejects_bad_warm_start(bad, error, match):
+    """A warm start with a NaN or inf entry, of the wrong length or for a
+    group the data lack raises an error naming that group, not a
+    non-finite solution, a bare broadcast error or silence."""
+    rng = np.random.default_rng(9)
+    ds, _ = two_group_ds(rng, n=60, p=8)
+    init = {g: np.zeros(8) for g in ds.groups}
+    where = (2,)
+    if bad == "short":
+        init[where] = np.zeros(7)
+    elif bad == "stranger":
+        where = (3,)
+        init[where] = np.zeros(8)
+    else:
+        init[where][4] = bad
+    with pytest.raises(error, match=match) as info:
+        group_lasso(ds, 0.15, init=init)
+    assert info.value.where == where
+    assert str(where) in str(info.value)
 
 
 def test_select_support_rules():

@@ -204,7 +204,7 @@ def per_fold_cv(X, y, offset, lambdas, folds=5, seed=0):
             train = np.setdiff1d(perm, hold, assume_unique=True)
             delta = lasso_offset(X[train], y[train], offset, lam)
             err += float(np.sum((y[hold] - X[hold] @ (offset + delta)) ** 2))
-        if err < best_err - 1e-15:
+        if err < best_err * (1.0 - 1e-15):
             best_err, best_lam = err, float(lam)
     return best_lam
 
@@ -257,6 +257,29 @@ def test_cross_validate_lambda_certifies_every_fold(monkeypatch):
         assert shape == (folds, 1, max(t.size for t in trains), p)
         for train, d in zip(trains, deltas):
             assert lasso_kkt(X[train], y[train], offset, d, lam) <= tol
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cross_validate_lambda_tie_margin_is_scale_free(seed):
+    """With y scaled by s, X by 1/s and the offset by s^2 (s a power of
+    two), the penalty grid, every gradient and so every solver stop are
+    the same bits, while every held-out error is scaled by s^2 exactly.
+    So CV must pick the same grid index at every s: an absolute tie
+    margin of 1e-15 exceeds every error gain at s = 2^-40 and left the
+    choice at the top of the grid."""
+    rng = np.random.default_rng(300 + seed)
+    n, p = 150, 60
+    X = rng.normal(size=(n, p))
+    offset = rng.normal(size=p)
+    delta = np.zeros(p)
+    delta[rng.choice(p, 3, replace=False)] = [1.5, -1.0, 0.8]
+    y = X @ (offset + delta) + rng.normal(size=n)
+    grid = lambda_grid(GroupedDataset({(0,): (X, y - X @ offset)}))
+    picks = []
+    for s in (2.0 ** -40, 1.0, 2.0 ** 20):
+        lam = cross_validate_lambda(X / s, s * y, s * s * offset, seed=seed)
+        picks.append(int(np.flatnonzero(grid == lam)[0]))
+    assert picks[1] > 0 and picks == [picks[1]] * 3
 
 
 def non_finite_input(where):
