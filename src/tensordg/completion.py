@@ -97,8 +97,7 @@ def estimate_loading(t, b_joint, b_target, basis):
 
 def _body_tensor(est, pattern):
     shape = tuple(len(levels) for levels in pattern.body)
-    # C order: the core's mode products round differently on a strided one
-    cols = np.ascontiguousarray(est.coef[est.rows(pattern.body_groups())].T)
+    cols = est.coef[est.rows(pattern.body_groups())].T
     return DenseTensor(cols.reshape((-1,) + shape))
 
 
@@ -152,8 +151,9 @@ def diagnose_generalizability(est, pattern):
     """Compare joint-block and arm-block ranks mode by mode.
 
     The completion is only identified when, for every mode, the arm block
-    spans no more directions than the joint block already shows. Both
-    blocks are reduced to bias-corrected Grams whose ranks come from the
+    spans no more directions than the joint block already shows. The
+    joint block is the arm block's body-level columns, so one stack per
+    mode gives both bias-corrected Grams, whose ranks come from the
     noise-floor rule, each with a floor calibrated to its own tail
     geometry. Any mode where the ranks disagree flags the fit as
     inconsistent.
@@ -161,12 +161,11 @@ def diagnose_generalizability(est, pattern):
     modes = []
     ok = True
     for t in range(1, pattern.q + 1):
-        arms = pattern.arm_tuples(t)
-        body_levels = pattern.body[t - 1]
-        all_levels = range(1, pattern.space[t - 1] + 1)
-        joint_eig, arm_eig = (
-            np.linalg.eigvalsh(stack_block(est, arms, t, lev)[1])[::-1]
-            for lev in (body_levels, all_levels))
+        gram = stack_block(est, pattern.arm_tuples(t), t,
+                           range(1, pattern.space[t - 1] + 1))[1]
+        body = np.asarray(pattern.body[t - 1]) - 1
+        joint_eig, arm_eig = (np.linalg.eigvalsh(block)[::-1]
+                              for block in (gram[np.ix_(body, body)], gram))
         joint_rank = floor_rank(joint_eig, DIAG_FLOOR_JOINT)[0]
         arm_rank = floor_rank(arm_eig, DIAG_FLOOR_ARM)[0]
         agree = joint_rank == arm_rank

@@ -135,18 +135,13 @@ def _fista(sub, x0, g0, fx, lam, step, tol, max_iter, history):
     extrapolates or differences both: the accepted point x, the one
     before it and the prox point z rotate through three such arrays, and
     the momentum point y, the difference z - y, the residual, the row
-    norms and two scratch arrays have their own. The first step alone
-    computes its prox point in x0's layout (group and batch axes
-    fastest), as elementwise operations on the gathers do: a
-    matrix-vector product and a sum of row norms round by layout, so
-    every step keeps the bits of a loop that allocates its temporaries.
+    norms and two scratch arrays have their own.
     """
     X, resp, n_total = sub.X, sub.y, sub.n_total
     cur, old, new, mom, diff = (np.empty((2,) + x0.shape) for _ in range(5))
     v, sq = np.empty(x0.shape), np.empty(x0.shape)
     resid = np.empty(X.shape[:-1])
     norms = np.empty(x0.shape[:-2] + (1, x0.shape[-1]))
-    first = np.empty_like(x0), np.empty_like(x0)
     cur[0], cur[1] = x0, g0
 
     def row_norms(B):
@@ -158,22 +153,16 @@ def _fista(sub, x0, g0, fx, lam, step, tol, max_iter, history):
     while not solved and iters < max_iter:
         iters += 1
         z, gz = new[0], new[1]
-        vt, zt = first if iters == 1 else (v, z)  # x0's layout, see above
-        np.subtract(y[0], np.multiply(y[1], step, out=vt), out=vt)
-        shrink = _norms(vt) if iters == 1 else np.sqrt(row_norms(v),
-                                                       out=norms)
+        np.subtract(y[0], np.multiply(y[1], step, out=v), out=v)
+        shrink = np.sqrt(row_norms(v), out=norms)
         np.maximum(shrink, sl, out=shrink)
         np.subtract(1.0, np.divide(sl, shrink, out=shrink), out=shrink)
-        np.multiply(vt, shrink, out=zt)
-        np.matmul(X, zt[..., None], out=resid[..., None])
+        np.multiply(v, shrink, out=z)
+        np.matmul(X, z[..., None], out=resid[..., None])
         np.subtract(resid, resp, out=resid)
         np.matmul(resid[..., None, :], X, out=gz[..., None, :])
         np.multiply(gz, 2.0 / n_total, out=gz)
-        if iters == 1:
-            pen = _norms(zt)
-            np.copyto(z, zt)
-        else:
-            pen = np.sqrt(row_norms(z), out=norms)
+        pen = np.sqrt(row_norms(z), out=norms)
         fz = (float(np.vdot(resid, resid)) / n_total
               + lam * float(np.add.reduce(pen, None)))
         # after a restart z is a proximal-gradient step from x, which
@@ -227,11 +216,6 @@ def group_lasso(ds, lam, tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER,
     NonFiniteError naming the group); ``history`` collects the
     objective after every iteration (non-increasing); ``max_iter``
     counts all iterations.
-
-    Each working set allocates its buffers once (C order), and every
-    iteration writes into them: only a working set's first step, which
-    keeps the layout of the gathered iterate (see _fista), makes
-    temporary arrays.
 
     A stack with leading batch axes is solved as one problem whose
     objective is the sum of the independent ones: the batch shares one

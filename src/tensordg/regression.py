@@ -189,9 +189,10 @@ class GroupEstimates:
     ``groups`` (``observed_list`` order): ``coef`` (G, p), ``noise_cov``
     (G, p, p), ``noise_trace``, ``sigma2`` and ``n`` (G,). ``index``,
     shaped as the group space, holds each group's row, or -1 where the
-    group has no fit; ``rows`` gathers through it. ``pooled``, sum X'X /
-    sum n summed in row order from the products the fits formed, equals
-    ``baselines.pooled_gram`` of the observed groups bit for bit.
+    group has no fit; ``rows`` gathers through it. ``pooled`` is sum X'X
+    / sum n from the products the fits formed: ``baselines.pooled_gram``
+    of the observed groups, bit for bit when p >= 2. At p = 1 numpy adds
+    8 or more groups pairwise, so the last bits may differ there.
     """
 
     groups: list
@@ -235,8 +236,8 @@ def fit_all(ds, pattern):
     that ``perfbench/spans.py`` wraps by name stay on the calling thread.
     That thread allocates every output row array the blocks fill, so that
     no worker's malloc arena holds them (see ``_threads``), and sums the
-    X'X block into the pooled Gram in row order. Errors from a small or
-    singular group name it (as ``where``); of several, the first in
+    X'X block into the pooled Gram. Errors from a small or singular
+    group name it (as ``where``); of several, the first in
     ``observed_list`` order.
     """
     observed = pattern.observed_list()

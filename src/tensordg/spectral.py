@@ -58,8 +58,7 @@ def stack_block(est, tuples, t, levels):
     rest = np.repeat(np.array(tuples, dtype=int)[:, None], len(levels), 1)
     rows = est.rows(np.insert(rest, t - 1, levels, axis=2))
     mat = est.coef[rows].transpose(0, 2, 1).reshape(-1, len(levels))
-    # summed in tuples order; sum(axis=0) adds one column pairwise
-    diag = est.noise_trace[rows].cumsum(axis=0)[-1]
+    diag = est.noise_trace[rows].sum(axis=0)
     gram = (mat.T @ mat - np.diag(diag)) / len(tuples)
     return mat, (gram + gram.T) / 2.0
 
@@ -68,8 +67,8 @@ def mode_gram(est, pattern, t):
     """Bias-corrected second-moment matrix for mode t.
 
     Mode 0 averages the observed-group estimates' outer products less
-    their noise covariances (summed in place, in row order); modes 1..q
-    stack the C_t columns by body level, trace-corrected (stack_block).
+    their noise covariances (summed in place); modes 1..q stack the C_t
+    columns by body level, trace-corrected (stack_block).
     """
     if t == 0:
         rows = est.rows(pattern.observed_list())

@@ -1,29 +1,28 @@
-"""group_lasso on preallocated buffers: bitwise the reference loop that
-allocates every temporary."""
+"""group_lasso on preallocated buffers against the reference loop that
+allocates every temporary, compared by what the user sees (fit_compare):
+every solve keeps the reference's support and meets its own tolerance,
+and the fits choose the reference's penalty, support and tensor."""
 
 import numpy as np
 import pytest
 
 import lasso_fista_reference as ref
+from fit_compare import assert_same_fit, assert_same_solve
 from tensordg import cross_validate_lambda, fit_highdim, lasso_offset, transfer
 from tensordg import highdim
-from tensordg.highdim import lambda_grid
+from tensordg.highdim import GROUP_LASSO_TOL, lambda_grid
 from test_highdim import RECOVERY_PATTERN, path_problem, recovery_problem
 
 
 def twin(solve):
     """``solve`` that also runs the reference loop on the same arguments
-    and requires the solution and the objective history to be its bits."""
+    and requires both solutions to have one support and meet the solve's
+    tolerance."""
     def both(data, lam, history=None, **kwargs):
-        got, want = [], []
-        out = solve(data, lam, history=got, **kwargs)
-        expect = ref.group_lasso(data, lam, history=want, **kwargs)
-        assert got == want
-        assert out.keys() == expect.keys()
-        for g in out:
-            assert out[g].tobytes() == expect[g].tobytes()
-        if history is not None:
-            history.extend(got)
+        out = solve(data, lam, history=history, **kwargs)
+        expect = ref.group_lasso(data, lam, **kwargs)
+        assert_same_solve(data, out, expect, lam,
+                          kwargs.get("tol", GROUP_LASSO_TOL))
         both.calls += 1
         return out
     both.calls = 0
@@ -42,7 +41,7 @@ def offset_problem(seed, n=60, p=25):
 @pytest.mark.parametrize("seed", range(4))
 def test_lasso_offset_bitwise_reference(monkeypatch, seed):
     """One-group stacks, with two zero columns, at penalties across the
-    grid: every iterate and history entry is the reference's."""
+    grid: every solve has the reference's support and is certified."""
     X, y, offset = offset_problem(seed)
     solve = twin(transfer.group_lasso)
     monkeypatch.setattr(transfer, "group_lasso", solve)
@@ -58,21 +57,24 @@ def test_lasso_offset_bitwise_reference(monkeypatch, seed):
 @pytest.mark.parametrize("n, p, seed", [(7, 3, 5), (47, 9, 2), (150, 60, 1)])
 def test_cross_validate_lambda_bitwise_reference(monkeypatch, n, p, seed):
     """The batched CV folds, (folds, 1, n_max, p), are a one-group stack
-    with a batch axis: every warm-started path solve is the
-    reference's, first steps included."""
+    with a batch axis: every warm-started path solve has the reference's
+    support and is certified, and CV picks the reference's penalty."""
     X, y, offset = offset_problem(seed, n, p)
     solve = twin(transfer.group_lasso)
     monkeypatch.setattr(transfer, "group_lasso", solve)
-    cross_validate_lambda(X, y, offset, seed=seed)
+    got = cross_validate_lambda(X, y, offset, seed=seed)
     assert solve.calls == highdim.LAMBDA_GRID_SIZE
+    monkeypatch.setattr(transfer, "group_lasso", ref.group_lasso)
+    assert_same_fit(got, cross_validate_lambda(X, y, offset, seed=seed),
+                    "lambda")
 
 
 @pytest.mark.parametrize("design", ["path", "recovery"])
 @pytest.mark.parametrize("seed", range(3))
 def test_fit_highdim_bitwise_reference(monkeypatch, design, seed):
-    """Multi-group stacks: the path and the full-data solve are the
-    reference's bits, so fit_highdim picks the reference's penalty and
-    support and gives its tensor byte for byte."""
+    """Multi-group stacks: the path and the full-data solve have the
+    reference's supports and are certified, so fit_highdim picks the
+    reference's penalty and support and gives its ranks and tensor."""
     if design == "path":
         ds, pattern = path_problem(seed)
     else:
@@ -84,7 +86,5 @@ def test_fit_highdim_bitwise_reference(monkeypatch, design, seed):
     assert solve.calls == highdim.LAMBDA_GRID_SIZE + 1
     monkeypatch.setattr(highdim, "group_lasso", ref.group_lasso)
     want = fit_highdim(ds, pattern, seed=seed)
-    for model in (again, want):
-        assert model.diagnostics["lambda"] == got.diagnostics["lambda"]
-        assert model.diagnostics["support"] == got.diagnostics["support"]
-        assert model.tensor.array.tobytes() == got.tensor.array.tobytes()
+    assert_same_fit(again, got)
+    assert_same_fit(got, want)
