@@ -12,8 +12,10 @@ Subcommands:
   saved model and a target sample CSV.
 * ``experiment``: run a Monte Carlo sweep config and write the metrics
   CSV (``cell_param,cell_value,rep,method,al2e,adge,tle,failed,seconds``).
-  The paper's six runs are the configs in ``configs/``; ``--reps``,
-  ``--seed`` and ``--workers`` override a config's values.
+  A config sweeps one scenario field over its ``values``; a config with
+  a bad value is an error before any replication runs. The paper's
+  eight runs are the configs in ``configs/``; ``--reps``, ``--seed`` and
+  ``--workers`` override a config's values.
 * ``ingest``: parse a dataset CSV and report the inferred group space,
   per-group counts, and level mappings.
 """

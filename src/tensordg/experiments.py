@@ -29,9 +29,11 @@ share that fit (and ``tensordg``/``tensortl`` one completion fit). The
 seconds column charges each shared stage to the first method that needs
 it, so it depends on the method order.
 
-The paper's six runs (method comparison, rank, arm and body sweeps, and
-the transfer comparison with and without a sparse shift) are checked in
-as ``configs/*.json`` and run by ``tensordg experiment``.
+A sweep names one ScenarioConfig field and a cell per value; a tuple
+value is labelled like ``4x2x2``. The paper's eight runs (method
+comparison; ranks, arm, body, n and noise sweeps; transfer with and
+without a sparse shift) are ``configs/*.json``, run by ``tensordg
+experiment``.
 
 Failures are isolated: a method that raises records a failed=1 row and
 the run continues; a failed shared stage is retried by the next method
@@ -63,7 +65,6 @@ __all__ = ["ExperimentConfig", "MetricsRecord", "run_experiment",
 
 CSV_HEADER = ["cell_param", "cell_value", "rep", "method", "al2e", "adge",
               "tle", "failed", "seconds"]
-SWEEPS = ("default", "rank", "arm", "body")
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,8 @@ class ExperimentConfig:
     """One experiment: a sweep, a method list, and a scenario base."""
 
     name: str = "experiment"
-    sweep: str = "default"          # default | rank | arm | body
-    values: tuple = ()              # swept values; ignored for default
+    sweep: str = "default"          # default | ScenarioConfig field but seed
+    values: tuple = ()              # the swept field's values
     methods: tuple = ("tensordg", "ols")
     replications: int = 100
     seed: int = 0
@@ -80,13 +81,17 @@ class ExperimentConfig:
     scenario: dict = None           # ScenarioConfig field overrides
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", tuple(       # JSON lists too
+            tuple(v) if isinstance(v, list) else v for v in self.values))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "scenario", dict(self.scenario or {}))
-        if self.sweep not in SWEEPS:
+        if self.sweep == "seed" or self.sweep not in (
+                "default", *ScenarioConfig.__dataclass_fields__):
             raise ValueError(f"unknown sweep {self.sweep!r}")
         if self.sweep != "default" and not self.values:
             raise ValueError(f"sweep {self.sweep!r} needs values")
+        if self.sweep in self.scenario:
+            raise ValueError(f"scenario sets the swept field {self.sweep!r}")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}")
@@ -94,6 +99,7 @@ class ExperimentConfig:
             raise ValueError("method list is empty")
         if self.replications < 1 or self.workers < 1:
             raise ValueError("replications and workers must be positive")
+        self.cells()                # a bad swept value fails on load
 
     def to_dict(self):
         return {"name": self.name, "sweep": self.sweep,
@@ -111,23 +117,12 @@ class ExperimentConfig:
 
     def cells(self):
         """(cell_value, ScenarioConfig) per cell, in declared order."""
-        base = dict(self.scenario)
-        base["seed"] = self.seed
+        base = {**self.scenario, "seed": self.seed}
         if self.sweep == "default":
             return [("", ScenarioConfig.from_dict(base))]
-        out = []
-        for v in self.values:
-            v = int(v)
-            cfg = dict(base)
-            probe = ScenarioConfig.from_dict(base)
-            if self.sweep == "rank":
-                cfg["ranks"] = (2 * v,) + (v,) * probe.q
-            elif self.sweep == "arm":
-                cfg["arm_sizes"] = (v,) * probe.q
-            else:
-                cfg["body_sizes"] = (v,) * probe.q
-            out.append((str(v), ScenarioConfig.from_dict(cfg)))
-        return out
+        return [("x".join(map(str, v)) if isinstance(v, tuple) else str(v),
+                 ScenarioConfig.from_dict({**base, self.sweep: v}))
+                for v in self.values]
 
 
 @dataclass(frozen=True)

@@ -55,11 +55,27 @@ class ScenarioConfig:
             raise ValueError(f"need {self.q + 1} ranks")
         if len(self.body_sizes) != self.q or len(self.arm_sizes) != self.q:
             raise ValueError(f"need {self.q} body and arm sizes")
-        if self.ranks[0] > self.p:
-            raise ValueError("mode-0 rank exceeds p")
+        if min(self.ranks) < 1 or self.ranks[0] > self.p:
+            raise ValueError(f"ranks {self.ranks}: need 1 <= rank, and the "
+                             f"mode-0 rank <= p")
         for r, w, d in zip(self.ranks[1:], self.body_sizes, self.group_dims):
             if r > w or w > d:
-                raise ValueError("need rank <= body size <= group dim")
+                raise ValueError(f"ranks {self.ranks}, body_sizes "
+                                 f"{self.body_sizes}: need rank <= body size "
+                                 f"<= group dim")
+        if not all(1 <= a <= d for a, d in zip(self.arm_sizes,
+                                               self.group_dims)):
+            raise ValueError(f"arm_sizes {self.arm_sizes}: need 1 <= arm "
+                             f"size <= group dim")
+        if self.n <= self.p:
+            raise ValueError(f"n = {self.n}: each observed group's least "
+                             f"squares fit needs n > p = {self.p}")
+        if self.n_target < 1:
+            raise ValueError(f"n_target = {self.n_target}: need at least "
+                             f"one target sample")
+        if not 0 <= self.delta_sparsity <= self.p:
+            raise ValueError(f"delta_sparsity = {self.delta_sparsity}: need "
+                             f"0 <= delta_sparsity <= p = {self.p}")
         if self.design not in ("identity", "ar1"):
             raise ValueError(f"unknown design {self.design!r}")
 

@@ -236,12 +236,14 @@ def ordered_beyond_one_se(per_cell, failed_reps, values, increasing):
 
 def test_criterion_5_parameter_sweep_trends():
     results = {}
-    for sweep, values, increasing in (("rank", (2, 3, 4), True),
-                                      ("arm", (4, 5, 6), False),
-                                      ("body", (4, 5, 6), False)):
+    for sweep, values, increasing in (
+            ("ranks", ((4, 2, 2), (6, 3, 3), (8, 4, 4)), True),
+            ("arm_sizes", ((4, 4), (5, 5), (6, 6)), False),
+            ("body_sizes", ((4, 4), (5, 5), (6, 6)), False)):
         per_cell, failed_reps = sweep_cells(sweep, values)
+        labels = ["x".join(map(str, v)) for v in values]
         results[sweep] = ordered_beyond_one_se(per_cell, failed_reps,
-                                               values, increasing)
+                                               labels, increasing)
     ok = all(res[0] for res in results.values())
     detail = "; ".join(
         f"{sweep} means "

@@ -160,6 +160,20 @@ def test_experiment_subcommand(tmp_path, capsys):
         assert len(list(csv.reader(handle))) == 1 + 1 * 2 + 2 * 2
 
 
+def test_experiment_with_a_bad_swept_value_writes_nothing(tmp_path, capsys):
+    cfg_path = tmp_path / "experiment.json"
+    cfg_path.write_text(json.dumps({
+        "name": "bad", "sweep": "n", "values": [40, 8],
+        "methods": ["ols"],
+        "scenario": {k: v for k, v in SCENARIO.items() if k != "n"}}))
+    out_path = tmp_path / "metrics.csv"
+    rc = main(["experiment", "--config", str(cfg_path),
+               "--out", str(out_path)])
+    assert rc == 2
+    assert "error: n = 8" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_ingest_subcommand(tmp_path, capsys):
     path = tmp_path / "people.csv"
     path.write_text("sex,age,y,x1,x2\n"

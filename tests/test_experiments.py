@@ -37,9 +37,12 @@ def test_config_validation():
     assert cfg.methods == ("tensordg", "ols")
     assert cfg.values == ()
     with pytest.raises(ValueError, match="unknown sweep"):
-        small_cfg(sweep="noise")
+        small_cfg(sweep="noise", values=(1.0,))
+    # the seed belongs to the experiment
+    with pytest.raises(ValueError, match="unknown sweep 'seed'"):
+        small_cfg(sweep="seed", values=(1, 2))
     with pytest.raises(ValueError, match="needs values"):
-        small_cfg(sweep="rank")
+        small_cfg(sweep="ranks")
     with pytest.raises(ValueError, match="unknown methods"):
         small_cfg(methods=("tensordg", "ridge"))
     with pytest.raises(ValueError, match="empty"):
@@ -51,19 +54,22 @@ def test_config_validation():
 
 
 def test_config_dict_roundtrip():
-    cfg = small_cfg(sweep="arm", values=[4, 5], workers=2)
-    again = ExperimentConfig.from_dict(cfg.to_dict())
+    cfg = ExperimentConfig(sweep="arm_sizes", values=[[4, 4], [6, 6]],
+                           methods=("ols",), workers=2)
+    assert cfg.values == ((4, 4), (6, 6))
+    # through JSON, which turns the tuples back into lists
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg
     with pytest.raises(ValueError, match="unknown experiment fields"):
         ExperimentConfig.from_dict({"sweep": "default", "replicas": 3})
     # the replication count belongs to the experiment, not the scenario
     with pytest.raises(ValueError,
                        match=r"unknown scenario fields \['replications'\]"):
-        small_cfg(scenario=dict(SMALL, replications=3)).cells()
+        small_cfg(scenario=dict(SMALL, replications=3))
 
 
 def test_battery_configs_load():
-    """The checked-in battery: six configs, each named after its file."""
+    """The checked-in battery: eight configs, each named after its file."""
     paths = sorted(ROOT.joinpath("configs").glob("*.json"))
     names = []
     for path in paths:
@@ -73,7 +79,7 @@ def test_battery_configs_load():
         names.append(cfg.name)
     assert sorted(names) == sorted([
         "method_comparison", "rank_sweep", "arm_sweep", "body_sweep",
-        "transfer_delta0", "transfer_delta3"])
+        "n_sweep", "noise_sweep", "transfer_delta0", "transfer_delta3"])
 
 
 def test_cells_sweep_semantics():
@@ -82,21 +88,50 @@ def test_cells_sweep_semantics():
     assert len(cells) == 1 and cells[0][0] == ""
     assert cells[0][1].seed == 7 and cells[0][1].p == 8
 
-    rank_cells = ExperimentConfig(sweep="rank", values=(2, 4),
+    rank_cells = ExperimentConfig(sweep="ranks",
+                                  values=[[4, 2, 2], (8, 4, 4)],
                                   methods=("ols",), seed=1).cells()
-    assert [v for v, _ in rank_cells] == ["2", "4"]
+    assert [v for v, _ in rank_cells] == ["4x2x2", "8x4x4"]
     assert rank_cells[0][1].ranks == (4, 2, 2)
     assert rank_cells[1][1].ranks == (8, 4, 4)
+    assert rank_cells[1][1].seed == 1
 
-    arm_cells = ExperimentConfig(sweep="arm", values=(4, 6),
+    arm_cells = ExperimentConfig(sweep="arm_sizes", values=((4, 4), (6, 6)),
                                  methods=("ols",)).cells()
+    assert [v for v, _ in arm_cells] == ["4x4", "6x6"]
     assert arm_cells[0][1].arm_sizes == (4, 4)
     assert arm_cells[1][1].arm_sizes == (6, 6)
 
-    body_cells = ExperimentConfig(sweep="body", values=(4,),
+    body_cells = ExperimentConfig(sweep="body_sizes", values=((4, 4),),
                                   methods=("ols",)).cells()
     assert body_cells[0][1].body_sizes == (4, 4)
     assert body_cells[0][1].arm_sizes == (5, 5)
+
+    n_cells = ExperimentConfig(sweep="n", values=(150, 2400),
+                               methods=("ols",)).cells()
+    assert [v for v, _ in n_cells] == ["150", "2400"]
+    assert [c.n for _, c in n_cells] == [150, 2400]
+
+    noise_cells = ExperimentConfig(sweep="noise_std", values=(0.5, 4.0),
+                                   methods=("ols",),
+                                   scenario={"n_target": 150}).cells()
+    assert [v for v, _ in noise_cells] == ["0.5", "4.0"]
+    assert [(c.noise_std, c.n_target) for _, c in noise_cells] == \
+        [(0.5, 150), (4.0, 150)]
+
+
+def test_bad_swept_value_fails_on_load():
+    """Every cell's ScenarioConfig is built with the config, so a value
+    that no replication could use fails when the config loads."""
+    with pytest.raises(ValueError, match="^arm_sizes "):
+        ExperimentConfig(sweep="arm_sizes", values=((5, 5), (9, 9)),
+                         methods=("ols",))
+
+
+def test_field_swept_and_set_in_scenario_fails_on_load():
+    with pytest.raises(ValueError, match="scenario sets the swept field 'n'"):
+        ExperimentConfig(sweep="n", values=(300,), methods=("ols",),
+                         scenario={"n": 150})
 
 
 def test_noiseless_ols_rep_scores_zero_errors():
@@ -255,8 +290,8 @@ def test_failure_isolation(monkeypatch):
 
 
 def test_metrics_record_row_formatting():
-    rec = MetricsRecord("rank", "3", 5, "ols", 0.25, 0.5, None, 0, 1.5)
-    assert rec.row() == ["rank", "3", "5", "ols", "0.25", "0.5", "",
+    rec = MetricsRecord("ranks", "6x3x3", 5, "ols", 0.25, 0.5, None, 0, 1.5)
+    assert rec.row() == ["ranks", "6x3x3", "5", "ols", "0.25", "0.5", "",
                          "0", "1.5"]
     failed = MetricsRecord("default", "", 0, "tensordg", failed=1)
     assert failed.row() == ["default", "", "0", "tensordg", "", "", "",

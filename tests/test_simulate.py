@@ -1,8 +1,29 @@
-"""Scenario generation: the AR(1) design."""
+"""Scenario generation: input checks and the AR(1) design."""
 
 import numpy as np
+import pytest
 
 from tensordg import ScenarioConfig, make_scenario
+
+
+@pytest.mark.parametrize("field, value", [
+    ("arm_sizes", (9, 5)),          # an arm size above its group dim
+    ("ranks", (6, 0, 3)),
+    ("n", 60),                      # n <= p: no least-squares fit
+    ("delta_sparsity", 61),         # more shifted coordinates than p
+    ("n_target", 0),
+])
+def test_bad_scenario_input_fails_early(field, value):
+    """Each of these would turn every replication into a failed row, so
+    the config is rejected with the field named."""
+    with pytest.raises(ValueError, match=f"^{field} "):
+        ScenarioConfig(**{field: value})
+
+
+def test_few_target_samples_stay_legal():
+    """n_target below p stays legal: a fit that never regresses on the
+    target sample (the fit_q3 benchmark design) draws two."""
+    assert ScenarioConfig(n_target=2).n_target == 2
 
 
 def per_group_ar1_draw(cfg, stage, rep, g, n, coef):
