@@ -1,11 +1,11 @@
-"""Map a function over independent groups on the usable CPUs.
+"""Run independent per-group work in contiguous shares on the usable CPUs.
 
 The per-group stages (each group's simulated draw, each group's OLS fit,
 which ``regression.fit_all`` solves in blocks of groups on each thread's
-``chunks`` share) read only their own group's data, so they can run side
-by side. numpy releases the GIL while it fills random arrays and inside
-BLAS and LAPACK, so threads give real parallelism there. Every group runs
-the same arithmetic whichever thread runs it, so results are bitwise
+share) read only their own group's data, so they can run side by side.
+numpy releases the GIL while it fills random arrays and inside BLAS and
+LAPACK, so threads give real parallelism there. Every group runs the
+same arithmetic whichever thread runs it, so results are bitwise
 identical to a serial loop as long as BLAS itself is single-threaded.
 
 Threads live for one call only: no pool outlives it, so a process forked
@@ -27,7 +27,7 @@ _serial = False
 
 
 def run_serially():
-    """Make every later ``map_groups`` call in this process run serially."""
+    """Make every later ``map_shares`` call in this process run serially."""
     global _serial
     _serial = True
 
@@ -41,7 +41,7 @@ def usable_cpus():
 
 
 def thread_count(n_items):
-    """Threads ``map_groups`` uses for n_items: one per usable CPU, at
+    """Threads ``map_shares`` uses for n_items: one per usable CPU, at
     most one per item, and one in a process set to run serially."""
     if _serial:
         return 1
@@ -58,42 +58,32 @@ def chunks(n_items, k):
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def map_groups(fn, items):
-    """[fn(x) for x in items], with the items split into contiguous chunks.
+def map_shares(fn, n_items):
+    """Call fn(share) once per contiguous share of range(n_items).
 
-    The last chunk runs in the calling thread, the others on threads that
-    are joined before the call returns. If any item raises, the exception
-    of the first failing item in input order is raised; the items after it
-    in its chunk do not run.
+    The shares are ``chunks(n_items, thread_count(n_items))``, passed as
+    slices. The last share runs in the calling thread, the others on
+    threads that are joined before the call returns. If any share raises,
+    the exception of the first failing share in input order is raised.
     """
-    items = list(items)
-    k = thread_count(len(items))
-    if k == 1:
-        return [fn(x) for x in items]
-    parts = chunks(len(items), k)
-    outcomes = [None] * k          # per chunk: (results, exception or None)
+    shares = chunks(n_items, thread_count(n_items))
+    errors = [None] * len(shares)
 
     def run(i):
-        done = []
         try:
-            for x in items[parts[i]]:
-                done.append(fn(x))
+            fn(shares[i])
         except Exception as exc:
-            outcomes[i] = done, exc
-        else:
-            outcomes[i] = done, None
+            errors[i] = exc
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(k - 1)]
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(len(shares) - 1)]
     for t in threads:
         t.start()
     try:
-        run(k - 1)
+        run(len(shares) - 1)
     finally:
         for t in threads:
             t.join()
-    results = []
-    for done, exc in outcomes:
+    for exc in errors:
         if exc is not None:
             raise exc
-        results.extend(done)
-    return results

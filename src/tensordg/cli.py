@@ -148,14 +148,14 @@ def cmd_experiment(args):
     records = run_experiment(cfg)
     write_metrics_csv(args.out, records, summaries=not args.no_summaries)
     for row in summarize(records):
-        if row["rep"] != "mean":
+        if row.rep != "mean":
             continue
-        cell = f"{row['cell_param']}={row['cell_value']}" \
-            if row["cell_value"] else row["cell_param"]
-        al2e, adge, tle = ("nan" if row[k] is None else f"{row[k]:.4f}"
-                           for k in ("al2e", "adge", "tle"))
-        print(f"{cell} {row['method']}: mean_al2e={al2e} mean_adge={adge} "
-              f"mean_tle={tle} failed={row['failed']}")
+        cell = f"{row.cell_param}={row.cell_value}" if row.cell_value \
+            else row.cell_param
+        al2e, adge, tle = ("nan" if v is None else f"{v:.4f}"
+                           for v in (row.al2e, row.adge, row.tle))
+        print(f"{cell} {row.method}: mean_al2e={al2e} mean_adge={adge} "
+              f"mean_tle={tle} failed={row.failed}")
     print(f"wrote {args.out}")
     return 0
 

@@ -1,12 +1,13 @@
 """CSV serialization for grouped regression data.
 
 File layout (header row required): one column per group axis, then the
-response, then the feature columns. Header names must be unique. Group
-levels may be integer codes or strings; strings are mapped to 1-based
-codes in order of first appearance and the mapping is returned alongside
-the dataset. Blank lines are skipped, and a quoted field may not span
-lines. Groups come out in sorted order, and rows keep their file order
-within a group.
+response, then the feature columns. The writer names them g1..gq, y,
+x1..xp; ingest reads other names when given the columns' roles. Header
+names must be unique. Group levels may be integer codes or strings;
+strings are mapped to 1-based codes in order of first appearance and the
+mapping is returned alongside the dataset. Blank lines are skipped, and
+a quoted field may not span lines. Groups come out in sorted order, and
+rows keep their file order within a group.
 
 Both directions work on whole arrays. The writer formats each group as
 one string, with floats written by ``repr`` so a write/ingest roundtrip
@@ -41,26 +42,16 @@ class IngestResult:
     counts: dict      # group tuple -> sample count
 
 
-def write_csv(path, ds, group_names=None, feature_names=None,
-              response_name="y"):
-    """Write a grouped dataset in the standard column layout."""
+def write_csv(path, ds):
+    """Write a grouped dataset with the header g1..gq,y,x1..xp."""
     groups = sorted(ds.groups)
     if not groups:
         raise DimensionError("empty dataset")
-    q = len(groups[0])
-    p = ds.p
-    if group_names is None:
-        group_names = [f"g{t}" for t in range(1, q + 1)]
-    if feature_names is None:
-        feature_names = [f"x{j}" for j in range(1, p + 1)]
-    if len(group_names) != q or len(feature_names) != p:
-        raise DimensionError("column name lists do not match the data")
+    q, p = len(groups[0]), ds.p
     with open(path, "w", newline="") as handle:
-        # The header goes through csv.writer so names that need quoting
-        # are quoted; integer levels and float reprs never need it, and
-        # "\r\n" is csv.writer's line terminator.
-        csv.writer(handle).writerow(list(group_names) + [response_name]
-                                    + list(feature_names))
+        # every line ends in "\r\n", as csv.writer ends them
+        handle.write(",".join([f"g{t}" for t in range(1, q + 1)] + ["y"]
+                              + [f"x{j}" for j in range(1, p + 1)]) + "\r\n")
         for g in groups:
             X, y = ds.groups[g]
             prefix = "".join(f"{int(level)}," for level in g)

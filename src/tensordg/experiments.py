@@ -67,6 +67,11 @@ CSV_HEADER = ["cell_param", "cell_value", "rep", "method", "al2e", "adge",
               "tle", "failed", "seconds"]
 
 
+def _tuple(value):
+    """A JSON list as a tuple, so a config equals itself after JSON."""
+    return tuple(value) if isinstance(value, list) else value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a sweep, a method list, and a scenario base."""
@@ -78,13 +83,13 @@ class ExperimentConfig:
     replications: int = 100
     seed: int = 0
     workers: int = 1
-    scenario: dict = None           # ScenarioConfig field overrides
+    scenario: dict = None           # ScenarioConfig fields but seed
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(       # JSON lists too
-            tuple(v) if isinstance(v, list) else v for v in self.values))
+        object.__setattr__(self, "values", tuple(map(_tuple, self.values)))
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "scenario", dict(self.scenario or {}))
+        object.__setattr__(self, "scenario", {
+            k: _tuple(v) for k, v in (self.scenario or {}).items()})
         if self.sweep == "seed" or self.sweep not in (
                 "default", *ScenarioConfig.__dataclass_fields__):
             raise ValueError(f"unknown sweep {self.sweep!r}")
@@ -92,6 +97,9 @@ class ExperimentConfig:
             raise ValueError(f"sweep {self.sweep!r} needs values")
         if self.sweep in self.scenario:
             raise ValueError(f"scenario sets the swept field {self.sweep!r}")
+        if "seed" in self.scenario:
+            raise ValueError("scenario sets 'seed', which belongs to the "
+                             "experiment")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}")
@@ -272,11 +280,11 @@ def run_experiment(cfg):
 
 
 def summarize(records):
-    """Mean and standard-error rows per cell x method.
+    """Mean and standard-error records per cell x method, ``rep`` set to
+    "mean" or "se".
 
-    Metrics aggregate over the successful replications only; the failed
-    column carries the failure count, and seconds aggregates like the
-    metrics.
+    Metrics aggregate over the successful replications only; ``failed``
+    carries the failure count, and seconds aggregates like the metrics.
     """
     order = []
     buckets = {}
@@ -298,30 +306,25 @@ def summarize(records):
         return float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
 
     rows = []
-    for key in order:
-        group = buckets[key]
+    for cell_param, cell_value, method in order:
+        group = buckets[cell_param, cell_value, method]
         good = [r for r in group if not r.failed]
         n_failed = sum(r.failed for r in group)
         for kind in ("mean", "se"):
-            rows.append({
-                "cell_param": key[0], "cell_value": key[1], "rep": kind,
-                "method": key[2],
-                "al2e": agg([r.al2e for r in good], kind),
-                "adge": agg([r.adge for r in good], kind),
-                "tle": agg([r.tle for r in good], kind),
-                "failed": n_failed,
-                "seconds": agg([r.seconds for r in good], kind),
-            })
+            rows.append(MetricsRecord(
+                cell_param, cell_value, kind, method,
+                agg([r.al2e for r in good], kind),
+                agg([r.adge for r in good], kind),
+                agg([r.tle for r in good], kind),
+                n_failed, agg([r.seconds for r in good], kind)))
     return rows
 
 
 def write_metrics_csv(path, records, summaries=True):
     """Write per-replication rows, then mean/se summary rows per cell."""
+    if summaries:
+        records = records + summarize(records)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow(rec.row())
-        if summaries:
-            for row in summarize(records):
-                writer.writerow(MetricsRecord(**row).row())
+        writer.writerows(rec.row() for rec in records)

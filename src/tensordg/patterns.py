@@ -57,12 +57,10 @@ class ObservationPattern:
             *(levels for k, levels in enumerate(self.body, start=1) if k != t)))
         return sorted(body_rest | set(self.arm_tuples(t)))
 
-    def arm_groups(self, t, levels=None):
-        """Arm t crossed with the given mode-t levels (all levels by default)."""
-        if levels is None:
-            levels = range(1, self.space[t - 1] + 1)
-        return [_insert(rest, t, lev)
-                for rest in self.arm_tuples(t) for lev in levels]
+    def arm_groups(self, t):
+        """Arm t crossed with every mode-t level."""
+        return [_insert(rest, t, lev) for rest in self.arm_tuples(t)
+                for lev in range(1, self.space[t - 1] + 1)]
 
 
 def _insert(rest, t, level):

@@ -3,21 +3,21 @@
 An LU solve of each group's Gram against [X'y/n | I] gives the
 coefficient and the inverse Gram; each fit stores its noise covariance
 and trace, so no later stage inverts. Every stage reads this one set of
-fits, held as row arrays. The groups are split evenly over threads, one
-per usable CPU (``_threads``), and each thread solves its share in
-blocks of FIT_BLOCK groups with one batched LAPACK call per block, so a
-group costs a handful of numpy calls instead of about twenty, and the
-threads wait less on each other for the interpreter lock. The batched
-solve runs the same LAPACK routine on the same matrices, so the fits are
-bitwise equal to a one-group-at-a-time loop when BLAS runs
-single-threaded.
+fits, held as row arrays. The groups are split into contiguous shares,
+one thread per usable CPU (``_threads.map_shares``), and each thread
+solves its share in blocks of FIT_BLOCK groups with one batched LAPACK
+call per block, so a group costs a handful of numpy calls instead of
+about twenty, and the threads wait less on each other for the
+interpreter lock. The batched solve runs the same LAPACK routine on the
+same matrices, so the fits are bitwise equal to a one-group-at-a-time
+loop when BLAS runs single-threaded.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._threads import chunks, map_groups, thread_count
+from ._threads import map_shares
 from .errors import ConditioningError, DimensionError, NonFiniteError
 
 # Gram matrices with smaller relative eigenvalues than this are treated as
@@ -229,9 +229,10 @@ class GroupEstimates:
 def fit_all(ds, pattern):
     """OLS fits for every observed group, in one pass over the dataset.
 
-    The groups are split evenly across threads, one per usable CPU, and
-    each thread fits its share in blocks of at most FIT_BLOCK groups, one
-    batched solve per block (``_fit_rows``). The threads call only the
+    ``_threads.map_shares`` splits the groups into contiguous shares, one
+    thread per usable CPU, and each thread passes its share to
+    ``_fit_rows``, which fits it in blocks of at most FIT_BLOCK groups,
+    one batched solve per block. The threads call only the
     private ``_fit_rows``, never ``ols_fit``, so the public functions
     that ``perfbench/spans.py`` wraps by name stay on the calling thread.
     That thread allocates every output row array the blocks fill, so that
@@ -251,7 +252,7 @@ def fit_all(ds, pattern):
         _fit_rows([ds.groups[g] for g in observed[share]],
                   [a[share] for a in out], observed[share])
 
-    map_groups(fit, chunks(G, thread_count(G)))
+    map_shares(fit, G)
     coef, sigma2, n, noise_trace, xtx, noise_cov = out
     index = np.full(pattern.space, -1)
     index[tuple(np.array(observed).T - 1)] = np.arange(G)

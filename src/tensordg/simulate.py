@@ -8,15 +8,16 @@ the transfer experiments.
 
 Every group's sample is drawn from its own generator, seeded from the
 scenario seed, the replication and the group, so the groups are drawn
-side by side on threads, one per usable CPU (``_threads``), and the
-draws are bitwise those of a serial loop.
+in contiguous shares side by side on threads, one per usable CPU
+(``_threads.map_shares``), and the draws are bitwise those of a serial
+loop.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import map_groups
+from ._threads import map_shares
 from .patterns import build_pattern
 from .regression import GroupedDataset
 from .tensor import DenseTensor, matricize, tucker_assemble
@@ -217,14 +218,14 @@ def generate_data(truth, pattern, cfg, rep=0, overrides=None):
                 np.empty((cfg.n_target, cfg.p)), np.empty(cfg.n_target))
                for g in unobserved])
 
-    def draw(job):
-        g, stage, coef, X, y = job
-        rng = _rng(cfg, stage, rep, _group_code(pattern.space, g))
-        _design_matrix(rng, factor, X)
-        np.matmul(X, coef, out=y)
-        y += cfg.noise_std * rng.normal(size=y.size)
+    def draw(share):
+        for g, stage, coef, X, y in jobs[share]:
+            rng = _rng(cfg, stage, rep, _group_code(pattern.space, g))
+            _design_matrix(rng, factor, X)
+            np.matmul(X, coef, out=y)
+            y += cfg.noise_std * rng.normal(size=y.size)
 
-    map_groups(draw, jobs)
+    map_shares(draw, len(jobs))
     samples = [(X, y) for *_, X, y in jobs]
     train = dict(zip(observed, samples[:len(observed)]))
     targets = dict(zip(unobserved, samples[len(observed):]))

@@ -13,19 +13,14 @@ import numpy as np
 from tensordg import GroupedDataset, IngestResult
 
 
-def write_csv_rows(path, ds, group_names=None, feature_names=None,
-                   response_name="y"):
+def write_csv_rows(path, ds):
     """Write ``ds`` one ``csv.writer`` row per sample, groups sorted."""
     groups = sorted(ds.groups)
     q, p = len(groups[0]), ds.p
-    if group_names is None:
-        group_names = [f"g{t}" for t in range(1, q + 1)]
-    if feature_names is None:
-        feature_names = [f"x{j}" for j in range(1, p + 1)]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(list(group_names) + [response_name]
-                        + list(feature_names))
+        writer.writerow([f"g{t}" for t in range(1, q + 1)] + ["y"]
+                        + [f"x{j}" for j in range(1, p + 1)])
         for g in groups:
             X, y = ds.groups[g]
             for i in range(y.size):

@@ -2,13 +2,12 @@
 
 ``lu_fit`` and ``fit_all`` are the package's fits as they were before
 the groups were solved in blocks: one ``np.linalg.solve`` per group, the
-groups mapped one at a time over the threads. The tests require the
-block fits to equal these bit for bit.
+groups fitted one at a time in a serial loop. The tests require the
+package's block fits on threads to equal these bit for bit.
 """
 
 import numpy as np
 
-from tensordg._threads import map_groups
 from tensordg.errors import ConditioningError, DimensionError
 from tensordg.regression import (GRAM_EIGENVALUE_FLOOR, GroupEstimates,
                                  GroupFit)
@@ -66,13 +65,9 @@ def ols_fit(X, y):
 def fit_all(ds, pattern):
     """OLS fits for every observed group, in one pass over the dataset.
 
-    The groups are fitted in contiguous chunks on threads, one per usable
-    CPU. The threads call only the private ``lu_fit``, never ``ols_fit``,
-    so the public functions that ``perfbench/spans.py`` wraps by name stay
-    on the calling thread. That thread allocates the (G, p, p) blocks the
-    fits fill, so that no worker's malloc arena holds them (see
-    ``_threads``), and sums the X'X block into the pooled Gram in row
-    order. Errors from a small or singular group are re-raised naming it
+    The groups are fitted one at a time, in ``observed_list`` order, into
+    (G, p, p) blocks, and the X'X block is summed into the pooled Gram in
+    row order. Errors from a small or singular group are re-raised naming it
     (as ``where``); of several, the first in ``observed_list`` order.
     """
     observed = pattern.observed_list()
@@ -91,7 +86,7 @@ def fit_all(ds, pattern):
         return fit.coef, fit.sigma2, fit.n, fit.noise_trace
 
     coef, sigma2, n, noise_trace = map(
-        np.array, zip(*map_groups(fit, range(G))))
+        np.array, zip(*[fit(i) for i in range(G)]))
     index = np.full(pattern.space, -1)
     index[tuple(np.array(observed).T - 1)] = np.arange(G)
     return GroupEstimates(observed, coef, noise_cov, noise_trace, sigma2, n,

@@ -17,6 +17,8 @@ SCENARIO = {"p": 8, "group_dims": [5, 4], "ranks": [3, 2, 2],
             "body_sizes": [4, 4], "arm_sizes": [2, 2], "n": 40,
             "n_target": 60, "noise_std": 0.0, "signal_scale": 4.0,
             "seed": 3}
+# an experiment's scenario: the seed is the experiment's
+EXPERIMENT_SCENARIO = {k: v for k, v in SCENARIO.items() if k != "seed"}
 
 
 def write_scenario(tmp_path, **overrides):
@@ -140,7 +142,7 @@ def test_experiment_subcommand(tmp_path, capsys):
     cfg_path.write_text(json.dumps({
         "name": "cli-unit", "sweep": "default",
         "methods": ["tensordg", "ols"], "replications": 2, "seed": 5,
-        "scenario": dict(SCENARIO, noise_std=1.0)}))
+        "scenario": dict(EXPERIMENT_SCENARIO, noise_std=1.0)}))
     out_path = tmp_path / "metrics.csv"
     rc = main(["experiment", "--config", str(cfg_path),
                "--out", str(out_path)])
@@ -160,12 +162,42 @@ def test_experiment_subcommand(tmp_path, capsys):
         assert len(list(csv.reader(handle))) == 1 + 1 * 2 + 2 * 2
 
 
+def test_experiment_without_summaries_writes_replication_rows(tmp_path):
+    cfg_path = tmp_path / "experiment.json"
+    cfg_path.write_text(json.dumps({
+        "name": "cli-unit", "methods": ["tensordg", "ols"],
+        "replications": 2, "seed": 5, "scenario": EXPERIMENT_SCENARIO}))
+    out_path = tmp_path / "metrics.csv"
+    rc = main(["experiment", "--config", str(cfg_path),
+               "--out", str(out_path), "--no-summaries"])
+    assert rc == 0
+    with open(out_path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == CSV_HEADER
+    assert len(rows) == 2 * 2
+    assert [row[2] for row in rows] == ["0", "0", "1", "1"]
+
+
+def test_experiment_with_a_scenario_seed_writes_nothing(tmp_path, capsys):
+    cfg_path = tmp_path / "experiment.json"
+    cfg_path.write_text(json.dumps({
+        "name": "bad", "methods": ["ols"], "seed": 5,
+        "scenario": SCENARIO}))
+    out_path = tmp_path / "metrics.csv"
+    rc = main(["experiment", "--config", str(cfg_path),
+               "--out", str(out_path)])
+    assert rc == 2
+    assert "error: scenario sets 'seed'" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_experiment_with_a_bad_swept_value_writes_nothing(tmp_path, capsys):
     cfg_path = tmp_path / "experiment.json"
     cfg_path.write_text(json.dumps({
         "name": "bad", "sweep": "n", "values": [40, 8],
         "methods": ["ols"],
-        "scenario": {k: v for k, v in SCENARIO.items() if k != "n"}}))
+        "scenario": {k: v for k, v in EXPERIMENT_SCENARIO.items()
+                     if k != "n"}}))
     out_path = tmp_path / "metrics.csv"
     rc = main(["experiment", "--config", str(cfg_path),
                "--out", str(out_path)])

@@ -117,12 +117,6 @@ def test_roundtrip_exact(tmp_path):
         assert np.array_equal(y, y2)
 
 
-def test_write_csv_rejects_bad_names(tmp_path):
-    ds = GroupedDataset({(1,): (np.ones((2, 3)), np.ones(2))})
-    with pytest.raises(DimensionError):
-        write_csv(tmp_path / "x.csv", ds, group_names=["a", "b"])
-
-
 # Finite doubles, with the edges of the format drawn often: signed zero,
 # the smallest subnormal and values near the largest double.
 FLOATS = st.one_of(

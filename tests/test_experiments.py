@@ -41,6 +41,8 @@ def test_config_validation():
     # the seed belongs to the experiment
     with pytest.raises(ValueError, match="unknown sweep 'seed'"):
         small_cfg(sweep="seed", values=(1, 2))
+    with pytest.raises(ValueError, match="scenario sets 'seed'"):
+        small_cfg(scenario=dict(SMALL, seed=3))
     with pytest.raises(ValueError, match="needs values"):
         small_cfg(sweep="ranks")
     with pytest.raises(ValueError, match="unknown methods"):
@@ -58,6 +60,12 @@ def test_config_dict_roundtrip():
                            methods=("ols",), workers=2)
     assert cfg.values == ((4, 4), (6, 6))
     # through JSON, which turns the tuples back into lists
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+    assert again == cfg
+    # tuples in the scenario too
+    cfg = ExperimentConfig(sweep="n", values=(150,), methods=("ols",),
+                           scenario={"group_dims": (8, 8), "ranks": [6, 3, 3]})
+    assert cfg.scenario == {"group_dims": (8, 8), "ranks": (6, 3, 3)}
     again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg
     with pytest.raises(ValueError, match="unknown experiment fields"):
@@ -252,19 +260,20 @@ def test_summarize_matches_recomputation():
     cfg = small_cfg(replications=4)
     records = run_experiment(cfg)
     rows = summarize(records)
-    assert [(r["rep"], r["method"]) for r in rows] == \
+    assert all(isinstance(r, MetricsRecord) for r in rows)
+    assert [(r.rep, r.method) for r in rows] == \
            [("mean", "tensordg"), ("se", "tensordg"),
             ("mean", "ols"), ("se", "ols")]
     for method in cfg.methods:
         vals = [r.adge for r in records if r.method == method]
         mean_row = next(r for r in rows
-                        if r["method"] == method and r["rep"] == "mean")
+                        if r.method == method and r.rep == "mean")
         se_row = next(r for r in rows
-                      if r["method"] == method and r["rep"] == "se")
-        assert mean_row["adge"] == pytest.approx(np.mean(vals), abs=1e-15)
-        assert se_row["adge"] == pytest.approx(
+                      if r.method == method and r.rep == "se")
+        assert mean_row.adge == pytest.approx(np.mean(vals), abs=1e-15)
+        assert se_row.adge == pytest.approx(
             np.std(vals, ddof=1) / math.sqrt(len(vals)), abs=1e-15)
-        assert mean_row["failed"] == 0
+        assert mean_row.failed == 0
 
 
 def test_failure_isolation(monkeypatch):
@@ -282,11 +291,11 @@ def test_failure_isolation(monkeypatch):
     assert all(r.adge is not None for r in ols)
     rows = summarize(records)
     dg_mean = next(r for r in rows
-                   if r["method"] == "tensordg" and r["rep"] == "mean")
-    assert dg_mean["failed"] == 2 and dg_mean["al2e"] is None
+                   if r.method == "tensordg" and r.rep == "mean")
+    assert dg_mean.failed == 2 and dg_mean.al2e is None
     ols_mean = next(r for r in rows
-                    if r["method"] == "ols" and r["rep"] == "mean")
-    assert ols_mean["failed"] == 0 and ols_mean["al2e"] is not None
+                    if r.method == "ols" and r.rep == "mean")
+    assert ols_mean.failed == 0 and ols_mean.al2e is not None
 
 
 def test_metrics_record_row_formatting():

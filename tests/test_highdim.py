@@ -465,6 +465,40 @@ def test_choose_lambda_path_solves_stop_relative_to_lambda(monkeypatch):
     assert group_lasso_kkt(ds, beta, lam) <= highdim.GROUP_LASSO_TOL
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_choose_lambda_min_rule_picks_the_lowest_holdout_loss(monkeypatch,
+                                                             seed):
+    """rule="min" returns the grid penalty, and its path solution, with
+    the lowest mean holdout loss, recomputed here from the path's solves
+    on the same split; it is never larger than the "1se" pick. An
+    unknown rule raises ValueError."""
+    ds, _ = path_problem(seed)
+    solves, solve = [], highdim.group_lasso
+
+    def recording_solve(data, lam, **kwargs):
+        solves.append((lam, solve(data, lam, **kwargs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(highdim, "group_lasso", recording_solve)
+    lam, beta = choose_lambda(ds, seed=seed, rule="min")
+    rng = np.random.default_rng(seed)
+    valid = {}
+    for g, (X, y) in sorted(ds.groups.items()):
+        hold = rng.permutation(y.size)[:max(
+            int(round(highdim.HOLDOUT * y.size)), 1)]
+        valid[g] = (X[hold], y[hold])
+    means = [np.concatenate([(y - X @ path_beta[g]) ** 2
+                             for g, (X, y) in valid.items()]).mean()
+             for _, path_beta in solves]
+    best = int(np.argmin(means))
+    assert len(solves) == highdim.LAMBDA_GRID_SIZE
+    assert lam == solves[best][0] and beta is solves[best][1]
+    monkeypatch.setattr(highdim, "group_lasso", solve)
+    assert lam <= choose_lambda(ds, seed=seed, rule="1se")[0]
+    with pytest.raises(ValueError, match="unknown selection rule"):
+        choose_lambda(ds, seed=seed, rule="max")
+
+
 def test_fit_highdim_restriction_matches_lowdim_fit():
     """Rows on the support agree bit-for-bit with fit_tensordg on the
     column-restricted dataset."""

@@ -24,7 +24,6 @@ def test_default_design_counts():
     assert len(pat.body_groups()) == 25
     for t in (1, 2):
         assert len(pat.arm_groups(t)) == 40
-        assert len(pat.arm_groups(t, pat.body[t - 1])) == 25
         assert len(pat.cset_tuples(t)) == 5
 
 
@@ -48,7 +47,7 @@ def test_single_mode_space_arm_is_everything():
     pat = build_pattern((7,), body=[(2, 3)], arm_subsets=[[]])
     assert pat.arm_tuples(1) == [()]
     assert sorted(pat.observed) == [(i,) for i in range(1, 8)]
-    assert pat.arm_groups(1, pat.body[0]) == [(2,), (3,)]
+    assert pat.arm_groups(1) == [(i,) for i in range(1, 8)]
     assert pat.cset_tuples(1) == [()]
 
 

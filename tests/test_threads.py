@@ -28,24 +28,27 @@ def set_cpus(monkeypatch, n):
 @pytest.mark.parametrize("n_items", range(1, 8))
 def test_results_in_input_order_on_contiguous_chunks(monkeypatch, cpus,
                                                      n_items):
+    """One call per share: the shares are contiguous, cover the items in
+    order, are at most one item apart, and each runs on its own thread,
+    the last on the caller's."""
     set_cpus(monkeypatch, cpus)
-    ran_on = {}
+    ran = []
 
-    def square(x):
-        ran_on[x] = threading.current_thread()
-        return x * x
+    def record(share):
+        ran.append((share, threading.current_thread()))
 
-    assert _threads.map_groups(square, range(n_items)) == \
-        [x * x for x in range(n_items)]
-    k = min(cpus, n_items)
-    # one thread per chunk, chunks contiguous and at most one item apart
-    threads = [ran_on[x] for x in range(n_items)]
-    runs = [threads[0]] + [b for a, b in zip(threads, threads[1:])
-                           if a is not b]
-    assert len(runs) == len(set(runs)) == k
-    sizes = [threads.count(t) for t in runs]
+    _threads.map_shares(record, n_items)
+    ran.sort(key=lambda run: run[0].start)
+    shares = [share for share, _ in ran]
+    threads = [thread for _, thread in ran]
+    # shares contiguous over range(n_items), at most one item apart
+    assert [s.start for s in shares] == [0] + [s.stop for s in shares[:-1]]
+    assert shares[-1].stop == n_items
+    sizes = [s.stop - s.start for s in shares]
+    assert len(shares) == min(cpus, n_items)
     assert max(sizes) - min(sizes) <= 1
-    assert threads[-1] is threading.current_thread()   # last chunk: caller
+    assert len(set(threads)) == len(threads)             # one thread each
+    assert threads[-1] is threading.current_thread()     # last: caller
 
 
 def test_one_usable_cpu_runs_serially_without_threads(monkeypatch):
@@ -55,32 +58,41 @@ def test_one_usable_cpu_runs_serially_without_threads(monkeypatch):
         raise AssertionError("a thread was started")
 
     monkeypatch.setattr(_threads.threading, "Thread", no_threads)
-    caller = threading.get_ident()
-    assert _threads.map_groups(lambda x: (x, threading.get_ident()),
-                               range(5)) == [(x, caller) for x in range(5)]
+    ran = []
+    _threads.map_shares(lambda share: ran.append(
+        (share, threading.get_ident())), 5)
+    assert ran == [(slice(0, 5), threading.get_ident())]
 
 
 def test_usable_cpus_is_the_affinity_set():
     assert _threads.usable_cpus() == len(os.sched_getaffinity(0))
 
 
-@pytest.mark.parametrize("bad", [(1, 5), (5, 1), (0, 6), (6, 0), (2, 3)])
+# (the two bad items, the items that ran)
+@pytest.mark.parametrize("bad", [
+    ((1, 5), [0, 3, 4]), ((5, 1), [0, 3, 4]), ((0, 6), [3, 4, 5]),
+    ((6, 0), [3, 4, 5]), ((2, 3), [0, 1, 5, 6])])
 def test_first_failing_item_in_input_order_is_raised(monkeypatch, bad):
-    """Seven items on three threads: chunks [0..2], [3..4], [5..6]."""
+    """Seven items on three threads: shares [0..2], [3..4], [5..6]. Every
+    share runs up to its first bad item, and the error of the first
+    failing share is raised."""
     set_cpus(monkeypatch, 3)
-    first, second = bad
+    (first, second), ran = bad
+    done = []
 
-    def fn(x):
-        if x == first:
-            raise KeyError(x)
-        if x == second:
-            raise ValueError(x)
-        return x
+    def fn(share):
+        for x in range(share.start, share.stop):
+            if x == first:
+                raise KeyError(x)
+            if x == second:
+                raise ValueError(x)
+            done.append(x)
 
     expected = KeyError if first < second else ValueError
     with pytest.raises(expected) as err:
-        _threads.map_groups(fn, range(7))
-    assert err.value.args == (min(bad),)
+        _threads.map_shares(fn, 7)
+    assert err.value.args == (min(first, second),)
+    assert sorted(done) == ran
 
 
 def toy_scenario():
@@ -189,14 +201,19 @@ def test_experiment_workers_run_group_stages_serially(monkeypatch, tmp_path):
 
 def test_many_threads_with_frequent_switches_keep_every_result(monkeypatch):
     """Five threads on fewer cores, switching every microsecond: each item
-    comes back once, in order, and every thread has ended."""
+    is written once, by its own share, and every thread has ended."""
     set_cpus(monkeypatch, 5)
     before = threading.active_count()
+    out = [None] * 400
+
+    def fill(share):
+        for x in range(share.start, share.stop):
+            out[x] = sum(range(x % 50)) + x
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        out = _threads.map_groups(lambda x: sum(range(x % 50)) + x,
-                                  range(400))
+        _threads.map_shares(fill, 400)
     finally:
         sys.setswitchinterval(interval)
     assert out == [sum(range(x % 50)) + x for x in range(400)]
