@@ -82,9 +82,34 @@ def lasso_offset(X, y, offset, lam, tol=GROUP_LASSO_TOL,
 
     Raises ConvergenceError (carrying the final KKT residual) if the
     iteration limit is reached first.
+
+    FISTA stops anywhere within ``tol`` of the minimizer, so its answer
+    moves by up to that much with the last bits of the data. Given its
+    support S and signs s, the minimizer is affine in the data
+    (Tibshirani 2013): with r = y - X offset it solves
+    (X_S'X_S) d = X_S'r - (n lam / 2) s. That exact finish is returned
+    when its signs are s and its lasso_kkt is at most ``tol``; otherwise
+    (also when X_S'X_S is singular) FISTA's solution is.
     """
-    return group_lasso(_offset_stack(X, y, offset), lam, tol=tol,
-                       max_iter=max_iter, history=history)[0]
+    stack = _offset_stack(X, y, offset)
+    delta = group_lasso(stack, lam, tol=tol, max_iter=max_iter,
+                        history=history)[0]
+    support = np.flatnonzero(delta)
+    if not support.size:
+        return delta
+    design, sign = stack.X[0][:, support], np.sign(delta[support])
+    try:
+        exact = np.linalg.solve(
+            design.T @ design,
+            design.T @ stack.y[0] - (0.5 * stack.n_total * lam) * sign)
+    except np.linalg.LinAlgError:
+        return delta
+    finish = np.zeros_like(delta)
+    finish[support] = exact
+    if (np.array_equal(np.sign(exact), sign)
+            and group_lasso_kkt(stack, {0: finish}, lam) <= tol):
+        return finish
+    return delta
 
 
 def lasso_kkt(X, y, offset, delta, lam):

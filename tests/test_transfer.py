@@ -14,7 +14,7 @@ from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
                       fit_tensordg, lasso_kkt, lasso_offset, ols_fit,
                       tensortl, tucker_assemble)
 from tensordg import transfer
-from tensordg.highdim import lambda_grid
+from tensordg.highdim import group_lasso, lambda_grid
 
 from lasso_reference import cd_lasso
 
@@ -442,3 +442,40 @@ def test_tensortl_names_non_finite_target_fuzz(data, bad, in_design, n):
     with pytest.raises(NonFiniteError, match=re.escape(str(g_star))) as info:
         tensortl(model, g_star, X, y)
     assert info.value.where == g_star
+
+
+@pytest.mark.parametrize("seed", [0, 6, 13])
+def test_lasso_offset_is_stable_under_one_ulp_of_offset(seed):
+    """The exact finish makes the offset a smooth function of the data:
+    a 1-ulp change of every offset entry moves delta by rounding only.
+    FISTA alone stops anywhere within its tolerance, and moved delta by
+    1.4e-8 to 2.7e-8 relative on these draws."""
+    rng = np.random.default_rng(seed)
+    n, p = 40, 30
+    X = rng.normal(size=(n, p))
+    offset = rng.normal(size=p)
+    delta = np.zeros(p)
+    delta[:3] = [1.0, -0.7, 0.5]
+    y = X @ (offset + delta) + rng.normal(size=n)
+    lam = default_lambda(p, n)
+    a = lasso_offset(X, y, offset, lam)
+    b = lasso_offset(X, y, np.nextafter(offset, np.inf), lam)
+    assert np.flatnonzero(a).size > 0
+    assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+
+def test_lasso_offset_duplicated_column_falls_back_to_fista():
+    """Two equal columns share the weight, so X_S'X_S is singular: the
+    finish is rejected and FISTA's certified solution is returned."""
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(50, 6))
+    X[:, 4] = X[:, 1]
+    offset = rng.normal(size=6)
+    y = X @ (offset + np.array([0.0, 1.5, 0.0, -1.0, 0.0, 0.0])) \
+        + 0.1 * rng.normal(size=50)
+    lam = 0.1
+    got = lasso_offset(X, y, offset, lam)
+    assert got[1] != 0.0 and got[4] != 0.0
+    fista = group_lasso(transfer._offset_stack(X, y, offset), lam)[0]
+    assert got.tobytes() == fista.tobytes()
+    assert lasso_kkt(X, y, offset, got, lam) <= 1e-8
