@@ -1,16 +1,20 @@
 """Per-group least squares fits, one per observed group.
 
-An LU solve of each group's Gram against [X'y/n | I] gives the
-coefficient and the inverse Gram; each fit stores its noise covariance
-and trace, so no later stage inverts. Every stage reads this one set of
-fits, held as row arrays. The groups are split into contiguous shares,
-one thread per usable CPU (``_threads.map_shares``), and each thread
-solves its share in blocks of FIT_BLOCK groups with one batched LAPACK
-call per block, so a group costs a handful of numpy calls instead of
-about twenty, and the threads wait less on each other for the
-interpreter lock. The batched solve runs the same LAPACK routine on the
-same matrices, so the fits are bitwise equal to a one-group-at-a-time
-loop when BLAS runs single-threaded.
+Each group's Gram G = X'X/n is factored G = LL' (Cholesky), and L is
+inverted by 2x2 block recursion on matmul, since numpy has no
+triangular solve; G^-1 = L^-T L^-1 then gives the coefficient and the
+noise covariance. Each fit stores its noise covariance and trace, so no
+later stage inverts. Every stage reads this one set of fits, held as row
+arrays. The groups are split into contiguous shares, one thread per
+usable CPU (``_threads.map_shares``), and each thread fits its share in
+blocks of FIT_BLOCK groups: one batched call per step and block, so a
+group costs a fraction of a numpy call per step, and the threads wait
+less on each other for the interpreter lock. Every batched call runs the
+same arithmetic on each group's matrices, so the fits are bitwise equal
+to a one-group-at-a-time loop when BLAS runs single-threaded. The trace
+bound kappa_2 <= tr(G) tr(G^-1) certifies most Grams nonsingular; the
+rest, and those whose factorization fails, are decided by their
+eigenvalues.
 """
 
 from dataclasses import dataclass, field
@@ -21,13 +25,17 @@ from ._threads import map_shares
 from .errors import ConditioningError, DimensionError, NonFiniteError
 
 # Gram matrices with smaller relative eigenvalues than this are treated as
-# singular rather than solved.
+# singular rather than fitted.
 GRAM_EIGENVALUE_FLOOR = 1e-10
 
-# Groups per batched solve: blocks of 16 or 32 fitted no faster, and at
-# p = 80 a block's right-hand sides and solution take 0.8 MB of the
-# fitting thread's heap.
+# Groups per batched factorization. At p = 80 a block's factors take
+# 0.4 MB of the fitting thread's heap; blocks of 16 fitted the fit_q3
+# design about 10% faster on two threads, with twice that scratch.
 FIT_BLOCK = 8
+
+# Widest diagonal block of a Cholesky factor that is inverted by forward
+# substitution; wider factors are split in halves (_leaves).
+INV_LEAF = 16
 
 
 @dataclass(frozen=True)
@@ -97,25 +105,84 @@ def _fail(error, message, group):
                 where=group)
 
 
+def _leaves(p):
+    """(width, levels): the factor of a p x p Gram is inverted as a
+    width * 2**levels square, the fewest levels whose leaf width is at
+    most INV_LEAF. That square exceeds p by fewer than 2**levels rows."""
+    levels = (-(-p // INV_LEAF) - 1).bit_length()
+    return -(-p // 2 ** levels), levels
+
+
+def _diagonal_blocks(a, width):
+    """Writable view (k, m, width, width) of the m diagonal blocks of
+    width ``width`` of the C-contiguous (k, m * width, m * width) array
+    ``a``."""
+    k, size, _ = a.shape
+    s0, s1, s2 = a.strides
+    return np.ndarray((k, size // width, width, width), a.dtype, a, 0,
+                      (s0, width * (s1 + s2), s1, s2))
+
+
+def _invert_lower(L, width, levels):
+    """Invert the C-contiguous lower triangular (k, P, P) stack L in
+    place, P = width * 2**levels, by 2x2 block recursion (Higham 2002,
+    sec. 14.2):
+
+        [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]].
+
+    The leaves, the diagonal blocks of width ``width``, are inverted
+    together by forward substitution. A leaf is T = D (I - N), D its
+    diagonal and N strictly lower, so T^-1 = U D^-1 with U = I + N U:
+    below the diagonal, row i of U is row i of N times the rows of U
+    above it, one matmul per row for all leaves at once (in place; numpy
+    buffers the overlapping operands). So the inverse is exactly
+    triangular and no LAPACK inverse or solve is called. Each level up
+    then stacks the equal-sized halves of all its diagonal blocks into
+    one pair of matmuls.
+    """
+    leaves = _diagonal_blocks(L, width)
+    diag = range(width)
+    pivots = leaves[:, :, diag, diag]
+    np.divide(leaves, -pivots[..., None], out=leaves)
+    leaves[:, :, diag, diag] = 1.0
+    for i in range(1, width):
+        np.matmul(leaves[:, :, i, None, :i], leaves[:, :, :i, :i],
+                  out=leaves[:, :, i, None, :i])
+    np.divide(leaves, pivots[:, :, None], out=leaves)
+    for level in range(levels):
+        h = width << level
+        blocks = _diagonal_blocks(L, 2 * h)
+        lower = blocks[..., h:, :h]
+        np.negative(blocks[..., h:, h:] @ (lower @ blocks[..., :h, :h]),
+                    out=lower)
+
+
 def _fit_rows(data, out, groups):
-    """Least squares for a run of groups, one LU solve per block of them.
+    """Least squares for a run of groups, one Cholesky factor per group.
 
     ``data`` holds each group's (X, y) and ``out`` the run's rows of the
     ``_empty_fits`` arrays, which are filled. Each block of at most
-    FIT_BLOCK groups solves its Grams G = X'X/n against [X'y/n | I] in
-    one batched ``np.linalg.solve``, which runs LAPACK on each matrix as
-    a single solve would, so every fit is bitwise that of a run of one.
-    The right-hand sides are allocated once per run, and the block's
-    Grams are held in its not yet written noise_cov rows.
+    FIT_BLOCK groups factors its Grams G = X'X/n = LL' in one batched
+    ``np.linalg.cholesky`` and inverts the factors in place by block
+    recursion (``_invert_lower``). Then G^-1 = L^-T L^-1, written over
+    the Gram in the block's noise_cov rows, gives coef = G^-1 X'y/n, and
+    scaled by sigma2/n it is the noise covariance. Every call on a block
+    runs the same arithmetic on each group's matrices, so every fit is
+    bitwise that of a run of one. When p is not a leaf width times a
+    power of two, the Grams are factored padded with an identity block,
+    whose factor and inverse are that identity exactly; the padded Grams
+    are held in one buffer per run.
 
     G is singular when its smallest eigenvalue is at most
     GRAM_EIGENVALUE_FLOOR times its largest. The eigenvalues are only
-    computed when the solve does not certify that they are not: for
-    symmetric G, kappa_2 <= kappa_1 = ||G||_1 ||G^-1||_1, and kappa_1
-    below 1 / (2 GRAM_EIGENVALUE_FLOOR) leaves a factor two for rounding.
-    A group with n <= p or a singular G raises DimensionError or
-    ConditioningError naming its entry of ``groups`` (None names none);
-    of several, the first in the run.
+    computed when the inverse does not certify that they are not:
+    kappa_2 <= tr(G) tr(G^-1), and that product below
+    1 / (2 GRAM_EIGENVALUE_FLOOR) leaves a factor two for rounding. A
+    block whose factorization fails is refitted one group at a time, and
+    a group whose factorization fails is singular. A group with n <= p
+    or a singular G raises DimensionError or ConditioningError naming its
+    entry of ``groups`` (None names none); of several, the first in the
+    run.
     """
     coef, sigma2, n, noise_trace, xtx, noise_cov = out
     G, p = coef.shape
@@ -126,51 +193,59 @@ def _fit_rows(data, out, groups):
         if j:      # the groups ahead of it may fail first
             _fit_rows(data[:j], [a[:j] for a in out], groups[:j])
         _fail(DimensionError, f"need n > p, got n={n[j]}, p={p}", groups[j])
-    rhs_buf, eye = np.empty((min(G, FIT_BLOCK), p, p + 1)), np.eye(p)
+    width, levels = _leaves(p)
+    padded = width << levels
+    if padded > p:
+        pad = np.zeros((min(G, FIT_BLOCK), padded, padded))
+        pad[:, range(p, padded), range(p, padded)] = 1.0
+    xty = np.empty((min(G, FIT_BLOCK), p, 1))
     for start in range(0, G, FIT_BLOCK):
         rows = slice(start, min(start + FIT_BLOCK, G))
-        rhs = rhs_buf[:rows.stop - start]
-        for j, (X, y) in enumerate(data[rows], start):
-            np.matmul(X.T, X, out=xtx[j])
-            np.divide(X.T @ y, n[j], out=rhs[j - start, :, 0])
-        rhs[:, :, 1:] = eye
-        gram = np.divide(xtx[rows], n[rows, None, None], out=noise_cov[rows])
+        k = rows.stop - start
+        for j, (X, y) in enumerate(data[rows]):
+            np.matmul(X.T, X, out=xtx[start + j])
+            np.divide(X.T @ y, n[start + j], out=xty[j, :, 0])
+        gram = noise_cov[rows] if padded == p else pad[:k]
+        np.divide(xtx[rows], n[rows, None, None], out=gram[:, :p, :p])
+        trace = np.trace(gram[:, :p, :p], axis1=1, axis2=2)
         try:
-            sol = np.linalg.solve(gram, rhs)
+            L = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
-            # an exactly singular Gram: one group at a time finds the first
+            # not positive definite: one group at a time finds the first
             if G == 1:
-                _check_gram(gram[0], groups[0], solved=False)
+                _check_gram(gram[0, :p, :p], groups[0], factored=False)
             for j in range(start, rows.stop):
                 _fit_rows(data[j:j + 1], [a[j:j + 1] for a in out],
                           groups[j:j + 1])
             continue
-        inv, scratch = sol[:, :, 1:], rhs[:, :, 1:]   # [X'y/n | I] is spent
-        kappa1 = (np.abs(gram, out=scratch).sum(axis=1).max(axis=1)
-                  * np.abs(inv, out=scratch).sum(axis=1).max(axis=1))
-        for j in np.flatnonzero(~(kappa1 * GRAM_EIGENVALUE_FLOOR < 0.5)):
-            _check_gram(gram[j], groups[start + j])
-        coef[rows] = sol[:, :, 0]
+        _invert_lower(L, width, levels)
+        inv_factor = L[:, :p, :p]
+        inv = np.matmul(inv_factor.swapaxes(1, 2), inv_factor,
+                        out=noise_cov[rows])
+        trace *= np.trace(inv, axis1=1, axis2=2)
+        for j in np.flatnonzero(~(trace * GRAM_EIGENVALUE_FLOOR < 0.5)):
+            _check_gram(xtx[start + j] / n[start + j], groups[start + j])
+        np.matmul(inv, xty[:k], out=coef[rows, :, None])
         for j, (X, y) in enumerate(data[rows], start):
             sigma2[j] = np.sum((y - X @ coef[j]) ** 2)
         sigma2[rows] /= n[rows] - p
-        np.multiply(inv, (sigma2[rows] / n[rows])[:, None, None], out=gram)
-        del sol, inv    # one block's solution alive at a time
+        inv *= (sigma2[rows] / n[rows])[:, None, None]
+        del L, inv_factor   # one block's factor alive at a time
     np.trace(noise_cov, axis1=1, axis2=2, out=noise_trace)
 
 
-def _check_gram(gram, group, solved=True):
+def _check_gram(gram, group, factored=True):
     """Raise ConditioningError naming ``group`` when the Gram's eigenvalues
-    show it singular, or when its solve failed."""
+    show it singular, or when its factorization failed."""
     eig = np.linalg.eigvalsh(gram)
-    if not solved or eig[0] <= GRAM_EIGENVALUE_FLOOR * max(eig[-1], 0.0):
+    if not factored or eig[0] <= GRAM_EIGENVALUE_FLOOR * max(eig[-1], 0.0):
         _fail(ConditioningError,
               f"design Gram is numerically singular "
               f"(eigenvalue ratio {eig[0] / max(eig[-1], 1e-300):.2e})", group)
 
 
 def ols_fit(X, y):
-    """Least squares via the normal equations with a pivoted (LU) solve.
+    """Least squares via the normal equations and a Cholesky factor.
 
     Returns (coef, gram, sigma2) where gram = X'X/n and sigma2 is the
     residual variance on n - p degrees of freedom. The fit is a block of
@@ -232,7 +307,7 @@ def fit_all(ds, pattern):
     ``_threads.map_shares`` splits the groups into contiguous shares, one
     thread per usable CPU, and each thread passes its share to
     ``_fit_rows``, which fits it in blocks of at most FIT_BLOCK groups,
-    one batched solve per block. The threads call only the
+    one batched factorization per block. The threads call only the
     private ``_fit_rows``, never ``ols_fit``, so the public functions
     that ``perfbench/spans.py`` wraps by name stay on the calling thread.
     That thread allocates every output row array the blocks fill, so that

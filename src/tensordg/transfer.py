@@ -10,10 +10,12 @@ residuals on the target design:
 solved by highdim.group_lasso on a one-group stack: with one group a
 row norm is |delta_j|, so the group-lasso objective is this one, and
 its monotone FISTA with a KKT stop is the package's one sparse solver.
-The returned coefficient is gamma_hat = beta_hat + delta_hat, which
-degrades gracefully: with no usable target signal the lasso shrinks
-delta to zero and the answer falls back to the completed tensor's
-coefficient. The stopping settings (``tol``, an absolute KKT
+lasso_offset then finishes with one exact solve on FISTA's support and
+signs, so a last-bit change of the data moves the offset by rounding,
+not by up to the solver's tolerance. The returned coefficient is
+gamma_hat = beta_hat + delta_hat, which degrades gracefully: with no
+usable target signal the lasso shrinks delta to zero and the answer
+falls back to the completed tensor's coefficient. The stopping settings (``tol``, an absolute KKT
 residual, ``max_iter`` and ``history``) belong to lasso_offset alone;
 cross_validate_lambda and tensortl solve at group_lasso's defaults.
 """
@@ -191,8 +193,10 @@ def tensortl(model, g_star, X, y, lam=None, cv=False, seed=0):
     TransferResult(gamma_hat = beta_hat + delta_hat, ...). When ``lam``
     is omitted the penalty defaults to default_lambda, or to the
     cross-validated choice (folds seeded by ``seed``) when ``cv`` is
-    set. Raises NonFiniteError naming ``g_star`` when the target data
-    hold NaN or infinite values.
+    set. The offset is lasso_offset's, so it is the exact finish on
+    FISTA's support when that certifies, else FISTA's own solution.
+    Raises NonFiniteError naming ``g_star`` when the target data hold
+    NaN or infinite values.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()

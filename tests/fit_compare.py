@@ -4,7 +4,8 @@ A fit's output is its decisions and its numbers, not the last bits of
 its floats, so a refactor that only changes the order of a sum or the
 memory layout of an operand is judged by this rule:
 
-- Decisions are equal: every int, bool, str and set, such as the ranks,
+- Decisions are equal: every int, bool, str and set, and every array of
+  them (with its dtype), such as the ranks, the group sizes, the index,
   the support, the rank-floored and ``generalizability`` flags and
   ranks. Convergence is one too: a solve that raises ConvergenceError
   on one side only fails the comparison.
@@ -62,6 +63,9 @@ def assert_same_fit(new, old, where="fit"):
             assert_same_fit(a, b, f"{where}[{k}]")
     elif np.asarray(old).dtype.kind == "f":
         assert_close(new, old, where)
+    elif isinstance(old, np.ndarray):
+        assert isinstance(new, np.ndarray) and new.dtype == old.dtype \
+            and np.array_equal(new, old), f"{where}: {new!r} != {old!r}"
     else:
         assert new == old, f"{where}: {new!r} != {old!r}"
 

@@ -1,6 +1,6 @@
-"""Per-group fits solved in blocks: bitwise the one-solve-per-group
-reference, errors in ``observed_list`` order, one solve per block on
-even thread shares."""
+"""Per-group fits from Cholesky factors in blocks: bitwise runs of one,
+what the user sees of the LU reference, errors in ``observed_list``
+order, one factorization per block on even thread shares."""
 
 import re
 import threading
@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 
 import regression_reference as ref
+from fit_compare import assert_same_fit
 from tensordg import (ConditioningError, DimensionError, ScenarioConfig,
                       build_pattern, fit_all, make_scenario, ols_fit)
-from tensordg.regression import FIT_BLOCK, GroupedDataset
+from tensordg.regression import (FIT_BLOCK, GroupedDataset, _empty_fits,
+                                 _fit_rows, _invert_lower, _leaves)
 from test_threads import Q3, SMALL, set_cpus
-
-FIELDS = ("coef", "noise_cov", "noise_trace", "sigma2", "n", "index",
-          "pooled")
 
 
 @pytest.fixture(scope="module")
@@ -40,17 +39,14 @@ def designs():
             "unequal_n": (unequal, reference.pattern)}
 
 
-def assert_bitwise_reference(ds, pattern):
-    new, old = fit_all(ds, pattern), ref.fit_all(ds, pattern)
-    assert new.groups == old.groups
-    for name in FIELDS:
-        a, b = getattr(new, name), getattr(old, name)
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert a.tobytes() == b.tobytes(), name
+def assert_same_as_reference(ds, pattern):
+    """fit_all and ols_fit show the user what the one-LU-solve-per-group
+    reference does (fit_compare): the Cholesky fits differ from it in
+    the last bits only."""
+    assert_same_fit(fit_all(ds, pattern), ref.fit_all(ds, pattern))
     for g in pattern.observed_list():
-        for a, b in zip(ols_fit(*ds.groups[g]), ref.ols_fit(*ds.groups[g])):
-            assert type(a) is type(b)
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert_same_fit(ols_fit(*ds.groups[g]), ref.ols_fit(*ds.groups[g]),
+                        f"ols_fit{g}")
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -58,7 +54,7 @@ def assert_bitwise_reference(ds, pattern):
 def test_block_fits_equal_the_per_group_reference_bitwise(
         monkeypatch, designs, name, cpus):
     set_cpus(monkeypatch, cpus)
-    assert_bitwise_reference(*designs[name])
+    assert_same_as_reference(*designs[name])
 
 
 def test_fewer_groups_than_threads_bitwise(monkeypatch):
@@ -69,7 +65,49 @@ def test_fewer_groups_than_threads_bitwise(monkeypatch):
                          for g in pattern.observed_list()})
     assert len(ds.groups) < 8
     set_cpus(monkeypatch, 8)
-    assert_bitwise_reference(ds, pattern)
+    assert_same_as_reference(ds, pattern)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("name", ["reference", "fit_q3", "unequal_n"])
+def test_block_fits_equal_runs_of_one_bitwise(monkeypatch, designs, name,
+                                              cpus):
+    """Every fit is bitwise that of a run of one group, whatever the
+    block it was factored in and the thread that fitted it."""
+    set_cpus(monkeypatch, cpus)
+    ds, pattern = designs[name]
+    est = fit_all(ds, pattern)
+    for row, g in enumerate(pattern.observed_list()):
+        coef, sigma2, n, noise_trace, xtx, noise_cov = out = _empty_fits(
+            1, ds.p)
+        _fit_rows([ds.groups[g]], out, [g])
+        for got, want in ((est.coef[row], coef[0]),
+                          (est.sigma2[row], sigma2[0]), (est.n[row], n[0]),
+                          (est.noise_trace[row], noise_trace[0]),
+                          (est.noise_cov[row], noise_cov[0])):
+            assert got.tobytes() == want.tobytes(), g
+        assert ols_fit(*ds.groups[g])[0].tobytes() == coef[0].tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 6, 16, 17, 33, 60, 80, 100, 150])
+def test_inverse_factor_by_block_recursion(p):
+    """The recursion inverts a Cholesky factor to rounding, exactly lower
+    triangular, also where p is padded to a leaf width times a power of
+    two (17, 33, 100 and 150)."""
+    rng = np.random.default_rng(p)
+    X = rng.normal(size=(3, 2 * p + 5, p))
+    L = np.linalg.cholesky(X.swapaxes(1, 2) @ X / X.shape[1])
+    width, levels = _leaves(p)
+    padded = np.zeros((3, width << levels, width << levels))
+    padded[:] = np.eye(width << levels)
+    padded[:, :p, :p] = L
+    _invert_lower(padded, width, levels)
+    assert np.array_equal(padded[:, p:], np.eye(width << levels)[p:][None]
+                          .repeat(3, axis=0))
+    inv = padded[:, :p, :p]
+    assert np.array_equal(inv, np.tril(inv))
+    want = np.linalg.inv(L)
+    assert np.abs(inv - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def small_scenario():
@@ -83,16 +121,17 @@ def too_few(X, y):
 
 
 def near_singular(X, y):
-    """Numerically singular: the solve succeeds, the certificate fails
-    and the eigenvalues decide."""
+    """Numerically singular (eigenvalue ratio about 1e-13): the
+    factorization succeeds, the certificate fails and the eigenvalues
+    decide."""
     X = np.array(X)
-    X[:, 1] = X[:, 0] + 1e-9 * X[:, 2]
+    X[:, 1] = X[:, 0] + 1e-6 * np.random.default_rng(0).normal(size=len(y))
     return X, y
 
 
 def exactly_singular(X, y):
     """A zero column: LAPACK meets an exactly zero pivot and the batched
-    solve raises LinAlgError for the whole block."""
+    factorization raises LinAlgError for the whole block."""
     X = np.array(X)
     X[:, 3] = 0.0
     return X, y
@@ -101,23 +140,23 @@ def exactly_singular(X, y):
 def fit_with(sc, bad):
     """fit_all with the groups at observed positions ``bad`` (a dict
     position -> corruption) replaced; returns the error and the shapes
-    of the solves that raised LinAlgError."""
+    of the factorizations that raised LinAlgError."""
     observed = sc.pattern.observed_list()
     groups = dict(sc.train.groups)
     for i, corrupt in bad.items():
         groups[observed[i]] = corrupt(*groups[observed[i]])
     raised = []
-    solve = np.linalg.solve
+    cholesky = np.linalg.cholesky
 
-    def recorded(a, b):
+    def recorded(a):
         try:
-            return solve(a, b)
+            return cholesky(a)
         except np.linalg.LinAlgError:
             raised.append(a.shape)
             raise
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.linalg, "solve", recorded)
+        patch.setattr(np.linalg, "cholesky", recorded)
         with pytest.raises((ConditioningError, DimensionError)) as err:
             fit_all(GroupedDataset(groups), sc.pattern)
     return err.value, raised
@@ -143,8 +182,8 @@ def test_first_failing_group_in_a_block_is_named(monkeypatch, cpus, first,
 @pytest.mark.parametrize("ahead", [None, near_singular])
 def test_exactly_singular_group_mid_block_is_refitted_alone(monkeypatch,
                                                             ahead):
-    """The batched solve raises for the block; the block is re-fitted one
-    group at a time, which names the first failing group, whether that is
+    """The batched factorization raises for the block; the block is
+    re-fitted one group at a time, which names the first failing group, whether that is
     the exactly singular one or a numerically singular one ahead of it."""
     set_cpus(monkeypatch, 1)
     sc = small_scenario()
@@ -165,19 +204,23 @@ def test_exactly_singular_group_mid_block_is_refitted_alone(monkeypatch,
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_one_solve_per_block_on_even_thread_shares(monkeypatch, designs,
                                                    cpus):
-    """fit_q3's 118 groups: each thread solves an even share of them in
-    blocks of at most FIT_BLOCK, one np.linalg.solve call per block (the
-    per-group fits made 118 calls)."""
+    """fit_q3's 118 groups: each thread fits an even share of them in
+    blocks of at most FIT_BLOCK, one np.linalg.cholesky call per block
+    (the per-group fits made 118 calls), and no np.linalg.solve."""
     set_cpus(monkeypatch, cpus)
     ds, pattern = designs["fit_q3"]
     calls = []
-    solve = np.linalg.solve
+    cholesky = np.linalg.cholesky
 
-    def counted(a, b):
+    def counted(a):
         calls.append((threading.current_thread(), len(a)))
-        return solve(a, b)
+        return cholesky(a)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    def no_solve(*args):
+        raise AssertionError("np.linalg.solve was called")
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
     fit_all(ds, pattern)
     G = len(pattern.observed_list())
     shares = [G // cpus + (i < G % cpus) for i in range(cpus)]
