@@ -64,8 +64,8 @@ def unfold_blocks(est, pattern, t):
 
     Returns (joint, target). For t >= 1 the target block stacks the arm
     tuples against every level of mode t, and the joint block is its
-    body-level columns, copied C-contiguous; rows are arm tuples crossed
-    with the coefficient index, in lexicographic order. Mode 0 returns
+    body-level columns; rows are arm tuples crossed with the coefficient
+    index, in lexicographic order. Mode 0 returns
     the observed-group coefficient stack as both blocks.
     """
     if t == 0:
@@ -76,7 +76,7 @@ def unfold_blocks(est, pattern, t):
     target = stack_block(est, pattern.arm_tuples(t), t,
                          range(1, pattern.space[t - 1] + 1))[0]
     body = np.asarray(pattern.body[t - 1]) - 1
-    return np.ascontiguousarray(target[:, body]), target
+    return target[:, body], target
 
 
 def estimate_loading(t, b_joint, b_target, basis):
