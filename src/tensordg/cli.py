@@ -146,8 +146,10 @@ def cmd_experiment(args):
     cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items()
                                       if v is not None})
     records = run_experiment(cfg)
-    write_metrics_csv(args.out, records, summaries=not args.no_summaries)
-    for row in summarize(records):
+    summaries = summarize(records)
+    write_metrics_csv(args.out, records + ([] if args.no_summaries
+                                           else summaries), summaries=False)
+    for row in summaries:
         if row.rep != "mean":
             continue
         cell = f"{row.cell_param}={row.cell_value}" if row.cell_value \

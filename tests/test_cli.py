@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from tensordg import CSV_HEADER, cli, load_model, load_pattern
+from tensordg import CSV_HEADER, cli, experiments, load_model, load_pattern
 from tensordg.cli import main
 from tensordg.tensor import load_tensor
 from tensordg.transfer import DEFAULT_C0
@@ -176,6 +176,40 @@ def test_experiment_without_summaries_writes_replication_rows(tmp_path):
     assert header == CSV_HEADER
     assert len(rows) == 2 * 2
     assert [row[2] for row in rows] == ["0", "0", "1", "1"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-summaries"]])
+def test_experiment_summarizes_once(tmp_path, capsys, monkeypatch, extra):
+    """One summarize call per command: the CSV's summary rows and the
+    printed mean lines are the same records."""
+    calls = []
+    summarize = experiments.summarize
+
+    def spy(records):
+        calls.append(len(records))
+        return summarize(records)
+
+    monkeypatch.setattr(experiments, "summarize", spy)
+    monkeypatch.setattr(cli, "summarize", spy)
+    cfg_path = tmp_path / "experiment.json"
+    cfg_path.write_text(json.dumps({
+        "name": "cli-unit", "methods": ["tensordg", "ols"],
+        "replications": 2, "seed": 5,
+        "scenario": dict(EXPERIMENT_SCENARIO, noise_std=1.0)}))
+    out_path = tmp_path / "metrics.csv"
+    assert main(["experiment", "--config", str(cfg_path),
+                 "--out", str(out_path), *extra]) == 0
+    assert calls == [4]
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if "mean_al2e=" in line]
+    assert len(printed) == 2
+    with open(out_path, newline="") as handle:
+        means = [row for row in csv.DictReader(handle)
+                 if row["rep"] == "mean"]
+    assert len(means) == (0 if extra else 2)
+    for row in means:
+        assert f"{row['method']}: mean_al2e={float(row['al2e']):.4f}" in \
+            "\n".join(printed)
 
 
 def test_experiment_with_a_scenario_seed_writes_nothing(tmp_path, capsys):
