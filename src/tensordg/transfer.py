@@ -15,9 +15,10 @@ signs, so a last-bit change of the data moves the offset by rounding,
 not by up to the solver's tolerance. The returned coefficient is
 gamma_hat = beta_hat + delta_hat, which degrades gracefully: with no
 usable target signal the lasso shrinks delta to zero and the answer
-falls back to the completed tensor's coefficient. The stopping settings (``tol``, an absolute KKT
-residual, ``max_iter`` and ``history``) belong to lasso_offset alone;
-cross_validate_lambda and tensortl solve at group_lasso's defaults.
+falls back to the completed tensor's coefficient. The stopping settings
+(``tol``, an absolute KKT residual, ``max_iter`` and ``history``) belong
+to lasso_offset alone; cross_validate_lambda and tensortl solve at
+group_lasso's defaults.
 """
 
 import math

@@ -61,8 +61,8 @@ def unfold_blocks(est, pattern, t):
     Returns (joint, target). For t >= 1 the target block stacks the arm
     tuples against every level of mode t, and the joint block is its
     body-level columns; rows are arm tuples crossed with the coefficient
-    index, in lexicographic order. Mode 0 returns
-    the observed-group coefficient stack as both blocks.
+    index, in lexicographic order. Mode 0 returns the observed-group
+    coefficient stack as both blocks.
     """
     if t == 0:
         stack = np.vstack([est.tilde[g].coef

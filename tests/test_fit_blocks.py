@@ -21,9 +21,11 @@ from test_threads import Q3, SMALL, set_cpus
 @pytest.fixture(scope="module")
 def designs():
     """The reference design, the benchmark's fit_q3 design (118 groups,
-    two thread shares of 59, neither a multiple of FIT_BLOCK), and the
-    reference design with unequal n per group."""
+    two thread shares of 59, neither a multiple of FIT_BLOCK), the
+    reference design with unequal n per group, and one at p = 33, whose
+    Grams are factored padded to 36 columns."""
     reference = make_scenario(ScenarioConfig(seed=3), 1)
+    padded = make_scenario(ScenarioConfig(seed=4, p=33, n=60), 1)
     q3 = make_scenario(ScenarioConfig(seed=5, **Q3), 1)
     groups = dict(reference.train.groups)
     p = reference.train.p
@@ -36,7 +38,8 @@ def designs():
     assert len(set(unequal.groups[g][1].size for g in groups)) > 10
     return {"reference": (reference.train, reference.pattern),
             "fit_q3": (q3.train, q3.pattern),
-            "unequal_n": (unequal, reference.pattern)}
+            "unequal_n": (unequal, reference.pattern),
+            "padded": (padded.train, padded.pattern)}
 
 
 def assert_same_as_reference(ds, pattern):
@@ -69,7 +72,8 @@ def test_fewer_groups_than_threads_bitwise(monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("name", ["reference", "fit_q3", "unequal_n"])
+@pytest.mark.parametrize("name", ["reference", "fit_q3", "unequal_n",
+                                  "padded"])
 def test_block_fits_equal_runs_of_one_bitwise(monkeypatch, designs, name,
                                               cpus):
     """Every fit is bitwise that of a run of one group, whatever the
@@ -98,12 +102,11 @@ def test_inverse_factor_by_block_recursion(p):
     X = rng.normal(size=(3, 2 * p + 5, p))
     L = np.linalg.cholesky(X.swapaxes(1, 2) @ X / X.shape[1])
     width, levels = _leaves(p)
-    padded = np.zeros((3, width << levels, width << levels))
-    padded[:] = np.eye(width << levels)
+    eye = np.eye(width << levels)
+    padded = np.array([eye] * 3)
     padded[:, :p, :p] = L
     _invert_lower(padded, width, levels)
-    assert np.array_equal(padded[:, p:], np.eye(width << levels)[p:][None]
-                          .repeat(3, axis=0))
+    assert all(np.array_equal(rows, eye[p:]) for rows in padded[:, p:])
     inv = padded[:, :p, :p]
     assert np.array_equal(inv, np.tril(inv))
     want = np.linalg.inv(L)
@@ -162,6 +165,23 @@ def fit_with(sc, bad):
     return err.value, raised
 
 
+@pytest.mark.parametrize("corrupt", [None, near_singular,
+                                     exactly_singular])
+def test_padded_factor_decides_like_the_reference(corrupt):
+    """At p = 33 the Gram is factored padded to 36 columns: the fit is
+    the LU reference's to fit_compare's tolerance, and a singular design
+    raises ConditioningError there as in the reference."""
+    rng = np.random.default_rng(33)
+    X, y = rng.normal(size=(80, 33)), rng.normal(size=80)
+    if corrupt is None:
+        assert_same_fit(ols_fit(X, y), ref.ols_fit(X, y))
+        return
+    X, y = corrupt(X, y)
+    for fit in (ols_fit, ref.ols_fit):
+        with pytest.raises(ConditioningError):
+            fit(X, y)
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("first, second", [(near_singular, too_few),
                                            (too_few, near_singular)])
@@ -183,8 +203,9 @@ def test_first_failing_group_in_a_block_is_named(monkeypatch, cpus, first,
 def test_exactly_singular_group_mid_block_is_refitted_alone(monkeypatch,
                                                             ahead):
     """The batched factorization raises for the block; the block is
-    re-fitted one group at a time, which names the first failing group, whether that is
-    the exactly singular one or a numerically singular one ahead of it."""
+    re-fitted one group at a time, which names the first failing group,
+    whether that is the exactly singular one or a numerically singular
+    one ahead of it."""
     set_cpus(monkeypatch, 1)
     sc = small_scenario()
     bad = {4: exactly_singular, 7: near_singular}
