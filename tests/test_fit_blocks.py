@@ -23,7 +23,7 @@ def designs():
     """The reference design, the benchmark's fit_q3 design (118 groups,
     two thread shares of 59, neither a multiple of FIT_BLOCK), the
     reference design with unequal n per group, and one at p = 33, whose
-    Grams are factored padded to 36 columns."""
+    Grams are factored padded to 40 columns."""
     reference = make_scenario(ScenarioConfig(seed=3), 1)
     padded = make_scenario(ScenarioConfig(seed=4, p=33, n=60), 1)
     q3 = make_scenario(ScenarioConfig(seed=5, **Q3), 1)
@@ -97,7 +97,7 @@ def test_block_fits_equal_runs_of_one_bitwise(monkeypatch, designs, name,
 def test_inverse_factor_by_block_recursion(p):
     """The recursion inverts a Cholesky factor to rounding, exactly lower
     triangular, also where p is padded to a leaf width times a power of
-    two (17, 33, 100 and 150)."""
+    two (all but 1, 6, 16 and 80)."""
     rng = np.random.default_rng(p)
     X = rng.normal(size=(3, 2 * p + 5, p))
     L = np.linalg.cholesky(X.swapaxes(1, 2) @ X / X.shape[1])
@@ -168,7 +168,7 @@ def fit_with(sc, bad):
 @pytest.mark.parametrize("corrupt", [None, near_singular,
                                      exactly_singular])
 def test_padded_factor_decides_like_the_reference(corrupt):
-    """At p = 33 the Gram is factored padded to 36 columns: the fit is
+    """At p = 33 the Gram is factored padded to 40 columns: the fit is
     the LU reference's to fit_compare's tolerance, and a singular design
     raises ConditioningError there as in the reference."""
     rng = np.random.default_rng(33)
