@@ -209,7 +209,7 @@ def _fit_rows(data, out, groups):
             np.divide(X.T @ y, n[start + j], out=xty[j, :, 0])
         gram = noise_cov[rows] if padded == p else pad[:k]
         np.divide(xtx[rows], n[rows, None, None], out=gram[:, :p, :p])
-        trace = np.trace(gram[:, :p, :p], axis1=1, axis2=2)
+        kappa = np.trace(gram[:, :p, :p], axis1=1, axis2=2)
         try:
             L = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
@@ -224,8 +224,8 @@ def _fit_rows(data, out, groups):
         inv_factor = L[:, :p, :p]
         inv = np.matmul(inv_factor.swapaxes(1, 2), inv_factor,
                         out=noise_cov[rows])
-        trace *= np.trace(inv, axis1=1, axis2=2)
-        for j in np.flatnonzero(~(trace * GRAM_EIGENVALUE_FLOOR < 0.5)):
+        kappa *= np.trace(inv, axis1=1, axis2=2)     # >= kappa_2 of G
+        for j in np.flatnonzero(~(kappa * GRAM_EIGENVALUE_FLOOR < 0.5)):
             _check_gram(xtx[start + j] / n[start + j], groups[start + j])
         np.matmul(inv, xty[:k], out=coef[rows, :, None])
         for j, (X, y) in enumerate(data[rows], start):
