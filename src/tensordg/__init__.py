@@ -4,7 +4,7 @@ from .baselines import (maximin, meta_lm_star, pooled_gram, projected_ols,
                         shared_subspace)
 from .completion import (CompletionModel, diagnose_generalizability,
                          estimate_loading, fit_tensordg, load_model,
-                         save_model, unfold_blocks)
+                         save_model)
 from .datasets import IngestResult, ingest_csv, write_csv
 from .errors import (ConditioningError, ConvergenceError, DimensionError,
                      NonFiniteError)
@@ -19,7 +19,7 @@ from .regression import (GroupedDataset, GroupEstimates, GroupFit, fit_all,
                          ols_fit)
 from .simulate import (Scenario, ScenarioConfig, default_pattern,
                        generate_data, generate_tensor, make_scenario)
-from .spectral import ModeSpectrum, mode_gram, spectral_step
+from .spectral import ModeSpectrum, arm_blocks, mode_gram, spectral_step
 from .transfer import (TransferResult, cross_validate_lambda,
                        default_lambda, lasso_kkt, lasso_offset, tensortl)
 from .tensor import (DenseTensor, load_tensor, matricize, mode_product,

@@ -2,8 +2,9 @@
 
 The fit proceeds in three steps: per-group least squares on the observed
 blocks, spectral selection of per-mode ranks and bases, then one linear
-solve per mode that transports the body coefficients out along each arm.
-The result is a completed coefficient tensor covering every group in the
+solve per mode that transports the body coefficients out along each arm,
+on one cross-product per mode; the diagnostic reads each arm's Gram. The
+result is a completed coefficient tensor covering every group in the
 space, including combinations with no samples at all.
 """
 
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DimensionError
-from .patterns import pattern_from_config, pattern_to_config
+from .patterns import group_key, pattern_from_config, pattern_to_config
 from .regression import GroupEstimates, fit_all
-from .spectral import floor_rank, spectral_step, stack_block
+from .spectral import arm_blocks, floor_rank, spectral_step
 from .tensor import DenseTensor, load_tensor, mode_product, save_tensor, \
     tucker_assemble
 
@@ -41,7 +42,7 @@ class CompletionModel:
 
     def coefficient(self, group):
         """Coefficient vector for one group, observed or not."""
-        group = tuple(int(i) for i in group)
+        group = group_key(group)
         if len(group) != self.pattern.q:
             raise DimensionError(
                 f"group {group} has {len(group)} coords, expected {self.pattern.q}")
@@ -59,40 +60,22 @@ class CompletionModel:
         return x @ coef
 
 
-def unfold_blocks(est, pattern, t):
-    """Stacked estimate blocks used by the mode-t transport solve.
-
-    Returns (joint, target). For t >= 1 the target block stacks the arm
-    tuples against every level of mode t, and the joint block is its
-    body-level columns; rows are arm tuples crossed with the coefficient
-    index, in lexicographic order. Mode 0 returns the observed-group
-    coefficient stack as both blocks.
-    """
-    if t == 0:
-        stack = est.coef[est.rows(pattern.observed_list())]
-        return stack, stack
-    if not 1 <= t <= pattern.q:
-        raise ValueError(f"mode {t} out of range 0..{pattern.q}")
-    target = stack_block(est, pattern.arm_tuples(t), t,
-                         range(1, pattern.space[t - 1] + 1))[0]
-    body = np.asarray(pattern.body[t - 1]) - 1
-    return target[:, body], target
-
-
-def estimate_loading(t, b_joint, b_target, basis):
+def estimate_loading(t, cross, body, basis):
     """Solve the mode-t transport system on the selected basis.
 
+    ``cross`` is C = M'M of the mode-t stack M and ``body`` indexes its
+    joint (body-level) columns; the system is V'C[b,b]V L = V'C[b,:].
     Returns the loading matrix (rank x target dim) and the condition
     number of the inner system.
     """
-    inner = basis.T @ b_joint.T @ b_joint @ basis
+    joint = basis.T @ cross[body]
+    inner = joint[:, body] @ basis
     cond = float(np.linalg.cond(inner))
     if not np.isfinite(cond) or cond > LOADING_COND_LIMIT:
         raise ConditioningError(
             f"mode {t}: transport system condition {cond:.2e} exceeds "
             f"{LOADING_COND_LIMIT:.0e}", where=t)
-    rhs = basis.T @ b_joint.T @ b_target
-    return np.linalg.solve(inner, rhs), cond
+    return np.linalg.solve(inner, joint), cond
 
 
 def _body_tensor(est, pattern):
@@ -112,10 +95,13 @@ def fit_tensordg(ds, pattern, rank_override=None):
     """
     est = ds if isinstance(ds, GroupEstimates) else fit_all(ds, pattern)
     spectra = spectral_step(est, pattern, rank_override=rank_override)
+    arms = arm_blocks(est, pattern)
+    stack = est.coef[est.rows(pattern.observed_list())]
+    crosses = [stack.T @ stack] + [cross for cross, _ in arms]
+    bodies = [slice(None)] + [np.asarray(b) - 1 for b in pattern.body]
     loadings, conds = [], []
-    for t in range(pattern.q + 1):
-        blocks = unfold_blocks(est, pattern, t)
-        loading, cond = estimate_loading(t, *blocks, spectra[t].basis)
+    for t, (cross, body) in enumerate(zip(crosses, bodies)):
+        loading, cond = estimate_loading(t, cross, body, spectra[t].basis)
         loadings.append(loading)
         conds.append(cond)
 
@@ -129,7 +115,7 @@ def fit_tensordg(ds, pattern, rank_override=None):
     diagnostics = {
         "spectral": [s.summary() for s in spectra],
         "loading_condition_numbers": conds,
-        "generalizability": diagnose_generalizability(est, pattern),
+        "generalizability": diagnose_generalizability(arms, pattern),
         "n_bar": float(est.n.mean()),
         "warnings": warnings,
     }
@@ -147,38 +133,34 @@ DIAG_FLOOR_JOINT = 2.0
 DIAG_FLOOR_ARM = 4.5
 
 
-def diagnose_generalizability(est, pattern):
+def diagnose_generalizability(blocks, pattern):
     """Compare joint-block and arm-block ranks mode by mode.
 
     The completion is only identified when, for every mode, the arm block
     spans no more directions than the joint block already shows. The
-    joint block is the arm block's body-level columns, so one stack per
-    mode gives both bias-corrected Grams, whose ranks come from the
-    noise-floor rule, each with a floor calibrated to its own tail
-    geometry. Any mode where the ranks disagree flags the fit as
-    inconsistent.
+    joint block is the arm block's body-level columns, so each arm Gram
+    of ``blocks`` (``spectral.arm_blocks``) gives both bias-corrected
+    Grams, whose ranks come from the noise-floor rule, each with a floor
+    calibrated to its own tail geometry. Any mode where the ranks
+    disagree flags the fit as inconsistent.
     """
     modes = []
-    ok = True
-    for t in range(1, pattern.q + 1):
-        gram = stack_block(est, pattern.arm_tuples(t), t,
-                           range(1, pattern.space[t - 1] + 1))[1]
+    for t, (_, gram) in enumerate(blocks, start=1):
         body = np.asarray(pattern.body[t - 1]) - 1
         joint_eig, arm_eig = (np.linalg.eigvalsh(block)[::-1]
                               for block in (gram[np.ix_(body, body)], gram))
         joint_rank = floor_rank(joint_eig, DIAG_FLOOR_JOINT)[0]
         arm_rank = floor_rank(arm_eig, DIAG_FLOOR_ARM)[0]
-        agree = joint_rank == arm_rank
-        ok = ok and agree
         modes.append({
             "mode": t,
             "joint_rank": int(joint_rank),
             "arm_rank": int(arm_rank),
             "joint_eigenvalues": [float(v) for v in joint_eig],
             "arm_eigenvalues": [float(v) for v in arm_eig],
-            "consistent": bool(agree),
+            "consistent": bool(joint_rank == arm_rank),
         })
-    return {"consistent": bool(ok), "modes": modes}
+    return {"consistent": all(m["consistent"] for m in modes),
+            "modes": modes}
 
 
 def save_model(model, path):

@@ -17,6 +17,8 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .errors import DimensionError
+
 
 @dataclass(frozen=True)
 class ObservationPattern:
@@ -63,6 +65,16 @@ class ObservationPattern:
                 for lev in range(1, self.space[t - 1] + 1)]
 
 
+def group_key(group):
+    """``group`` as a tuple of ints. A level that is not an integer raises
+    DimensionError naming the group, so no level is truncated."""
+    group = tuple(group)
+    if not all(float(i).is_integer() for i in group):
+        raise DimensionError(f"group {group}: levels must be integers",
+                             where=group)
+    return tuple(int(i) for i in group)
+
+
 def _insert(rest, t, level):
     """Build a full group from a (q-1)-tuple by inserting a mode-t level."""
     return rest[:t - 1] + (level,) + rest[t - 1:]
@@ -99,7 +111,7 @@ def build_pattern(space, body, arm_subsets, extra=()):
 
     extra_norm = []
     for g in extra:
-        g = tuple(int(i) for i in g)
+        g = group_key(g)
         if len(g) != q or any(not 1 <= i <= p for i, p in zip(g, space)):
             raise ValueError(f"extra group {g} outside the space {space}")
         extra_norm.append(g)

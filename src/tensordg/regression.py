@@ -23,6 +23,7 @@ import numpy as np
 
 from ._threads import map_shares
 from .errors import ConditioningError, DimensionError, NonFiniteError
+from .patterns import group_key
 
 # Gram matrices with smaller relative eigenvalues than this are treated as
 # singular rather than fitted.
@@ -71,7 +72,7 @@ class GroupedDataset:
             if X.ndim != 2 or X.shape[0] != y.size or X.shape[0] < 1:
                 raise DimensionError(
                     f"group {g}: design {X.shape} does not match {y.size} responses")
-            key = tuple(int(i) for i in g)
+            key = group_key(g)
             if not (np.isfinite(X).all() and np.isfinite(y).all()):
                 raise NonFiniteError(
                     f"group {key}: data hold non-finite values", where=key)

@@ -79,6 +79,13 @@ class ScenarioConfig:
                              f"0 <= delta_sparsity <= p = {self.p}")
         if self.design not in ("identity", "ar1"):
             raise ValueError(f"unknown design {self.design!r}")
+        for name in ("noise_std", "delta_std", "signal_scale", "rank_margin"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)}: not finite")
+        if not -1 < self.ar1_rho < 1:
+            raise ValueError(f"ar1_rho = {self.ar1_rho}: need |ar1_rho| < 1")
+        if self.seed < 0:
+            raise ValueError(f"seed = {self.seed}: need seed >= 0")
 
     @classmethod
     def from_dict(cls, cfg):

@@ -48,19 +48,28 @@ class ModeSpectrum:
 
 
 def stack_block(est, tuples, t, levels):
-    """Mode-t block of stacked estimates and its bias-corrected Gram.
+    """Cross-product and bias-corrected Gram of a mode-t block.
 
-    Column j stacks the coefficients of the groups of ``est`` that put
-    ``levels[j]`` at mode t and one of ``tuples`` on the other modes.
-    Returns that matrix M and (M'M - diag(sum of noise_trace per
+    Column j of the block M stacks the coefficients of the groups of
+    ``est`` that put ``levels[j]`` at mode t and one of ``tuples`` on the
+    other modes. Returns C = M'M and (C - diag(sum of noise_trace per
     column)) / #tuples, symmetrized.
     """
     rest = np.repeat(np.array(tuples, dtype=int)[:, None], len(levels), 1)
     rows = est.rows(np.insert(rest, t - 1, levels, axis=2))
     mat = est.coef[rows].transpose(0, 2, 1).reshape(-1, len(levels))
     diag = est.noise_trace[rows].sum(axis=0)
-    gram = (mat.T @ mat - np.diag(diag)) / len(tuples)
-    return mat, (gram + gram.T) / 2.0
+    cross = mat.T @ mat
+    gram = (cross - np.diag(diag)) / len(tuples)
+    return cross, (gram + gram.T) / 2.0
+
+
+def arm_blocks(est, pattern):
+    """stack_block of each arm t = 1..q: its tuples against every mode-t
+    level. Its body-level columns are the joint block."""
+    return [stack_block(est, pattern.arm_tuples(t), t,
+                        range(1, pattern.space[t - 1] + 1))
+            for t in range(1, pattern.q + 1)]
 
 
 def mode_gram(est, pattern, t):

@@ -15,7 +15,7 @@ import pytest
 
 from tensor_reference import dematricize
 from tensordg import (DenseTensor, ExperimentConfig, GroupedDataset,
-                      ScenarioConfig, build_pattern,
+                      ScenarioConfig, arm_blocks, build_pattern,
                       diagnose_generalizability, fit_all, fit_tensordg,
                       group_lasso, group_lasso_kkt, lasso_kkt, lasso_offset,
                       make_scenario, matricize, mode_product, run_experiment,
@@ -404,7 +404,8 @@ def test_criterion_8_generalizability_diagnostics(reference_design_fits):
     flagged = 0
     for seed in range(20):
         ds, pattern = violating_instance(3000 + seed)
-        report = diagnose_generalizability(fit_all(ds, pattern), pattern)
+        report = diagnose_generalizability(
+            arm_blocks(fit_all(ds, pattern), pattern), pattern)
         flagged += not report["consistent"]
     ok = consistent >= 180 and flagged == 20
     criterion(8, ok,

@@ -225,6 +225,19 @@ def test_experiment_with_a_scenario_seed_writes_nothing(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_experiment_with_a_negative_seed_writes_nothing(tmp_path, capsys):
+    cfg_path = tmp_path / "experiment.json"
+    cfg_path.write_text(json.dumps({
+        "name": "bad", "methods": ["tensordg", "ols"],
+        "scenario": EXPERIMENT_SCENARIO}))
+    out_path = tmp_path / "metrics.csv"
+    rc = main(["experiment", "--config", str(cfg_path), "--seed", "-1",
+               "--out", str(out_path)])
+    assert rc == 2
+    assert "error: seed = -1" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_experiment_with_a_bad_swept_value_writes_nothing(tmp_path, capsys):
     cfg_path = tmp_path / "experiment.json"
     cfg_path.write_text(json.dumps({

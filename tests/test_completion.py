@@ -5,11 +5,15 @@ import re
 import numpy as np
 import pytest
 
+import estimates_reference as ref
+import tensordg.completion
+import tensordg.spectral
+from fit_compare import assert_close
 from tensordg import (ConditioningError, DimensionError, GroupedDataset,
-                      NonFiniteError, ScenarioConfig, build_pattern,
-                      diagnose_generalizability, estimate_loading, fit_all,
-                      fit_tensordg, load_model, make_scenario, save_model,
-                      tucker_assemble, unfold_blocks)
+                      NonFiniteError, ScenarioConfig, arm_blocks,
+                      build_pattern, diagnose_generalizability,
+                      estimate_loading, fit_all, fit_tensordg, load_model,
+                      make_scenario, save_model, tucker_assemble)
 
 
 def make_truth(rng, p, space, ranks, scale=1.0):
@@ -57,58 +61,105 @@ def scenario(q):
     return sc.train, sc.pattern
 
 
-def test_unfold_block_shapes_and_content():
+def body_index(pattern, t):
+    """0-based body levels of mode t; every row of C for mode 0."""
+    return slice(None) if t == 0 else np.asarray(pattern.body[t - 1]) - 1
+
+
+def test_arm_block_shapes_and_content():
     truth, pattern, ds, _ = standard_instance()
     est = fit_all(ds, pattern)
     p = ds.p
 
-    b0_joint, b0_target = unfold_blocks(est, pattern, 0)
+    # mode 0 transports the observed stack onto itself: one gather
+    stack = est.coef[est.rows(pattern.observed_list())]
     obs = pattern.observed_list()
-    assert b0_joint.shape == (len(obs), p)
-    assert b0_target is b0_joint
+    assert stack.shape == (len(obs), p)
     for i, g in enumerate(obs):
-        assert np.allclose(b0_joint[i], fiber(truth, g), atol=1e-8)
+        assert np.allclose(stack[i], fiber(truth, g), atol=1e-8)
 
-    # column j of the target block stacks the arm-tuple coefficients at
-    # level j; rows run through arm tuples in sorted order
-    _, target = unfold_blocks(est, pattern, 1)
+    # column j of the arm block stacks the arm-tuple coefficients at
+    # level j; rows run through arm tuples in sorted order. C_1 is that
+    # block's cross-product.
+    cross, _ = arm_blocks(est, pattern)[0]
+    _, target = ref.unfold_blocks(est, pattern, 1)
     arms = pattern.arm_tuples(1)
     assert target.shape == (len(arms) * p, pattern.space[0])
+    assert cross.shape == (pattern.space[0],) * 2
     for lev in range(1, pattern.space[0] + 1):
         for a, rest in enumerate(arms):
             g = (lev,) + rest
             assert np.allclose(target[a * p:(a + 1) * p, lev - 1],
                                fiber(truth, g), atol=1e-8)
+    true_block = np.vstack([np.column_stack(
+        [fiber(truth, (lev,) + rest)
+         for lev in range(1, pattern.space[0] + 1)]) for rest in arms])
+    assert_close(cross, true_block.T @ true_block)
 
-    # the joint block is the target's body-level columns
+    # the joint block is the arm block's body-level columns, so the joint
+    # cross-product is C_t's body-level rows and columns
     for ds, pattern in (scenario(2), scenario(3)):
         est = fit_all(ds, pattern)
         p = ds.p
-        for t in range(1, pattern.q + 1):
-            joint, target = unfold_blocks(est, pattern, t)
+        blocks = arm_blocks(est, pattern)
+        assert len(blocks) == pattern.q
+        for t, (cross, gram) in enumerate(blocks, start=1):
+            joint, target = ref.unfold_blocks(est, pattern, t)
             arms, body = pattern.arm_tuples(t), pattern.body[t - 1]
+            levels = range(1, pattern.space[t - 1] + 1)
             assert joint.shape == (len(arms) * p, len(body))
             assert np.array_equal(joint, target[:, np.asarray(body) - 1])
             for a, rest in enumerate(arms):
-                for lev in range(1, pattern.space[t - 1] + 1):
+                for lev in levels:
                     g = rest[:t - 1] + (lev,) + rest[t - 1:]
                     assert np.array_equal(
                         target[a * p:(a + 1) * p, lev - 1],
                         est.tilde[g].coef)
+            assert np.array_equal(cross, target.T @ target)
+            assert np.array_equal(
+                gram, ref.stack_block(est.tilde, arms, t, levels)[1])
+            b = body_index(pattern, t)
+            assert_close(cross[b][:, b], joint.T @ joint)
+
+
+def test_one_fit_stacks_each_block_once(monkeypatch):
+    """A fit stacks q spectral blocks and q arm blocks: the transport
+    solves and the diagnostic share each arm block's cross-product."""
+    calls = []
+    stack_block = tensordg.spectral.stack_block
+
+    def counted(*args):
+        calls.append(args[2])
+        return stack_block(*args)
+
+    for module in (tensordg.spectral, tensordg.completion):
+        monkeypatch.setattr(module, "stack_block", counted, raising=False)
+    for q in (2, 3):
+        ds, pattern = scenario(q)
+        calls.clear()
+        fit_tensordg(ds, pattern)
+        assert len(calls) == 2 * q
+        assert sorted(calls) == sorted(2 * list(range(1, q + 1)))
 
 
 def test_estimate_loading_matches_pinv_transport():
     """On noiseless blocks the fitted loading reproduces the least-norm
-    transport: B_joint @ (basis @ loading) == B_target."""
+    transport: B_joint @ (basis @ loading) == B_target. For mode 0 the
+    joint and target blocks are both the observed stack S, so the
+    transport is the projection pinv(S) S onto its row space."""
     truth, pattern, ds, ranks = standard_instance()
     est = fit_all(ds, pattern)
-    for t in (1, 2):
-        bt, btar = unfold_blocks(est, pattern, t)
-        gram = bt.T @ bt
-        eigval, eigvec = np.linalg.eigh(gram)
+    stack = est.coef[est.rows(pattern.observed_list())]
+    crosses = [stack.T @ stack] + [c for c, _ in arm_blocks(est, pattern)]
+    for t in (0, 1, 2):
+        bt, btar = ref.unfold_blocks(est, pattern, t)
+        body = body_index(pattern, t)
+        cross = crosses[t]
+        eigval, eigvec = np.linalg.eigh(cross[body][:, body])
         basis = eigvec[:, ::-1][:, :ranks[t]]
-        loading, cond = estimate_loading(t, bt, btar, basis)
-        assert loading.shape == (ranks[t], pattern.space[t - 1])
+        loading, cond = estimate_loading(t, cross, body, basis)
+        width = ds.p if t == 0 else pattern.space[t - 1]
+        assert loading.shape == (ranks[t], width)
         assert np.isfinite(cond)
         assert np.allclose(bt @ (basis @ loading), btar, atol=1e-7)
         oracle = np.linalg.pinv(bt, rcond=1e-10) @ btar
@@ -129,7 +180,7 @@ def test_estimate_loading_flags_degenerate_basis():
     null -= good * (good @ null)
     basis = np.column_stack([good, null / np.linalg.norm(null)])
     with pytest.raises(ConditioningError) as err:
-        estimate_loading(1, b, b, basis)
+        estimate_loading(1, b.T @ b, slice(None), basis)
     assert err.value.where == 1
 
 
@@ -221,6 +272,10 @@ def test_predict_and_coefficient_validation():
         model.coefficient((1, 2, 3))
     with pytest.raises(DimensionError):
         model.coefficient((9, 1))
+    with pytest.raises(DimensionError, match=re.escape("group (1.9, 2)")):
+        model.coefficient((1.9, 2))
+    assert np.array_equal(model.coefficient((1.0, 2)),
+                          model.coefficient((1, 2)))
     with pytest.raises(DimensionError):
         model.predict(g, np.ones(3))
 
@@ -228,7 +283,7 @@ def test_predict_and_coefficient_validation():
 def test_diagnose_consistent_on_conforming_instance():
     _, pattern, ds, _ = standard_instance()
     est = fit_all(ds, pattern)
-    report = diagnose_generalizability(est, pattern)
+    report = diagnose_generalizability(arm_blocks(est, pattern), pattern)
     assert report["consistent"]
     assert [m["mode"] for m in report["modes"]] == [1, 2]
 
@@ -253,7 +308,7 @@ def test_diagnose_flags_rank_raising_arm():
         coef = arr[(slice(None),) + tuple(i - 1 for i in g)]
         groups[g] = (X, X @ coef)
     est = fit_all(GroupedDataset(groups), pattern)
-    report = diagnose_generalizability(est, pattern)
+    report = diagnose_generalizability(arm_blocks(est, pattern), pattern)
     assert not report["consistent"]
     bad = [m for m in report["modes"] if m["mode"] == 1][0]
     assert bad["arm_rank"] > bad["joint_rank"]

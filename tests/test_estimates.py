@@ -13,8 +13,8 @@ import pytest
 import estimates_reference as ref
 from fit_compare import assert_same_fit
 from tensordg import (DimensionError, GroupedDataset, ScenarioConfig,
-                      build_pattern, fit_all, fit_tensordg, make_scenario,
-                      mode_gram, unfold_blocks)
+                      arm_blocks, build_pattern, fit_all, fit_tensordg,
+                      make_scenario, mode_gram)
 from tensordg.baselines import _coef_matrix
 from tensordg.completion import _body_tensor
 from tensordg.experiments import _Replication
@@ -56,9 +56,14 @@ def test_gathers_equal_the_per_group_loops_bitwise(name):
     for t in range(pattern.q + 1):
         for pat in (pattern, smaller):
             same_gram(mode_gram(est, pat, t), ref.mode_gram(est, pat, t))
-        for new, old in zip(unfold_blocks(est, pattern, t),
-                            ref.unfold_blocks(est, pattern, t)):
-            assert_same_array(new, old)
+    assert_same_array(est.coef[est.rows(pattern.observed_list())],
+                      ref.unfold_blocks(est, pattern, 0)[0])
+    for t, (cross, gram) in enumerate(arm_blocks(est, pattern), start=1):
+        target = ref.unfold_blocks(est, pattern, t)[1]
+        assert_same_array(cross, target.T @ target)
+        levels = range(1, pattern.space[t - 1] + 1)
+        same_gram(gram, ref.stack_block(est.tilde, pattern.arm_tuples(t),
+                                        t, levels)[1])
     assert_same_fit(_body_tensor(est, pattern), ref._body_tensor(est, pattern))
     (basis, order), (ref_basis, ref_order) = (_coef_matrix(est),
                                               ref._coef_matrix(est))

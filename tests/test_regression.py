@@ -132,6 +132,22 @@ def test_dataset_validation():
                         (2,): (np.zeros((4, 3)), np.zeros(4))})
 
 
+def test_dataset_rejects_non_integral_levels():
+    """A level is never truncated: (1.5, 2) does not become (1, 2) and
+    replace that group's samples."""
+    a = (np.ones((3, 2)), np.ones(3))
+    b = (np.ones((7, 2)), np.ones(7))
+    for groups, bad in (({(1, 2): a, (1.5, 2): b}, (1.5, 2)),
+                        ({(2, float("nan")): a}, (2, float("nan")))):
+        with pytest.raises(DimensionError, match="levels must be integers"
+                           ) as err:
+            GroupedDataset(groups)
+        assert str(err.value).startswith(f"group {bad}")
+    ds = GroupedDataset({(np.int64(1), 2.0): a, (2, 2): b})
+    assert list(ds.groups) == [(1, 2), (2, 2)]
+    assert all(type(i) is int for g in ds.groups for i in g)
+
+
 def test_noise_cov_is_scaled_inverse_gram():
     ds, pat = toy_dataset(n=30, p=4)
     for g, fit in fit_all(ds, pat).tilde.items():

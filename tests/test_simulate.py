@@ -12,6 +12,11 @@ from tensordg import ScenarioConfig, make_scenario
     ("n", 60),                      # n <= p: no least-squares fit
     ("delta_sparsity", 61),         # more shifted coordinates than p
     ("n_target", 0),
+    ("seed", -1),                   # SeedSequence rejects it at draw time
+    ("ar1_rho", 1.0),               # no stationary AR(1) covariance
+    ("ar1_rho", -1.5),
+    ("noise_std", float("nan")),
+    ("signal_scale", float("inf")),
 ])
 def test_bad_scenario_input_fails_early(field, value):
     """Each of these would turn every replication into a failed row, so

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from tensordg import (GroupedDataset, ScenarioConfig, build_pattern,
-                      diagnose_generalizability, fit_all,
+from tensordg import (GroupedDataset, ScenarioConfig, arm_blocks,
+                      build_pattern, diagnose_generalizability, fit_all,
                       make_scenario, mode_gram, spectral_step,
                       tucker_assemble)
 from tensordg.patterns import _insert
@@ -282,7 +282,7 @@ def test_stored_noise_terms_match_explicit_inverse(q):
             explicit_inverse_block_gram(ds, fits, pattern.cset_tuples(t), t,
                                         pattern.body[t - 1]))
 
-    diag = diagnose_generalizability(est, pattern)
+    diag = diagnose_generalizability(arm_blocks(est, pattern), pattern)
     for t, mode in enumerate(diag["modes"], start=1):
         arms = pattern.arm_tuples(t)
         for key, levels in (("joint_eigenvalues", pattern.body[t - 1]),
