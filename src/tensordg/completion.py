@@ -68,14 +68,14 @@ def estimate_loading(t, cross, body, basis):
     Returns the loading matrix (rank x target dim) and the condition
     number of the inner system.
     """
-    joint = basis.T @ cross[body]
-    inner = joint[:, body] @ basis
+    rhs = basis.T @ cross[body]
+    inner = rhs[:, body] @ basis
     cond = float(np.linalg.cond(inner))
     if not np.isfinite(cond) or cond > LOADING_COND_LIMIT:
         raise ConditioningError(
             f"mode {t}: transport system condition {cond:.2e} exceeds "
             f"{LOADING_COND_LIMIT:.0e}", where=t)
-    return np.linalg.solve(inner, joint), cond
+    return np.linalg.solve(inner, rhs), cond
 
 
 def _body_tensor(est, pattern):
