@@ -1,7 +1,7 @@
 """Structured tensor completion for multi-environment linear regression."""
 
-from .baselines import (maximin, meta_lm_star, pooled_gram, projected_ols,
-                        shared_subspace)
+from .baselines import (maximin, meta_lm_star, pooled_gram, projected_fits,
+                        projected_ols, shared_subspace)
 from .completion import (CompletionModel, diagnose_generalizability,
                          estimate_loading, fit_tensordg, load_model,
                          save_model)
@@ -16,7 +16,7 @@ from .metrics import adge, al2e, tle
 from .patterns import (ObservationPattern, build_pattern, load_pattern,
                        pattern_from_config, pattern_to_config, save_pattern)
 from .regression import (GroupedDataset, GroupEstimates, GroupFit, fit_all,
-                         ols_fit)
+                         ols_fit, ols_fits)
 from .simulate import (Scenario, ScenarioConfig, default_pattern,
                        generate_data, generate_tensor, make_scenario)
 from .spectral import ModeSpectrum, arm_blocks, mode_gram, spectral_step

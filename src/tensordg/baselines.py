@@ -15,17 +15,18 @@ group's own samples is ``regression.ols_fit``):
   of the bias-corrected Gram) from the source groups, then regresses the
   target response on the target design projected into that subspace.
   The two halves are ``shared_subspace`` (sources only, so it can be
-  computed once and reused for every target) and ``projected_ols``.
+  computed once and reused for every target) and ``projected_ols``;
+  ``projected_fits`` fits many targets on one basis in one OLS run.
 """
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError
-from .regression import GroupEstimates, ols_fit
+from .regression import GroupEstimates, ols_fits
 from .spectral import mode_spectrum
 
 __all__ = ["pooled_gram", "maximin", "shared_subspace",
-           "projected_ols", "meta_lm_star"]
+           "projected_ols", "projected_fits", "meta_lm_star"]
 
 MAXIMIN_TOL = 1e-10
 MAXIMIN_MAX_ITER = 1_000
@@ -207,19 +208,37 @@ def shared_subspace(est, pattern):
 
 def projected_ols(basis, X, y):
     """basis times the OLS fit of y on X basis; lies in the span of basis."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2 or X.shape[0] != y.size:
+    return projected_fits(basis, {None: (X, y)})[None]
+
+
+def projected_fits(basis, targets):
+    """``projected_ols`` of every target of ``targets``, {name: (X, y)},
+    with the OLS fits in one ``regression.ols_fits`` run, each bitwise
+    its own. A target whose design does not match its responses or the
+    basis, or that has no more samples than the basis has columns,
+    raises DimensionError naming it (``where``); of several, the
+    first."""
+    pairs = []
+    for name, (X, y) in targets.items():
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float).ravel()
+        if X.ndim != 2 or X.shape[0] != y.size:
+            problem = (f"target design {X.shape} does not match {y.size} "
+                       f"responses")
+        elif X.shape[1] != basis.shape[0]:
+            problem = (f"target has {X.shape[1]} features, sources have "
+                       f"{basis.shape[0]}")
+        elif y.size <= basis.shape[1]:
+            problem = (f"need more target samples than the subspace dim "
+                       f"{basis.shape[1]}")
+        else:
+            pairs.append((X @ basis, y))
+            continue
         raise DimensionError(
-            f"target design {X.shape} does not match {y.size} responses")
-    if X.shape[1] != basis.shape[0]:
-        raise DimensionError(
-            f"target has {X.shape[1]} features, sources have {basis.shape[0]}")
-    if y.size <= basis.shape[1]:
-        raise DimensionError(
-            f"need more target samples than the subspace dim {basis.shape[1]}")
-    score = ols_fit(X @ basis, y)[0]
-    return basis @ score
+            problem if name is None else f"group {name}: {problem}",
+            where=name)
+    scores = ols_fits(pairs, list(targets))[0]
+    return {name: basis @ score for name, score in zip(targets, scores)}
 
 
 def meta_lm_star(est, pattern, X, y):

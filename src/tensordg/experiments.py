@@ -52,10 +52,10 @@ from functools import cached_property
 import numpy as np
 
 from ._threads import run_serially
-from .baselines import maximin, projected_ols, shared_subspace
+from .baselines import maximin, projected_fits, shared_subspace
 from .completion import fit_tensordg
 from .metrics import adge, al2e, tle
-from .regression import fit_all, ols_fit
+from .regression import fit_all, ols_fits
 from .simulate import ScenarioConfig, make_scenario
 from .tensor import DenseTensor
 from .transfer import tensortl
@@ -207,9 +207,11 @@ def _tensortl(ctx):
 
 
 def _ols(ctx):
-    """Per-group OLS everywhere: train fits observed, target fits unseen."""
-    targets_hat = {g: ols_fit(X, y)[0]
-                   for g, (X, y) in ctx.scenario.targets.items()}
+    """Per-group OLS everywhere: train fits observed, target fits unseen,
+    the targets in one ``ols_fits`` run."""
+    targets = sorted(ctx.scenario.targets)
+    coefs = ols_fits([ctx.scenario.targets[g] for g in targets], targets)[0]
+    targets_hat = dict(zip(targets, coefs))
     return _with_fibers(ctx.observed, targets_hat), targets_hat
 
 
@@ -223,8 +225,8 @@ def _maximin(ctx):
 
 def _metalm(ctx):
     basis = shared_subspace(ctx.est, ctx.scenario.pattern)
-    targets_hat = {g: projected_ols(basis, X, y)
-                   for g, (X, y) in sorted(ctx.scenario.targets.items())}
+    targets_hat = projected_fits(basis, dict(sorted(
+        ctx.scenario.targets.items())))
     return _with_fibers(ctx.observed, targets_hat), targets_hat
 
 

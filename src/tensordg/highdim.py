@@ -35,7 +35,7 @@ __all__ = ["group_lasso", "group_lasso_kkt", "select_support",
            "choose_lambda", "fit_highdim"]
 
 GROUP_LASSO_TOL = 1e-8
-PATH_TOL = 1e-4           # choose_lambda's path solves: KKT residual / lam
+PATH_TOL = 1e-4   # path solves, lasso_offset first stops: KKT residual / lam
 GROUP_LASSO_MAX_ITER = 100_000
 LAMBDA_GRID_SIZE = 20
 LAMBDA_GRID_SPAN = 100.0

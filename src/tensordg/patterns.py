@@ -69,10 +69,15 @@ def group_key(group):
     """``group`` as a tuple of ints. A level that is not an integer raises
     DimensionError naming the group, so no level is truncated."""
     group = tuple(group)
-    if not all(float(i).is_integer() for i in group):
-        raise DimensionError(f"group {group}: levels must be integers",
-                             where=group)
-    return tuple(int(i) for i in group)
+    return _integers(group, f"group {group}", group)
+
+
+def _integers(levels, what, where):
+    """``levels`` as a tuple of ints; a level that is not an integer
+    raises DimensionError naming ``what`` (``where`` is its key)."""
+    if not all(float(i).is_integer() for i in levels):
+        raise DimensionError(f"{what}: levels must be integers", where=where)
+    return tuple(int(i) for i in levels)
 
 
 def _insert(rest, t, level):
@@ -121,7 +126,7 @@ def build_pattern(space, body, arm_subsets, extra=()):
 
 
 def _check_levels(levels, p, what):
-    levels = sorted(set(int(i) for i in levels))
+    levels = sorted(set(_integers(tuple(levels), what, what)))
     if not levels:
         raise ValueError(f"{what}: empty level subset")
     if levels[0] < 1 or levels[-1] > p:

@@ -14,7 +14,8 @@ same arithmetic on each group's matrices, so the fits are bitwise equal
 to a one-group-at-a-time loop when BLAS runs single-threaded. The trace
 bound kappa_2 <= tr(G) tr(G^-1) certifies most Grams nonsingular; the
 rest, and those whose factorization fails, are decided by their
-eigenvalues.
+eigenvalues. ``ols_fits`` runs the same blocked fit on a list of (X, y)
+pairs on the calling thread, and ``ols_fit`` is its one-pair case.
 """
 
 from dataclasses import dataclass, field
@@ -247,18 +248,41 @@ def _check_gram(gram, group, factored=True):
               f"(eigenvalue ratio {eig[0] / max(eig[-1], 1e-300):.2e})", group)
 
 
+def ols_fits(pairs, names=None):
+    """Least squares for each (X, y) of ``pairs``, in one ``_fit_rows``
+    run on the calling thread.
+
+    Returns (coef, gram, sigma2) stacked over the pairs: coef (k, p),
+    gram = X'X/n (k, p, p) and sigma2 (k,), the residual variance on
+    n - p degrees of freedom. The pairs are fitted in blocks of
+    FIT_BLOCK, and every fit is bitwise its pair's ``ols_fit``. Errors
+    name the pair's entry of ``names`` (None names none). A design that
+    is not (n, p), with the first pair's p, raises DimensionError before
+    any pair is fitted. Then a pair with n <= p or a singular Gram
+    raises DimensionError or ConditioningError; of several, the first.
+    """
+    pairs = [(np.asarray(X, dtype=float), np.asarray(y, dtype=float).ravel())
+             for X, y in pairs]
+    names = [None] * len(pairs) if names is None else list(names)
+    p = np.shape(pairs[0][0])[-1] if pairs else 0
+    for (X, y), name in zip(pairs, names):
+        if X.ndim != 2 or X.shape != (y.size, p):
+            _fail(DimensionError, f"design {X.shape} does not match "
+                  f"{y.size} responses and p={p}", name)
+    coef, sigma2, n, _, xtx, _ = out = _empty_fits(len(pairs), p)
+    _fit_rows(pairs, out, names)
+    return coef, xtx / n[:, None, None], sigma2
+
+
 def ols_fit(X, y):
     """Least squares via the normal equations and a Cholesky factor.
 
     Returns (coef, gram, sigma2) where gram = X'X/n and sigma2 is the
-    residual variance on n - p degrees of freedom. The fit is a block of
-    one of ``fit_all``'s.
+    residual variance on n - p degrees of freedom: ``ols_fits`` of the
+    one pair, a block of one of ``fit_all``'s.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    coef, sigma2, n, _, xtx, _ = out = _empty_fits(1, X.shape[1])
-    _fit_rows([(X, y)], out, [None])
-    return coef[0], xtx[0] / n[0], float(sigma2[0])
+    coef, gram, sigma2 = ols_fits([(X, y)])
+    return coef[0], gram[0], float(sigma2[0])
 
 
 @dataclass

@@ -82,6 +82,9 @@ class ScenarioConfig:
         for name in ("noise_std", "delta_std", "signal_scale", "rank_margin"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} = {getattr(self, name)}: not finite")
+        if not self.rank_margin < 1:
+            raise ValueError(f"rank_margin = {self.rank_margin}: need "
+                             f"rank_margin < 1, as sigma_r / sigma_1 <= 1")
         if not -1 < self.ar1_rho < 1:
             raise ValueError(f"ar1_rho = {self.ar1_rho}: need |ar1_rho| < 1")
         if self.seed < 0:

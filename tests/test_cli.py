@@ -253,6 +253,22 @@ def test_experiment_with_a_bad_swept_value_writes_nothing(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_experiment_with_a_rank_margin_of_one_writes_nothing(tmp_path,
+                                                           capsys):
+    """No singular value ratio exceeds 1, so every replication would fail
+    to draw a truth; the config is rejected before any runs."""
+    cfg_path = tmp_path / "experiment.json"
+    cfg_path.write_text(json.dumps({
+        "name": "bad", "methods": ["tensordg", "ols"],
+        "scenario": dict(EXPERIMENT_SCENARIO, rank_margin=1.5)}))
+    out_path = tmp_path / "metrics.csv"
+    rc = main(["experiment", "--config", str(cfg_path),
+               "--out", str(out_path)])
+    assert rc == 2
+    assert "error: rank_margin = 1.5" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_ingest_subcommand(tmp_path, capsys):
     path = tmp_path / "people.csv"
     path.write_text("sex,age,y,x1,x2\n"

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +13,10 @@ import pytest
 import tensordg.baselines as baselines
 import tensordg.completion as completion
 import tensordg.experiments as experiments
-from tensordg import (CSV_HEADER, DenseTensor, ExperimentConfig,
-                      MetricsRecord, adge, al2e, fit_all, make_scenario,
-                      meta_lm_star, run_experiment, summarize, tle,
+from tensordg import (CSV_HEADER, DenseTensor, DimensionError,
+                      ExperimentConfig, MetricsRecord, ScenarioConfig, adge,
+                      al2e, fit_all, make_scenario, meta_lm_star, ols_fit,
+                      projected_ols, run_experiment, summarize, tle,
                       write_metrics_csv)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -240,6 +242,36 @@ def test_metalm_row_matches_per_target_meta_lm_star():
     assert rec.al2e == al2e(tensor, scenario.truth)
     assert rec.adge == adge(tensor, scenario.truth, scenario.pattern)
     assert rec.tle == float(np.mean(errors))
+
+
+def test_target_fits_are_bitwise_runs_of_one():
+    """ols and metalm fit the nine reference targets as one run of
+    ols_fits (a block of eight and a block of one); each target's
+    coefficient is bitwise its own ols_fit and projected_ols."""
+    scenario = make_scenario(ScenarioConfig(n_target=150), 0)
+    ctx = experiments._Replication(scenario)
+    ols_hat = experiments.METHODS["ols"](ctx)[1]
+    metalm_hat = experiments.METHODS["metalm"](ctx)[1]
+    basis = baselines.shared_subspace(ctx.est, scenario.pattern)
+    assert len(scenario.targets) == 9
+    for g, (X, y) in scenario.targets.items():
+        assert ols_hat[g].tobytes() == ols_fit(X, y)[0].tobytes()
+        assert metalm_hat[g].tobytes() == \
+            projected_ols(basis, X, y).tobytes()
+
+
+@pytest.mark.parametrize("method", ["ols", "metalm"])
+def test_a_bad_target_is_named(method):
+    """A target with one sample has too few for either fit: the error
+    names that target, not the first of the run."""
+    scenario = make_scenario(ScenarioConfig(**SMALL), 0)
+    bad = sorted(scenario.targets)[1]
+    X, y = scenario.targets[bad]
+    scenario.targets[bad] = (X[:1], y[:1])
+    with pytest.raises(DimensionError,
+                       match=re.escape(f"group {bad}: need ")) as err:
+        experiments.METHODS[method](experiments._Replication(scenario))
+    assert err.value.where == bad
 
 
 def test_rerun_is_deterministic():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensordg import build_pattern, pattern_from_config, pattern_to_config
+from tensordg import (DimensionError, build_pattern, pattern_from_config,
+                      pattern_to_config)
 
 
 def default_pattern(p=8, w=5, a=5):
@@ -79,6 +80,21 @@ def test_validation_errors():
     with pytest.raises(ValueError, match="outside"):
         build_pattern((4, 4), body=[(1,), (1,)],
                       arm_subsets=[[(1,)], [(1,)]], extra=[(5, 1)])
+
+
+def test_non_integral_levels_are_rejected_not_truncated():
+    """3.5 would otherwise become level 3, a pattern the caller did not
+    declare; the error names the body mode or arm subset."""
+    with pytest.raises(DimensionError,
+                       match="body mode 1: levels must be integers") as err:
+        build_pattern((5, 5), [(1, 2, 3.5), (1, 2, 3)], [[(1, 2)], [(1, 2)]])
+    assert err.value.where == "body mode 1"
+    with pytest.raises(DimensionError, match="arm 2 subset for mode 1: "
+                                             "levels must be integers"):
+        build_pattern((5, 5), [(1, 2), (1, 2)], [[(1, 2)], [(1, 2.5)]])
+    pat = build_pattern((5, 5), [(1, 2, 3.0), (1, 2)], [[(1.0, 2)], [(1, 2)]])
+    assert pat.body == ((1, 2, 3), (1, 2))
+    assert pat.arm_subsets == (((1, 2),), ((1, 2),))
 
 
 subset_st = st.sets(st.integers(1, 4), min_size=1, max_size=4)

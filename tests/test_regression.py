@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fit_compare import assert_same_fit
 from tensordg import (ConditioningError, DimensionError, GroupedDataset,
                       NonFiniteError, build_pattern, fit_all, ols_fit,
-                      pooled_gram)
+                      ols_fits, pooled_gram)
 
 
 def normal_equations_oracle(X, y):
@@ -214,6 +214,39 @@ def test_fit_all_names_group_with_too_few_samples():
     with pytest.raises(DimensionError, match=r"group \(2, 1\)") as err:
         fit_all(ds, pat)
     assert err.value.where == (2, 1)
+
+
+def test_ols_fits_are_bitwise_runs_of_one():
+    """Eleven pairs of unequal n fit as one run (a block of FIT_BLOCK and
+    one of 3), at p = 33, factored padded to 40: every row is bitwise
+    ols_fit of its pair."""
+    rng = np.random.default_rng(12)
+    pairs = [(rng.normal(size=(n, 33)), rng.normal(size=n))
+             for n in rng.integers(34, 90, size=11)]
+    coef, gram, sigma2 = ols_fits(pairs)
+    for k, pair in enumerate(pairs):
+        one = ols_fit(*pair)
+        assert coef[k].tobytes() == one[0].tobytes()
+        assert gram[k].tobytes() == one[1].tobytes()
+        assert sigma2[k] == one[2]
+    assert [a.shape for a in ols_fits([])] == [(0, 0), (0, 0, 0), (0,)]
+
+
+@pytest.mark.parametrize("corrupt, error, message", [
+    (lambda X, y: (X[:, 1:], y), DimensionError, "does not match"),
+    (lambda X, y: (X[:4], y[:4]), DimensionError, "need n > p"),
+    (lambda X, y: (np.column_stack([X[:, :-1], X[:, 0]]), y),
+     ConditioningError, "singular"),
+])
+def test_ols_fits_names_the_first_bad_pair(corrupt, error, message):
+    rng = np.random.default_rng(13)
+    pairs = [(rng.normal(size=(30, 5)), rng.normal(size=30))
+             for _ in range(4)]
+    for k in (2, 3):
+        pairs[k] = corrupt(*pairs[k])
+    with pytest.raises(error, match=f"group c: .*{message}") as err:
+        ols_fits(pairs, ["a", "b", "c", "d"])
+    assert err.value.where == "c"
 
 
 @given(data=st.data(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),

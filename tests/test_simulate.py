@@ -17,6 +17,8 @@ from tensordg import ScenarioConfig, make_scenario
     ("ar1_rho", -1.5),
     ("noise_std", float("nan")),
     ("signal_scale", float("inf")),
+    ("rank_margin", 1.0),           # sigma_r / sigma_1 never exceeds 1
+    ("rank_margin", 1.5),
 ])
 def test_bad_scenario_input_fails_early(field, value):
     """Each of these would turn every replication into a failed row, so

@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
-                      NonFiniteError, build_pattern, cross_validate_lambda, default_lambda,
-                      fit_tensordg, lasso_kkt, lasso_offset, ols_fit,
-                      tensortl, tucker_assemble)
+                      NonFiniteError, ScenarioConfig, build_pattern,
+                      cross_validate_lambda, default_lambda, fit_all,
+                      fit_tensordg, lasso_kkt, lasso_offset, make_scenario,
+                      ols_fit, tensortl, tucker_assemble)
 from tensordg import transfer
-from tensordg.highdim import group_lasso, lambda_grid
+from tensordg.highdim import (GROUP_LASSO_TOL, group_lasso, group_lasso_kkt,
+                              lambda_grid)
 
 from lasso_reference import cd_lasso
 
@@ -479,3 +481,107 @@ def test_lasso_offset_duplicated_column_falls_back_to_fista():
     fista = group_lasso(transfer._offset_stack(X, y, offset), lam)[0]
     assert got.tobytes() == fista.tobytes()
     assert lasso_kkt(X, y, offset, got, lam) <= 1e-8
+
+
+def full_tolerance_offset(X, y, offset, lam, history):
+    """The offset of a single solve to GROUP_LASSO_TOL from zero, then
+    the exact finish on its support and signs, certified by
+    group_lasso_kkt: lasso_offset without its first, looser stop."""
+    stack = transfer._offset_stack(X, y, offset)
+    delta = group_lasso(stack, lam, history=history)[0]
+    support = np.flatnonzero(delta)
+    if not support.size:
+        return delta
+    design, sign = stack.X[0][:, support], np.sign(delta[support])
+    try:
+        exact = np.linalg.solve(
+            design.T @ design,
+            design.T @ stack.y[0] - (0.5 * stack.n_total * lam) * sign)
+    except np.linalg.LinAlgError:
+        return delta
+    finish = np.zeros_like(delta)
+    finish[support] = exact
+    if (np.array_equal(np.sign(exact), sign)
+            and group_lasso_kkt(stack, {0: finish}, lam) <= GROUP_LASSO_TOL):
+        return finish
+    return delta
+
+
+def reference_offsets():
+    """(X, y, beta_hat, lam) of tensortl's offsets: three replications
+    of the reference design at each of n_target 100 and 150 and
+    delta_sparsity 0 and 3, nine targets each (108 offsets)."""
+    for n_target in (100, 150):
+        for sparsity in (0, 3):
+            cfg = ScenarioConfig(n_target=n_target, delta_sparsity=sparsity,
+                                 seed=5)
+            for rep in range(3):
+                scenario = make_scenario(cfg, rep)
+                model = fit_tensordg(fit_all(scenario.train,
+                                             scenario.pattern),
+                                     scenario.pattern)
+                for g, (X, y) in sorted(scenario.targets.items()):
+                    yield (X, y, model.coefficient(g),
+                           default_lambda(X.shape[1], y.size))
+
+
+def test_early_finish_is_bitwise_the_full_tolerance_offset():
+    """Stopping first at PATH_TOL * lam changes no offset: each is bitwise
+    the full-tolerance solve's finish (or its FISTA solution where that
+    finish fails). A zero offset may differ in the sign of its zeros,
+    so -0.0 is mapped to 0.0 by adding 0.0. The loose stop certifies
+    most offsets, so the solves take about half the iterations."""
+    count, early_iters, full_iters = 0, 0, 0
+    for X, y, offset, lam in reference_offsets():
+        early, full = [], []
+        got = lasso_offset(X, y, offset, lam, history=early)
+        want = full_tolerance_offset(X, y, offset, lam, full)
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+        count += 1
+        early_iters += len(early) - 1
+        full_iters += len(full) - 1
+    assert count >= 100
+    assert early_iters < 0.7 * full_iters
+
+
+def test_lasso_offset_rejects_an_uncertified_zero(monkeypatch):
+    """A loose stop with an empty support returns zero only when zero is
+    within tol; otherwise the solve to tol gives the offset."""
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(60, 8))
+    y = X @ np.array([0.3, 0, 0, 0, 0, 0, 0, 0]) + 0.5 * rng.normal(size=60)
+    offset = np.zeros(8)
+    lam_max = 2.0 * float(np.abs(X.T @ y).max()) / y.size
+    lam = lam_max * (1.0 - 1e-6)     # just below the top of the path
+    tols = []     # the tolerance of each solve
+
+    def solve(stack, lam, tol, **kwargs):
+        tols.append(tol)
+        return group_lasso(stack, lam, tol=tol, **kwargs)
+    monkeypatch.setattr(transfer, "group_lasso", solve)
+    got = lasso_offset(X, y, offset, lam)
+    # zero's residual, lam_max - lam, lies between the two tolerances
+    assert GROUP_LASSO_TOL < lam_max - lam < transfer.PATH_TOL * lam
+    assert tols == [transfer.PATH_TOL * lam, GROUP_LASSO_TOL]
+    assert np.flatnonzero(got).size == 1
+    assert lasso_kkt(X, y, offset, got, lam) <= GROUP_LASSO_TOL
+
+
+def test_support_kkt_is_lasso_kkt():
+    """The finish's residual from the held design, response and support
+    columns equals lasso_kkt, which rebuilds it through the stack, to
+    rounding: 20 draws of random supports and coefficients."""
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        n, p = int(rng.integers(10, 80)), int(rng.integers(2, 40))
+        X, resp = rng.normal(size=(n, p)), rng.normal(size=n)
+        support = np.sort(rng.choice(p, int(rng.integers(0, p + 1)),
+                                     replace=False))
+        coef = rng.normal(size=support.size)
+        lam = float(rng.uniform(0.01, 2.0))
+        delta = np.zeros(p)
+        delta[support] = coef
+        got = transfer._support_kkt(X, X[:, support], resp, support, coef,
+                                    lam)
+        want = lasso_kkt(X, resp, np.zeros(p), delta, lam)
+        assert abs(got - want) <= 1e-12 * max(want, lam)
