@@ -21,8 +21,8 @@ group's own samples is ``regression.ols_fit``):
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError
-from .regression import GroupEstimates, ols_fits
+from .errors import ConvergenceError, DimensionError, NonFiniteError
+from .regression import GroupEstimates, _fail, _samples, ols_fits
 from .spectral import mode_spectrum
 
 __all__ = ["pooled_gram", "maximin", "shared_subspace",
@@ -135,16 +135,22 @@ def maximin(estimates, pooled, tol=MAXIMIN_TOL, max_iter=MAXIMIN_MAX_ITER,
     the largest diagonal entry of G. ``pooled`` is S, for example
     ``GroupEstimates.pooled`` or ``pooled_gram``. Returns (coefficient
     vector, weights). ``max_iter`` caps the active-set steps; running
-    out raises ConvergenceError carrying the final KKT residual.
+    out raises ConvergenceError carrying the final KKT residual. NaN or
+    infinite values raise NonFiniteError naming the estimate's group, or
+    "pooled", before the solve.
     ``history``, when a list, collects the objective value of every
     iterate; the values do not increase beyond the rounding of w' G w.
     """
-    basis, _ = _coef_matrix(estimates)
+    basis, order = _coef_matrix(estimates)
     pooled = np.asarray(pooled, dtype=float)
     p, m = basis.shape
     if pooled.shape != (p, p):
         raise DimensionError(
             f"pooled Gram shape {pooled.shape} does not match p={p}")
+    finite = [*np.isfinite(basis).all(axis=0), np.isfinite(pooled).all()]
+    if not all(finite):
+        where = [*order, "pooled"][finite.index(False)]
+        raise NonFiniteError(f"{where} holds non-finite values", where=where)
     gram = basis.T @ pooled @ basis
     gram = (gram + gram.T) / 2.0
     diag = np.diag(gram)
@@ -216,27 +222,15 @@ def projected_fits(basis, targets):
     with the OLS fits in one ``regression.ols_fits`` run, each bitwise
     its own. A target whose design does not match its responses or the
     basis, or that has no more samples than the basis has columns,
-    raises DimensionError naming it (``where``); of several, the
-    first."""
+    raises DimensionError, and one that holds NaN or infinite values
+    NonFiniteError, naming it (``where``); of several, the first."""
     pairs = []
     for name, (X, y) in targets.items():
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if X.ndim != 2 or X.shape[0] != y.size:
-            problem = (f"target design {X.shape} does not match {y.size} "
-                       f"responses")
-        elif X.shape[1] != basis.shape[0]:
-            problem = (f"target has {X.shape[1]} features, sources have "
-                       f"{basis.shape[0]}")
-        elif y.size <= basis.shape[1]:
-            problem = (f"need more target samples than the subspace dim "
-                       f"{basis.shape[1]}")
-        else:
-            pairs.append((X @ basis, y))
-            continue
-        raise DimensionError(
-            problem if name is None else f"group {name}: {problem}",
-            where=name)
+        X, y = _samples(X, y, basis.shape[0], name)
+        if y.size <= basis.shape[1]:
+            _fail(DimensionError, f"need more target samples than the "
+                  f"subspace dim {basis.shape[1]}", name)
+        pairs.append((X @ basis, y))
     scores = ols_fits(pairs, list(targets))[0]
     return {name: basis @ score for name, score in zip(targets, scores)}
 

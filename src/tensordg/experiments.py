@@ -55,6 +55,7 @@ from ._threads import run_serially
 from .baselines import maximin, projected_fits, shared_subspace
 from .completion import fit_tensordg
 from .metrics import adge, al2e, tle
+from .patterns import _integers
 from .regression import fit_all, ols_fits
 from .simulate import ScenarioConfig, make_scenario
 from .tensor import DenseTensor
@@ -86,6 +87,10 @@ class ExperimentConfig:
     scenario: dict = None           # ScenarioConfig fields but seed
 
     def __post_init__(self):
+        for name in ("replications", "seed", "workers"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, _integers(
+                (value,), f"{name} = {value}: values", name)[0])
         object.__setattr__(self, "values", tuple(map(_tuple, self.values)))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "scenario", {

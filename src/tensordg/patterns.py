@@ -69,15 +69,16 @@ def group_key(group):
     """``group`` as a tuple of ints. A level that is not an integer raises
     DimensionError naming the group, so no level is truncated."""
     group = tuple(group)
-    return _integers(group, f"group {group}", group)
+    return _integers(group, f"group {group}: levels", group)
 
 
-def _integers(levels, what, where):
-    """``levels`` as a tuple of ints; a level that is not an integer
-    raises DimensionError naming ``what`` (``where`` is its key)."""
-    if not all(float(i).is_integer() for i in levels):
-        raise DimensionError(f"{what}: levels must be integers", where=where)
-    return tuple(int(i) for i in levels)
+def _integers(values, what, where=None):
+    """``values`` as a tuple of ints, never truncated: a value that is not
+    an integer raises DimensionError "{what} must be integers" (``where``
+    is the key of what it names)."""
+    if not all(float(i).is_integer() for i in values):
+        raise DimensionError(f"{what} must be integers", where=where)
+    return tuple(int(i) for i in values)
 
 
 def _insert(rest, t, level):
@@ -91,7 +92,7 @@ def build_pattern(space, body, arm_subsets, extra=()):
     ``body`` gives Omega_t per mode; ``arm_subsets[t-1]`` gives the q-1
     subsets S_k (k != t, ascending) that generate arm t.
     """
-    space = tuple(int(p) for p in space)
+    space = _integers(space, f"group space {tuple(space)}: sizes", "space")
     q = len(space)
     if q < 1 or any(p < 1 for p in space):
         raise ValueError(f"invalid group space {space}")
@@ -126,7 +127,7 @@ def build_pattern(space, body, arm_subsets, extra=()):
 
 
 def _check_levels(levels, p, what):
-    levels = sorted(set(_integers(tuple(levels), what, what)))
+    levels = sorted(set(_integers(levels, f"{what}: levels", what)))
     if not levels:
         raise ValueError(f"{what}: empty level subset")
     if levels[0] < 1 or levels[-1] > p:

@@ -30,9 +30,10 @@ from .patterns import group_key
 # singular rather than fitted.
 GRAM_EIGENVALUE_FLOOR = 1e-10
 
-# Groups per batched factorization. At p = 80 a block's factors take
-# 0.4 MB of the fitting thread's heap; blocks of 16 fitted the fit_q3
-# design about 10% faster on two threads, with twice that scratch.
+# Groups per batched factorization. At p = 80 a block's Grams and their
+# factors take 0.4 MB each of the fitting thread's heap; blocks of 16
+# fitted the fit_q3 design about 10% faster on two threads, with twice
+# that scratch.
 FIT_BLOCK = 8
 
 # Widest diagonal block of a Cholesky factor that is inverted by forward
@@ -58,31 +59,18 @@ class GroupFit:
 class GroupedDataset:
     """Samples keyed by group tuple; every group shares the feature dim.
 
-    Raises NonFiniteError naming the group when a design or response
-    holds NaN or infinite values.
+    Each group's sample is checked by ``_samples`` against the first
+    group's p, so bad input raises an error that names the group.
     """
 
     groups: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        p = None
-        norm = {}
+        p, norm = None, {}
         for g, (X, y) in self.groups.items():
-            X = np.asarray(X, dtype=float)
-            y = np.asarray(y, dtype=float).ravel()
-            if X.ndim != 2 or X.shape[0] != y.size or X.shape[0] < 1:
-                raise DimensionError(
-                    f"group {g}: design {X.shape} does not match {y.size} responses")
             key = group_key(g)
-            if not (np.isfinite(X).all() and np.isfinite(y).all()):
-                raise NonFiniteError(
-                    f"group {key}: data hold non-finite values", where=key)
-            if p is None:
-                p = X.shape[1]
-            elif X.shape[1] != p:
-                raise DimensionError(
-                    f"group {g}: feature dim {X.shape[1]} != {p}")
-            norm[key] = (X, y)
+            norm[key] = X, y = _samples(X, y, p, key)
+            p = X.shape[1]
         self.groups = norm
 
     @property
@@ -107,6 +95,20 @@ def _empty_fits(G, p):
 def _fail(error, message, group):
     raise error(message if group is None else f"group {group}: {message}",
                 where=group)
+
+
+def _samples(X, y, p=None, where=None):
+    """A caller's sample (X, y) as float arrays, y raveled. X must be
+    (n, p), n = y.size >= 1 (any p when None), else DimensionError, and
+    X and y finite, else NonFiniteError; both name the group ``where``."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    if X.ndim != 2 or not 0 < y.size == len(X) or p not in (None, X.shape[1]):
+        _fail(DimensionError, f"design {X.shape} does not match {y.size} "
+              f"responses" + ("" if p is None else f" and p={p}"), where)
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        _fail(NonFiniteError, "data hold non-finite values", where)
+    return X, y
 
 
 def _leaves(p):
@@ -168,14 +170,14 @@ def _fit_rows(data, out, groups):
     ``_empty_fits`` arrays, which are filled. Each block of at most
     FIT_BLOCK groups factors its Grams G = X'X/n = LL' in one batched
     ``np.linalg.cholesky`` and inverts the factors in place by block
-    recursion (``_invert_lower``). Then G^-1 = L^-T L^-1, written over
-    the Gram in the block's noise_cov rows, gives coef = G^-1 X'y/n, and
+    recursion (``_invert_lower``). Then G^-1 = L^-T L^-1, written into
+    the block's noise_cov rows, gives coef = G^-1 X'y/n, and
     scaled by sigma2/n it is the noise covariance. Every call on a block
     runs the same arithmetic on each group's matrices, so every fit is
-    bitwise that of a run of one. When p is not a leaf width times a
-    power of two, the Grams are factored padded with an identity block,
-    whose factor and inverse are that identity exactly; the padded Grams
-    are held in one buffer per run.
+    bitwise that of a run of one. The Grams are factored from one buffer
+    per run, padded with an identity block (empty when p is a leaf width
+    times a power of two), whose factor and inverse are that identity
+    exactly.
 
     G is singular when its smallest eigenvalue is at most
     GRAM_EIGENVALUE_FLOOR times its largest. The eigenvalues are only
@@ -199,9 +201,8 @@ def _fit_rows(data, out, groups):
         _fail(DimensionError, f"need n > p, got n={n[j]}, p={p}", groups[j])
     width, levels = _leaves(p)
     padded = width << levels
-    if padded > p:
-        pad = np.zeros((min(G, FIT_BLOCK), padded, padded))
-        pad[:, range(p, padded), range(p, padded)] = 1.0
+    pad = np.zeros((min(G, FIT_BLOCK), padded, padded))
+    pad[:, range(p, padded), range(p, padded)] = 1.0
     xty = np.empty((min(G, FIT_BLOCK), p, 1))
     for start in range(0, G, FIT_BLOCK):
         rows = slice(start, min(start + FIT_BLOCK, G))
@@ -209,7 +210,7 @@ def _fit_rows(data, out, groups):
         for j, (X, y) in enumerate(data[rows]):
             np.matmul(X.T, X, out=xtx[start + j])
             np.divide(X.T @ y, n[start + j], out=xty[j, :, 0])
-        gram = noise_cov[rows] if padded == p else pad[:k]
+        gram = pad[:k]
         np.divide(xtx[rows], n[rows, None, None], out=gram[:, :p, :p])
         kappa = np.trace(gram[:, :p, :p], axis1=1, axis2=2)
         try:
@@ -257,19 +258,17 @@ def ols_fits(pairs, names=None):
     n - p degrees of freedom. The pairs are fitted in blocks of
     FIT_BLOCK, and every fit is bitwise its pair's ``ols_fit``. Errors
     name the pair's entry of ``names`` (None names none). A design that
-    is not (n, p), with the first pair's p, raises DimensionError before
-    any pair is fitted. Then a pair with n <= p or a singular Gram
-    raises DimensionError or ConditioningError; of several, the first.
+    is not (n, p), with the first pair's p, raises DimensionError, and
+    NaN or infinite values NonFiniteError, before any pair is fitted.
+    Then a pair with n <= p or a singular Gram raises DimensionError or
+    ConditioningError; of several, the first.
     """
-    pairs = [(np.asarray(X, dtype=float), np.asarray(y, dtype=float).ravel())
-             for X, y in pairs]
+    pairs, p = list(pairs), None
     names = [None] * len(pairs) if names is None else list(names)
-    p = np.shape(pairs[0][0])[-1] if pairs else 0
-    for (X, y), name in zip(pairs, names):
-        if X.ndim != 2 or X.shape != (y.size, p):
-            _fail(DimensionError, f"design {X.shape} does not match "
-                  f"{y.size} responses and p={p}", name)
-    coef, sigma2, n, _, xtx, _ = out = _empty_fits(len(pairs), p)
+    for k, ((X, y), name) in enumerate(zip(pairs, names)):
+        pairs[k] = X, y = _samples(X, y, p, name)
+        p = X.shape[1]
+    coef, sigma2, n, _, xtx, _ = out = _empty_fits(len(pairs), p or 0)
     _fit_rows(pairs, out, names)
     return coef, xtx / n[:, None, None], sigma2
 
@@ -279,7 +278,8 @@ def ols_fit(X, y):
 
     Returns (coef, gram, sigma2) where gram = X'X/n and sigma2 is the
     residual variance on n - p degrees of freedom: ``ols_fits`` of the
-    one pair, a block of one of ``fit_all``'s.
+    one pair, a block of one of ``fit_all``'s. NaN or infinite values
+    raise NonFiniteError before the fit.
     """
     coef, gram, sigma2 = ols_fits([(X, y)])
     return coef[0], gram[0], float(sigma2[0])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._threads import map_shares
-from .patterns import build_pattern
+from .patterns import _integers, build_pattern
 from .regression import GroupedDataset
 from .tensor import DenseTensor, matricize, tucker_assemble
 
@@ -48,8 +48,11 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("group_dims", "ranks", "body_sizes", "arm_sizes"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("q", "p", "n", "n_target", "delta_sparsity", "seed",
+                     "group_dims", "ranks", "body_sizes", "arm_sizes"):
+            v = getattr(self, name)      # a sequence stays a tuple
+            ints = _integers(np.ravel(v), f"{name} = {v}: values", name)
+            object.__setattr__(self, name, ints if np.ndim(v) else ints[0])
         if len(self.group_dims) != self.q:
             raise ValueError(f"need {self.q} group dims")
         if len(self.ranks) != self.q + 1:

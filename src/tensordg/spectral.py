@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .patterns import _integers
+
 
 @dataclass(frozen=True)
 class ModeSpectrum:
@@ -159,7 +161,8 @@ def mode_spectrum(est, pattern, t, rank=None):
     if rank is None:
         rank = count
     else:
-        rank, floored = int(rank), False
+        (rank,) = _integers((rank,), f"mode {t} rank {rank}: ranks", t)
+        floored = False
         if not 1 <= rank <= gram.shape[0]:
             raise ValueError(f"rank {rank} invalid for mode {t}")
     return ModeSpectrum(t, gram, eigval, rank, eigvec[:, :rank], lam, size,

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import DimensionError, NonFiniteError
 from .highdim import (GROUP_LASSO_MAX_ITER, GROUP_LASSO_TOL, PATH_TOL,
                       _Stack, group_lasso, group_lasso_kkt, lambda_grid)
+from .regression import _samples
 
 __all__ = ["TransferResult", "lasso_offset", "lasso_kkt", "default_lambda",
            "cross_validate_lambda", "tensortl"]
@@ -247,19 +248,11 @@ def tensortl(model, g_star, X, y, lam=None, cv=False, seed=0):
     cross-validated choice (folds seeded by ``seed``) when ``cv`` is
     set. The offset is lasso_offset's, so it is the exact finish on
     FISTA's support when that certifies, else FISTA's own solution.
-    Raises NonFiniteError naming ``g_star`` when the target data hold
-    NaN or infinite values.
+    A target sample that is not (n, p), or that holds NaN or infinite
+    values, raises DimensionError or NonFiniteError naming ``g_star``.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise NonFiniteError(
-            f"target group {g_star}: data hold non-finite values",
-            where=g_star)
     beta_hat = model.coefficient(g_star)
-    if X.ndim != 2 or X.shape[1] != beta_hat.size:
-        raise DimensionError(
-            f"target design {X.shape} does not match p={beta_hat.size}")
+    X, y = _samples(X, y, beta_hat.size, g_star)
     if lam is None:
         if cv:
             lam = cross_validate_lambda(X, y, beta_hat, seed=seed)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from maximin_reference import lstsq_maximin
 from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
-                      build_pattern, fit_all, maximin, meta_lm_star, ols_fit,
-                      pooled_gram, shared_subspace, spectral_step,
-                      tucker_assemble)
+                      NonFiniteError, build_pattern, fit_all, maximin,
+                      meta_lm_star, ols_fit, pooled_gram, shared_subspace,
+                      spectral_step, tucker_assemble)
 
 
 def make_truth(rng, p, space, ranks, scale=1.0):
@@ -77,6 +77,29 @@ def test_maximin_degenerate_cases():
     coef, w = maximin({(1,): v, (2,): -v}, pooled)
     assert np.allclose(coef, 0.0, atol=1e-8)
     assert np.allclose(w, [0.5, 0.5], atol=1e-8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_maximin_rejects_non_finite_input(bad, monkeypatch):
+    """A non-finite estimate or pooled Gram raises NonFiniteError naming
+    its group, or "pooled", before any solve (LAPACK would otherwise
+    report an illegal value and fail to converge)."""
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the input check")
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(np.linalg, "lstsq", solve)
+    estimates = {(1,): np.array([1.0, 2.0]), (2,): np.array([bad, 0.5]),
+                 (3,): np.array([0.0, 1.0])}
+    with pytest.raises(NonFiniteError, match=r"^\(2,\) holds") as err:
+        maximin(estimates, np.eye(2))
+    assert err.value.where == (2,)
+    estimates[(2,)] = np.array([-1.0, 0.5])
+    pooled = np.eye(2)
+    pooled[0, 1] = bad
+    with pytest.raises(NonFiniteError, match="^pooled holds") as err:
+        maximin(estimates, pooled)
+    assert err.value.where == "pooled"
 
 
 def test_maximin_matches_grid_oracle():

@@ -269,6 +269,34 @@ def test_experiment_with_a_rank_margin_of_one_writes_nothing(tmp_path,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("config", [
+    {"scenario": dict(EXPERIMENT_SCENARIO, n=300.5)},
+    {"scenario": EXPERIMENT_SCENARIO, "replications": 2.5},
+])
+def test_experiment_with_a_non_integral_count_writes_nothing(tmp_path, capsys,
+                                                            config):
+    """A count is never truncated: the config is rejected on load, with
+    exit code 2, instead of running failed rows or raising TypeError."""
+    cfg_path = tmp_path / "experiment.json"
+    cfg_path.write_text(json.dumps({"name": "bad", "methods": ["ols"],
+                                    **config}))
+    out_path = tmp_path / "metrics.csv"
+    rc = main(["experiment", "--config", str(cfg_path),
+               "--out", str(out_path)])
+    assert rc == 2
+    assert "must be integers" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_simulate_with_a_non_integral_n_writes_nothing(tmp_path, capsys):
+    rc = main(["simulate", "--config", write_scenario(tmp_path, n=300.5),
+               "--out-dir", str(tmp_path), "--prefix", "demo"])
+    assert rc == 2
+    assert "error: n = 300.5: values must be integers" in \
+        capsys.readouterr().err
+    assert not list(tmp_path.glob("demo_*"))
+
+
 def test_ingest_subcommand(tmp_path, capsys):
     path = tmp_path / "people.csv"
     path.write_text("sex,age,y,x1,x2\n"

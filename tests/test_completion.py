@@ -218,6 +218,18 @@ def test_fit_respects_rank_override():
     assert rel < 1e-10
 
 
+def test_rank_override_is_never_truncated():
+    """A rank of 2.5 raises naming its mode; it does not fit rank 2."""
+    truth, pattern, ds, ranks = standard_instance()
+    bad = (ranks[0], 2.5) + tuple(ranks[2:])
+    with pytest.raises(DimensionError, match=r"^mode 1 rank 2\.5: ranks "
+                                             r"must be integers") as err:
+        fit_tensordg(ds, pattern, rank_override=bad)
+    assert err.value.where == 1
+    model = fit_tensordg(ds, pattern, rank_override=[float(r) for r in ranks])
+    assert model.ranks == tuple(ranks)
+
+
 def test_model_tensor_equals_core_times_loadings():
     _, pattern, ds, _ = standard_instance(noise=1.0, n=80)
     model = fit_tensordg(ds, pattern)

@@ -55,6 +55,15 @@ def test_config_validation():
         small_cfg(replications=0)
     with pytest.raises(ValueError, match="positive"):
         small_cfg(workers=0)
+    # never truncated: 2.5 replications would run 2
+    for field, value in (("replications", 2.5), ("workers", 1.5),
+                         ("seed", 0.5)):
+        with pytest.raises(ValueError, match=f"^{field} = {value}: ") as err:
+            small_cfg(**{field: value})
+        assert err.value.where == field
+    with pytest.raises(ValueError, match="^n = 300.5: "):
+        small_cfg(scenario=dict(SMALL, n=300.5))
+    assert type(small_cfg(replications=2.0).replications) is int
 
 
 def test_config_dict_roundtrip():

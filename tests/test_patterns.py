@@ -1,6 +1,7 @@
 """Observation patterns: block enumeration, membership, JSON round trip."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,16 @@ def test_non_integral_levels_are_rejected_not_truncated():
     pat = build_pattern((5, 5), [(1, 2, 3.0), (1, 2)], [[(1.0, 2)], [(1, 2)]])
     assert pat.body == ((1, 2, 3), (1, 2))
     assert pat.arm_subsets == (((1, 2),), ((1, 2),))
+
+
+def test_non_integral_space_is_rejected_not_truncated():
+    """A group space of 5.5 levels would otherwise become 5."""
+    with pytest.raises(DimensionError, match=re.escape(
+            "group space (5.5, 5): sizes must be integers")) as err:
+        build_pattern((5.5, 5), [(1, 2), (1, 2)], [[(1, 2)], [(1, 2)]])
+    assert err.value.where == "space"
+    pat = build_pattern([5.0, 5], [(1, 2), (1, 2)], [[(1, 2)], [(1, 2)]])
+    assert pat.space == (5, 5) and all(type(d) is int for d in pat.space)
 
 
 subset_st = st.sets(st.integers(1, 4), min_size=1, max_size=4)

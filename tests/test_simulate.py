@@ -19,12 +19,31 @@ from tensordg import ScenarioConfig, make_scenario
     ("signal_scale", float("inf")),
     ("rank_margin", 1.0),           # sigma_r / sigma_1 never exceeds 1
     ("rank_margin", 1.5),
+    # a count, size or seed is never truncated
+    ("n", 300.5),
+    ("p", 59.5),
+    ("q", 2.5),
+    ("n_target", float("nan")),
+    ("delta_sparsity", 1.5),
+    ("seed", 1.5),
+    ("ranks", (6, 2.5, 3)),
+    ("group_dims", (8, float("inf"))),
+    ("body_sizes", (5.5, 5)),
+    ("arm_sizes", (5, 4.5)),
 ])
 def test_bad_scenario_input_fails_early(field, value):
     """Each of these would turn every replication into a failed row, so
     the config is rejected with the field named."""
     with pytest.raises(ValueError, match=f"^{field} "):
         ScenarioConfig(**{field: value})
+
+
+def test_integral_values_become_ints():
+    """An integral float is its int, in a scalar field and in a tuple."""
+    cfg = ScenarioConfig(n=300.0, seed=np.int64(1), ranks=[6.0, 3, 3])
+    assert cfg == ScenarioConfig(seed=1)
+    assert type(cfg.n) is int and type(cfg.seed) is int
+    assert cfg.ranks == (6, 3, 3) and type(cfg.ranks[0]) is int
 
 
 def test_few_target_samples_stay_legal():
