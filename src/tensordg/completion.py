@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConditioningError, DimensionError
 from .patterns import group_key, pattern_from_config, pattern_to_config
 from .regression import GroupEstimates, fit_all
-from .spectral import arm_blocks, floor_rank, spectral_step
+from .spectral import arm_blocks, check_ranks, floor_rank, spectral_step
 from .tensor import DenseTensor, load_tensor, mode_product, save_tensor, \
     tucker_assemble
 
@@ -91,9 +91,11 @@ def fit_tensordg(ds, pattern, rank_override=None):
     one, used as fitted. The spectral step and the transport solves read
     the same per-group fits. Each mode's rank comes from the noise-floor
     rule (``spectral.floor_rank``); rank_override bypasses it with fixed
-    per-mode ranks.
+    per-mode ranks, checked before ``fit_all`` runs.
     """
-    est = ds if isinstance(ds, GroupEstimates) else fit_all(ds, pattern)
+    fitted = isinstance(ds, GroupEstimates)
+    check_ranks(rank_override, pattern, ds.coef.shape[1] if fitted else ds.p)
+    est = ds if fitted else fit_all(ds, pattern)
     spectra = spectral_step(est, pattern, rank_override=rank_override)
     arms = arm_blocks(est, pattern)
     stack = est.coef[est.rows(pattern.observed_list())]

@@ -90,7 +90,7 @@ class ExperimentConfig:
         for name in ("replications", "seed", "workers"):
             value = getattr(self, name)
             object.__setattr__(self, name, _integers(
-                (value,), f"{name} = {value}: values", name)[0])
+                (value,), f"{name} = {value!r}: values", name)[0])
         object.__setattr__(self, "values", tuple(map(_tuple, self.values)))
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "scenario", {

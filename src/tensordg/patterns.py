@@ -14,6 +14,7 @@ extra groups declared explicitly.
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -74,9 +75,11 @@ def group_key(group):
 
 def _integers(values, what, where=None):
     """``values`` as a tuple of ints, never truncated: a value that is not
-    an integer raises DimensionError "{what} must be integers" (``where``
-    is the key of what it names)."""
-    if not all(float(i).is_integer() for i in values):
+    an integer number raises DimensionError "{what} must be integers"
+    (``where`` is the key of what it names). A string or a bool is not a
+    number, though float() takes "300" and int() takes True."""
+    if not all(isinstance(i, numbers.Real) and not isinstance(i, bool)
+               and float(i).is_integer() for i in values):
         raise DimensionError(f"{what} must be integers", where=where)
     return tuple(int(i) for i in values)
 

@@ -51,7 +51,7 @@ class ScenarioConfig:
         for name in ("q", "p", "n", "n_target", "delta_sparsity", "seed",
                      "group_dims", "ranks", "body_sizes", "arm_sizes"):
             v = getattr(self, name)      # a sequence stays a tuple
-            ints = _integers(np.ravel(v), f"{name} = {v}: values", name)
+            ints = _integers(np.ravel(v), f"{name} = {v!r}: values", name)
             object.__setattr__(self, name, ints if np.ndim(v) else ints[0])
         if len(self.group_dims) != self.q:
             raise ValueError(f"need {self.q} group dims")

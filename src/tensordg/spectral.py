@@ -142,10 +142,10 @@ def floor_rank(eigenvalues, multiplier, robust=False):
 def mode_spectrum(est, pattern, t, rank=None):
     """ModeSpectrum of mode t from one eigendecomposition of its Gram.
 
-    The rank is ``rank`` when given, else the noise-floor count: the
-    robust floor at FLOOR_SCALE_COEF on the coefficient mode, the mean
-    floor at FLOOR_SCALE_GROUP on the group modes. The basis is the
-    leading ``rank`` eigenvectors either way.
+    The rank is ``rank`` when given (an entry of ``check_ranks``), else
+    the noise-floor count: the robust floor at FLOOR_SCALE_COEF on the
+    coefficient mode, the mean floor at FLOOR_SCALE_GROUP on the group
+    modes. The basis is the leading ``rank`` eigenvectors either way.
     """
     gram = mode_gram(est, pattern, t)
     if not np.all(np.isfinite(gram)):
@@ -161,25 +161,41 @@ def mode_spectrum(est, pattern, t, rank=None):
     if rank is None:
         rank = count
     else:
-        (rank,) = _integers((rank,), f"mode {t} rank {rank}: ranks", t)
         floored = False
-        if not 1 <= rank <= gram.shape[0]:
-            raise ValueError(f"rank {rank} invalid for mode {t}")
     return ModeSpectrum(t, gram, eigval, rank, eigvec[:, :rank], lam, size,
                         floored)
+
+
+def check_ranks(rank_override, pattern, p):
+    """rank_override as one rank per mode 0..q, an int or None for the
+    noise-floor rule (all None when it is None), checked before anything
+    is fitted: it needs q + 1 entries, each None or an integer (else
+    DimensionError naming the mode) in 1..dim (p at mode 0, the number
+    of body levels at mode t), else ValueError."""
+    q = pattern.q
+    if rank_override is None:
+        return (None,) * (q + 1)
+    if len(rank_override) != q + 1:
+        raise ValueError(f"rank_override needs {q + 1} entries")
+    dims = (p,) + tuple(len(levels) for levels in pattern.body)
+    ranks = []
+    for t, (rank, dim) in enumerate(zip(rank_override, dims)):
+        if rank is not None:
+            (rank,) = _integers((rank,), f"mode {t} rank {rank!r}: ranks", t)
+            if not 1 <= rank <= dim:
+                raise ValueError(f"rank {rank} invalid for mode {t}")
+        ranks.append(rank)
+    return tuple(ranks)
 
 
 def spectral_step(est, pattern, rank_override=None):
     """ModeSpectrum for every mode 0..q, each from ``mode_spectrum``.
 
     rank_override, when given, supplies one rank per mode and bypasses
-    the noise-floor count (the basis is still the leading eigenvectors).
-    Each mode Gram is decomposed once either way.
+    the noise-floor count (the basis is still the leading eigenvectors);
+    ``check_ranks`` vets it first. Each mode Gram is decomposed once
+    either way.
     """
-    q = pattern.q
-    if rank_override is None:
-        rank_override = (None,) * (q + 1)
-    elif len(rank_override) != q + 1:
-        raise ValueError(f"rank_override needs {q + 1} entries")
+    ranks = check_ranks(rank_override, pattern, est.coef.shape[1])
     return [mode_spectrum(est, pattern, t, rank)
-            for t, rank in enumerate(rank_override)]
+            for t, rank in enumerate(ranks)]

@@ -62,7 +62,11 @@ class TransferResult:
 def _offset_stack(X, y, offset):
     """The offset lasso as a one-group stack: design X, response
     y - X offset. Raises NonFiniteError naming the argument ("X", "y" or
-    "offset") that holds NaN or infinite values."""
+    "offset") that holds NaN or infinite values. An X that is already
+    such a stack (tensortl's, from a sample it checked) is returned as
+    it is, and y and offset are not read."""
+    if isinstance(X, _Stack):
+        return X
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     offset = np.asarray(offset, dtype=float).ravel()
@@ -150,6 +154,9 @@ def lasso_offset(X, y, offset, lam, tol=GROUP_LASSO_TOL,
     alone, and that solve's finish is returned when certified, else
     FISTA's solution (also when X_S'X_S is singular).
 
+    ``X`` may also be the one-group stack that tensortl builds from a
+    sample it checked; ``y`` and ``offset`` are then not read.
+
     Raises ConvergenceError (carrying the final KKT residual) if a
     solve reaches the iteration limit first.
     """
@@ -206,7 +213,8 @@ def cross_validate_lambda(X, y, offset, seed=0):
     losses, each fold's gradient is its own and the l1 penalty
     separates, so group_lasso's tolerance bounds every fold's lasso_kkt.
     The stack holds CV_FOLDS * n_max * p floats (0.3 MB at n = 150,
-    p = 60).
+    p = 60). ``X`` may also be the one-group stack that tensortl builds
+    from a sample it checked; ``y`` and ``offset`` are then not read.
     """
     full = _offset_stack(X, y, offset)
     X, resid = full.X[0], full.y[0]
@@ -253,11 +261,14 @@ def tensortl(model, g_star, X, y, lam=None, cv=False, seed=0):
     """
     beta_hat = model.coefficient(g_star)
     X, y = _samples(X, y, beta_hat.size, g_star)
+    # the sample is checked once: the CV and the offset lasso take the
+    # one-group stack as built
+    stack = _Stack((0,), X[None], (y - X @ beta_hat)[None], y.size)
     if lam is None:
         if cv:
-            lam = cross_validate_lambda(X, y, beta_hat, seed=seed)
+            lam = cross_validate_lambda(stack, None, None, seed=seed)
         else:
             lam = default_lambda(beta_hat.size, y.size)
-    delta = lasso_offset(X, y, beta_hat, float(lam))
+    delta = lasso_offset(stack, None, None, float(lam))
     support = tuple(int(j) for j in np.flatnonzero(delta))
     return TransferResult(beta_hat + delta, delta, float(lam), support)

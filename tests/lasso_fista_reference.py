@@ -2,11 +2,14 @@
 
 ``group_lasso`` is the package's solver as it was before the inner loop
 wrote into preallocated buffers: every iteration allocates its iterates,
-gradients and residuals. The buffered solver rounds its steps
-differently, so the tests compare the two by what the user sees
-(fit_compare): on one-group stacks, batched or not, and on the
-multi-group stacks of fit_highdim, every solve has this loop's support
-and meets its tolerance, and the fits pick its penalty and support.
+gradients and residuals, and the step 1/L takes L from a stacked
+eigvalsh of the working-set Grams. The package's solver rounds its
+steps differently and takes L from an upper bound on that eigenvalue,
+so its iterates differ in more than the last bits. The tests compare
+the two by what the user sees (fit_compare): on one-group stacks,
+batched or not, and on the multi-group stacks of fit_highdim, every
+solve has this loop's support and meets its tolerance, and the fits
+pick its penalty and support.
 """
 
 import math

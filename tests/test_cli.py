@@ -272,6 +272,9 @@ def test_experiment_with_a_rank_margin_of_one_writes_nothing(tmp_path,
 @pytest.mark.parametrize("config", [
     {"scenario": dict(EXPERIMENT_SCENARIO, n=300.5)},
     {"scenario": EXPERIMENT_SCENARIO, "replications": 2.5},
+    # a quoted count or a bool is not a number
+    {"scenario": dict(EXPERIMENT_SCENARIO, n="300")},
+    {"scenario": EXPERIMENT_SCENARIO, "replications": True},
 ])
 def test_experiment_with_a_non_integral_count_writes_nothing(tmp_path, capsys,
                                                             config):
@@ -293,6 +296,16 @@ def test_simulate_with_a_non_integral_n_writes_nothing(tmp_path, capsys):
                "--out-dir", str(tmp_path), "--prefix", "demo"])
     assert rc == 2
     assert "error: n = 300.5: values must be integers" in \
+        capsys.readouterr().err
+    assert not list(tmp_path.glob("demo_*"))
+
+
+def test_simulate_with_a_quoted_n_writes_nothing(tmp_path, capsys):
+    """float("300") is 300, but a JSON string is not a count."""
+    rc = main(["simulate", "--config", write_scenario(tmp_path, n="300"),
+               "--out-dir", str(tmp_path), "--prefix", "demo"])
+    assert rc == 2
+    assert "error: n = '300': values must be integers" in \
         capsys.readouterr().err
     assert not list(tmp_path.glob("demo_*"))
 

@@ -230,6 +230,36 @@ def test_rank_override_is_never_truncated():
     assert model.ranks == tuple(ranks)
 
 
+@pytest.mark.parametrize("bad, error, match", [
+    ((3, 2), ValueError, "needs 3 entries"),
+    ((3, 2, 2, 2), ValueError, "needs 3 entries"),
+    ((3, 2, 2.5), DimensionError, r"^mode 2 rank 2\.5: ranks must be"),
+    ((3, "2", 2), DimensionError, "^mode 1 rank '2': ranks must be"),
+    ((3, True, 2), DimensionError, "^mode 1 rank True: ranks must be"),
+    ((3, 0, 2), ValueError, "rank 0 invalid for mode 1"),
+    ((9, 2, 2), ValueError, "rank 9 invalid for mode 0"),    # p = 8
+    ((3, 2, 4), ValueError, "rank 4 invalid for mode 2"),    # 3 body levels
+])
+def test_rank_override_is_checked_before_any_fit(monkeypatch, bad, error,
+                                                 match):
+    """A bad override fails on its length, integrality or range before
+    fit_all runs, not after the group fits and earlier modes' spectra."""
+    _, pattern, ds, _ = standard_instance()
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit_all ran before the override was checked")
+    monkeypatch.setattr(tensordg.completion, "fit_all", no_fit)
+    with pytest.raises(error, match=match):
+        fit_tensordg(ds, pattern, rank_override=bad)
+
+
+def test_rank_override_entry_none_keeps_the_noise_floor_rank():
+    """None in one mode keeps that mode's noise-floor rank."""
+    _, pattern, ds, ranks = standard_instance()
+    model = fit_tensordg(ds, pattern, rank_override=(None,) + ranks[1:])
+    assert model.ranks == fit_tensordg(ds, pattern).ranks
+
+
 def test_model_tensor_equals_core_times_loadings():
     _, pattern, ds, _ = standard_instance(noise=1.0, n=80)
     model = fit_tensordg(ds, pattern)

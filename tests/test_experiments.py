@@ -63,6 +63,14 @@ def test_config_validation():
         assert err.value.where == field
     with pytest.raises(ValueError, match="^n = 300.5: "):
         small_cfg(scenario=dict(SMALL, n=300.5))
+    # a string or a bool is not a count: True would run 1 replication
+    for field, value in (("replications", True), ("workers", "2"),
+                         ("seed", np.bool_(False))):
+        with pytest.raises(DimensionError, match=f"^{field} = ") as err:
+            small_cfg(**{field: value})
+        assert err.value.where == field
+    with pytest.raises(DimensionError, match="^n = '300': "):
+        small_cfg(scenario=dict(SMALL, n="300"))
     assert type(small_cfg(replications=2.0).replications) is int
 
 

@@ -1,5 +1,6 @@
-"""group_lasso on preallocated buffers against the reference loop that
-allocates every temporary, compared by what the user sees (fit_compare):
+"""group_lasso on preallocated buffers, stepping by a trace bound, against
+the reference loop that allocates every temporary and steps by eigvalsh,
+compared by what the user sees (fit_compare):
 every solve keeps the reference's support and meets its own tolerance,
 and the fits choose the reference's penalty, support and tensor."""
 
@@ -69,14 +70,18 @@ def test_cross_validate_lambda_bitwise_reference(monkeypatch, n, p, seed):
                     "lambda")
 
 
-@pytest.mark.parametrize("design", ["path", "recovery"])
+@pytest.mark.parametrize("design", ["path", "recovery", "wide"])
 @pytest.mark.parametrize("seed", range(3))
 def test_fit_highdim_bitwise_reference(monkeypatch, design, seed):
     """Multi-group stacks: the path and the full-data solve have the
     reference's supports and are certified, so fit_highdim picks the
-    reference's penalty and support and gives its ranks and tensor."""
+    reference's penalty and support and gives its ranks and tensor. The
+    wide design (p = 150, n = 50 in 13 groups, the highdim_path shape)
+    reaches working sets wider than n, whose Grams are XX'."""
     if design == "path":
         ds, pattern = path_problem(seed)
+    elif design == "wide":
+        ds, pattern = path_problem(seed, p=150, n=50)
     else:
         ds, pattern = recovery_problem(seed)[0], RECOVERY_PATTERN
     got = fit_highdim(ds, pattern, seed=seed)

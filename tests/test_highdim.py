@@ -273,6 +273,62 @@ def test_group_lasso_rejects_bad_warm_start(bad, error, match):
     assert str(where) in str(info.value)
 
 
+@given(seed=st.integers(0, 10**6), batch=st.integers(0, 2),
+       k=st.integers(1, 4), n=st.integers(1, 30), w=st.integers(1, 30),
+       rank_one=st.booleans(), exponent=st.sampled_from([-40, 0, 40]))
+@settings(max_examples=100, deadline=None)
+def test_top_bound_covers_every_largest_eigenvalue(seed, batch, k, n, w,
+                                                   rank_one, exponent):
+    """The step bound is at least the stacked eigvalsh maximum, up to
+    rounding, and at most m^(1/16) times it, for the Grams group_lasso
+    forms (X'X, or XX' when w > n): rank-one designs, groups zero-padded
+    to unequal n, batch axes and entries scaled by 2^-40 to 2^40."""
+    rng = np.random.default_rng(seed)
+    shape = (2,) * batch + (k, n, w)
+    X = rng.normal(size=shape)
+    if rank_one:
+        X = rng.normal(size=shape[:-1] + (1,)) * rng.normal(size=w)
+    X[np.arange(n) >= rng.integers(1, n + 1, size=shape[:-2] + (1,))] = 0.0
+    X *= 2.0 ** exponent
+    Xt = X.swapaxes(-1, -2)
+    gram = Xt @ X if w <= n else X @ Xt
+    top = float(np.linalg.eigvalsh(gram)[..., -1].max())
+    bound = highdim._top_bound(gram)
+    assert (1.0 - 1e-12) * top <= bound
+    assert bound <= (1.0 + 1e-12) * gram.shape[-1] ** 0.0625 * top
+
+
+def one_group_zero_column(rng, n=20):
+    """One group whose design column 2 is zero, and its response."""
+    X = rng.normal(size=(n, 4))
+    X[:, 2] = 0.0
+    return GroupedDataset({(1,): (X, X @ [1.0, -1.0, 0.0, 0.5]
+                                  + rng.normal(size=n))})
+
+
+@pytest.mark.parametrize("share", [100.0, 0.3])
+def test_group_lasso_zero_gram_working_set(share):
+    """A warm start on a column that is zero in every group. Above
+    lambda_max no other row joins, so the working set's Gram is zero:
+    the row is set to zero with no FISTA run and no 0/0 (a numpy warning
+    fails the test), and the violator check returns zero. Below it the
+    other rows join, FISTA shrinks the row to zero and certifies."""
+    ds = one_group_zero_column(np.random.default_rng(3))
+    lam = share * float(lambda_grid(ds)[0])
+    history = []
+    beta = group_lasso(ds, lam, init={(1,): [0.0, 0.0, 1.0, 0.0]},
+                       history=history)[(1,)]
+    assert beta[2] == 0.0
+    assert np.all(np.diff(history) <= 1e-12)
+    assert group_lasso_kkt(ds, {(1,): beta}, lam) <= 1e-8
+    if share > 1.0:
+        y = ds.groups[(1,)][1]
+        assert np.array_equal(beta, np.zeros(4))
+        assert history == [float(y @ y) / y.size + lam, float(y @ y) / y.size]
+    else:
+        assert np.count_nonzero(beta) > 0
+
+
 def test_select_support_rules():
     """Zero coefficients give the empty support; the row-norm
     rule keeps exactly the rows at or above the penalty."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tensordg import ScenarioConfig, make_scenario
+from tensordg import DimensionError, ScenarioConfig, make_scenario
 
 
 @pytest.mark.parametrize("field, value", [
@@ -30,12 +30,21 @@ from tensordg import ScenarioConfig, make_scenario
     ("group_dims", (8, float("inf"))),
     ("body_sizes", (5.5, 5)),
     ("arm_sizes", (5, 4.5)),
+    # a string or a bool is not a count, though float() takes both
+    ("n", "300"),
+    ("seed", True),
+    ("q", np.bool_(True)),
+    ("p", b"60"),
+    ("ranks", (6, "3", 3)),
+    ("group_dims", np.array(["8", "8"])),
 ])
 def test_bad_scenario_input_fails_early(field, value):
     """Each of these would turn every replication into a failed row, so
     the config is rejected with the field named."""
-    with pytest.raises(ValueError, match=f"^{field} "):
+    with pytest.raises(ValueError, match=f"^{field} ") as err:
         ScenarioConfig(**{field: value})
+    if type(err.value) is DimensionError:
+        assert err.value.where == field
 
 
 def test_integral_values_become_ints():

@@ -15,8 +15,8 @@ from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
                       fit_tensordg, lasso_kkt, lasso_offset, make_scenario,
                       ols_fit, tensortl, tucker_assemble)
 from tensordg import transfer
-from tensordg.highdim import (GROUP_LASSO_TOL, group_lasso, group_lasso_kkt,
-                              lambda_grid)
+from tensordg.highdim import (GROUP_LASSO_TOL, _Stack, group_lasso,
+                              group_lasso_kkt, lambda_grid)
 
 from lasso_reference import cd_lasso
 
@@ -400,6 +400,34 @@ def test_tensortl_recovers_sparse_offset():
     res = tensortl(model, g_star, X, y)
     assert {0, 3, 6} <= set(res.support)
     assert np.linalg.norm(res.gamma_hat - (beta + delta_true)) < 0.5
+
+
+@pytest.mark.parametrize("cv", [False, True])
+def test_tensortl_checks_the_target_sample_once(monkeypatch, cv):
+    """tensortl checks (X, y) in _samples and hands the CV and the
+    offset lasso the one-group stack it built, which they take as it is,
+    so no array is checked again; the penalty and offset are those of
+    the public calls on the arrays."""
+    rng = np.random.default_rng(13)
+    _, _, model = fit_noiseless_model(rng)
+    g_star = (2, 3)
+    beta_hat = model.coefficient(g_star)
+    X = rng.normal(size=(60, 8))
+    y = X @ beta_hat + rng.normal(size=60)
+    lam = (cross_validate_lambda(X, y, beta_hat, seed=4) if cv
+           else transfer.default_lambda(8, 60))
+    want = lasso_offset(X, y, beta_hat, lam)
+
+    given, stack_of = [], transfer._offset_stack
+
+    def recorded(X, y, offset):
+        given.append(type(X))
+        return stack_of(X, y, offset)
+    monkeypatch.setattr(transfer, "_offset_stack", recorded)
+    res = tensortl(model, g_star, X, y, cv=cv, seed=4)
+    assert given == [_Stack] * (1 + cv)
+    assert res.lambda_used == lam
+    assert np.array_equal(res.delta_hat, want)
 
 
 @pytest.mark.parametrize("where", ["y", "X"])
