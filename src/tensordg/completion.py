@@ -183,13 +183,35 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """Read a model written by save_model. A sidecar that lacks a key or
+    holds one of the wrong type, or whose tensor dims are not (p,) + the
+    pattern's space, whose core dims are not the ranks or whose mode-t
+    loading is not (ranks[t], dims[t]), raises DimensionError naming the
+    sidecar."""
     tensor = load_tensor(path)
-    with open(str(path) + ".json") as fh:
+    name = str(path) + ".json"
+    with open(name) as fh:
         sidecar = json.load(fh)
-    pattern = pattern_from_config(sidecar["pattern"])
-    core = DenseTensor.from_flat(sidecar["core_dims"], sidecar["core"])
-    return CompletionModel(
-        pattern, tuple(sidecar["ranks"]),
-        [np.array(b) for b in sidecar["bases"]],
-        [np.array(l) for l in sidecar["loadings"]],
-        core, tensor, sidecar["diagnostics"])
+    try:
+        pattern = pattern_from_config(sidecar["pattern"])
+        ranks = tuple(sidecar["ranks"])
+        bases = [np.array(b) for b in sidecar["bases"]]
+        loadings = [np.array(l) for l in sidecar["loadings"]]
+        core = DenseTensor.from_flat(sidecar["core_dims"], sidecar["core"])
+        diagnostics = sidecar["diagnostics"]
+    except (KeyError, TypeError) as exc:
+        raise DimensionError(f"{name}: missing or malformed entry: {exc}") \
+            from exc
+    dims = tensor.dims
+    if dims[1:] != tuple(pattern.space):
+        raise DimensionError(f"{name}: tensor dims {dims} do not match the "
+                             f"pattern's space {tuple(pattern.space)}")
+    if core.dims != ranks:
+        raise DimensionError(f"{name}: core dims {core.dims} do not match "
+                             f"the ranks {ranks}")
+    shapes = [l.shape for l in loadings]
+    if len(ranks) != len(dims) or shapes != list(zip(ranks, dims)):
+        raise DimensionError(f"{name}: loadings {shapes} do not match the "
+                             f"ranks {ranks} and tensor dims {dims}")
+    return CompletionModel(pattern, ranks, bases, loadings, core, tensor,
+                           diagnostics)

@@ -15,11 +15,9 @@ space with zero rows elsewhere. group_lasso steps by a certified bound
 on the working-set Grams' largest eigenvalue, with no eigendecomposition.
 The stopping settings (``tol``, an absolute KKT residual, ``max_iter``
 and ``history``) belong to group_lasso. fit_highdim's full-data solve
-keeps the default ``tol``. choose_lambda stops each path solve at a KKT
-residual of PATH_TOL * lam: a path solution only scores its penalty by
-holdout loss and warm-starts the next one, so it needs less accuracy
-than a final fit (Friedman, Hastie & Tibshirani 2010). Relative to the
-penalty, the rule does not depend on the scale of the data.
+keeps the default ``tol``. ``_select`` is the one penalty selector: it
+walks a grid for choose_lambda and transfer.cross_validate_lambda alike,
+and stops each path solve at a KKT residual of PATH_TOL * lam.
 """
 
 import math
@@ -36,7 +34,8 @@ __all__ = ["group_lasso", "group_lasso_kkt", "select_support",
            "choose_lambda", "fit_highdim"]
 
 GROUP_LASSO_TOL = 1e-8
-PATH_TOL = 1e-4   # path solves, lasso_offset first stops: KKT residual / lam
+PATH_TOL = 1e-4   # _select's path solves, lasso_offset's first stop:
+                  # KKT residual / lam
 GROUP_LASSO_MAX_ITER = 100_000
 LAMBDA_GRID_SIZE = 20
 LAMBDA_GRID_SPAN = 100.0
@@ -227,7 +226,7 @@ def group_lasso(ds, lam, tol=GROUP_LASSO_TOL, max_iter=GROUP_LASSO_MAX_ITER,
     rows outside the set that violate theirs by more than ``tol`` join
     it. So ``tol`` bounds group_lasso_kkt (absolute) at the returned
     {group: p-vector}. ``ds`` is a GroupedDataset or the stack that
-    choose_lambda builds once per path; ``init`` warm-starts from a
+    a selector builds once per path; ``init`` warm-starts from a
     solution map, and a group it names must be in ``ds`` with a finite
     start of the solution's shape (else DimensionError or
     NonFiniteError naming the group); ``history`` collects the
@@ -322,58 +321,69 @@ def lambda_grid(ds):
     return np.geomspace(lam_max, lam_max / LAMBDA_GRID_SPAN, LAMBDA_GRID_SIZE)
 
 
+def _select(stack, grid, held_out, rule):
+    """The penalty of ``grid`` that held-out loss picks along a
+    warm-started path, and the path's solution at it.
+
+    Walks ``grid`` from its first, largest, penalty down. Each
+    group_lasso solve on ``stack`` starts from the one before and stops
+    at a KKT residual of PATH_TOL * lam, not at the absolute tolerance
+    of a final fit: a path solution only scores its penalty and
+    warm-starts the next, so it needs less accuracy (Friedman, Hastie &
+    Tibshirani 2010), and relative to the penalty the stop does not
+    depend on the scale of the data. A solution's score is the mean of
+    ``held_out(solution)``, the held-out rows' squared errors. Rule
+    "min" picks the largest penalty that no smaller one undercuts by
+    more than 1e-15 of its score, as a smaller gain is rounding; the
+    margin is relative, so it means the same at any scale. Rule "1se"
+    picks the largest penalty whose score is within one standard error
+    of that pick's, which favors sparser solutions on flat loss curves.
+    """
+    path, errors, means, best = [], [], [], 0
+    for lam in map(float, grid):
+        path.append(group_lasso(stack, lam, init=path[-1] if path else None,
+                                tol=PATH_TOL * lam))
+        errors.append(held_out(path[-1]))
+        means.append(float(errors[-1].mean()))
+        if means[-1] < means[best] * (1.0 - 1e-15):
+            best = len(means) - 1
+    pick = best
+    if rule == "1se":
+        sq = errors[best]
+        se = float(sq.std(ddof=1) / math.sqrt(sq.size)) if sq.size > 1 \
+            else 0.0
+        pick = next(k for k, mean in enumerate(means)
+                    if mean <= means[best] + se)
+    return float(grid[pick]), path[pick]
+
+
 def choose_lambda(ds, seed=0, rule="1se"):
     """Penalty chosen by pooled holdout loss along a warm-started path.
 
     Splits every group with a seeded permutation (a HOLDOUT share of the
-    rows, at least one, held out per group), fits the path over
-    lambda_grid of the training rows from the largest penalty down, and
-    scores each solution by the pooled squared prediction error on the
-    held-out rows. ``rule`` is "min" for the loss minimizer or "1se"
-    (default) for the one-standard-error convention: the largest penalty
-    whose mean holdout loss stays within one standard error of the
-    minimum, which favors sparser solutions on flat loss curves. The
-    training rows are stacked once for the whole path. Each solve stops
-    at a KKT residual of PATH_TOL * lam, not at the absolute default
-    tolerance of a final fit: a path solution only scores its penalty
-    and warm-starts the next, and the residual relative to the penalty
-    does not depend on the scale of the data. Returns the penalty and
-    the path's training-row solution at it, a warm start for a
-    full-data solve, which certifies its own tolerance.
+    rows, at least one, held out per group), stacks the training rows
+    once, and walks lambda_grid of them with ``_select`` by the pooled
+    squared prediction error on the held-out rows. ``rule`` is "min" or
+    "1se" (default), as in ``_select``. Returns the penalty and the
+    path's training-row solution at it, a warm start for a full-data
+    solve, which certifies its own tolerance.
     """
     if rule not in ("min", "1se"):
         raise ValueError(f"unknown selection rule {rule!r}")
     rng = np.random.default_rng(int(seed))
-    train, valid = {}, {}
+    train, valid = {}, []
     for g in sorted(ds.groups):
         X, y = ds.groups[g]
-        n = y.size
-        n_hold = max(int(round(HOLDOUT * n)), 1)
-        if n_hold >= n:
+        n_hold = max(int(round(HOLDOUT * y.size)), 1)
+        if n_hold >= y.size:
             raise DimensionError(f"group {g} too small to hold out from")
-        perm = rng.permutation(n)
+        perm = rng.permutation(y.size)
         hold, keep = perm[:n_hold], perm[n_hold:]
         train[g] = (X[keep], y[keep])
-        valid[g] = (X[hold], y[hold])
+        valid.append((g, X[hold], y[hold]))
     stack = _stack(GroupedDataset(train))
-    grid = [float(l) for l in lambda_grid(stack)]
-    means, path, sq_errors = [], [], []
-    for lam in grid:
-        path.append(group_lasso(stack, lam, init=path[-1] if path else None,
-                                tol=PATH_TOL * lam))
-        sq = np.concatenate([(yv - Xv @ path[-1][g]) ** 2
-                             for g, (Xv, yv) in sorted(valid.items())])
-        sq_errors.append(sq)
-        means.append(float(sq.mean()))
-    best = pick = int(np.argmin(means))
-    if rule == "1se":
-        sq = sq_errors[best]
-        se = float(sq.std(ddof=1) / math.sqrt(sq.size)) if sq.size > 1 \
-            else 0.0
-        cutoff = means[best] + se
-        pick = next((k for k, mean in enumerate(means) if mean <= cutoff),
-                    best)
-    return grid[pick], path[pick]
+    return _select(stack, lambda_grid(stack), lambda beta: np.concatenate(
+        [(yv - Xv @ beta[g]) ** 2 for g, Xv, yv in valid]), rule)
 
 
 def fit_highdim(ds, pattern, lam=None, seed=0):

@@ -24,8 +24,7 @@ gamma_hat = beta_hat + delta_hat, which degrades gracefully: with no
 usable target signal the lasso shrinks delta to zero and the answer
 falls back to the completed tensor's coefficient. The stopping settings
 (``tol``, an absolute KKT residual, ``max_iter`` and ``history``) belong
-to lasso_offset alone; cross_validate_lambda and tensortl solve at
-group_lasso's defaults.
+to lasso_offset alone.
 """
 
 import math
@@ -35,7 +34,8 @@ import numpy as np
 
 from .errors import DimensionError, NonFiniteError
 from .highdim import (GROUP_LASSO_MAX_ITER, GROUP_LASSO_TOL, PATH_TOL,
-                      _Stack, group_lasso, group_lasso_kkt, lambda_grid)
+                      _select, _Stack, group_lasso, group_lasso_kkt,
+                      lambda_grid)
 from .regression import _samples
 
 __all__ = ["TransferResult", "lasso_offset", "lasso_kkt", "default_lambda",
@@ -144,7 +144,7 @@ def lasso_offset(X, y, offset, lam, tol=GROUP_LASSO_TOL,
 
     The finish depends on S and s alone, not on where FISTA stopped, so
     FISTA first stops at PATH_TOL * lam (when that is looser than
-    ``tol``), as choose_lambda's path solves do. On the reference
+    ``tol``), as the path solves of highdim._select do. On the reference
     design the final signs appear at about 40% of a full solve's
     iterations, and this stop certifies the finish of almost every
     offset, which is then bitwise the one a full solve would give. An
@@ -195,26 +195,20 @@ def default_lambda(p, n):
 
 def cross_validate_lambda(X, y, offset, seed=0):
     """Pick the penalty with the best CV_FOLDS-fold held-out prediction
-    error.
+    error, by ``highdim._select`` with rule "min".
 
     The grid is ``highdim.lambda_grid`` of all rows; where its top
     penalty is zero (the offset fits y exactly) default_lambda is the
     answer. Folds come from a seeded permutation, so the choice is
-    deterministic. The largest penalty with the lowest error wins: a
-    penalty must undercut the best error so far by more than 1e-15 of
-    it, as a smaller gain is rounding. The margin is relative, so it
-    means the same at any scale of y and the offset.
-
-    All folds' lassos are one group_lasso call per penalty,
-    warm-started down the grid, on a stack whose leading axis is a
-    batch of the folds: fold k holds its training rows of X and of
-    y - X offset scaled by sqrt(N / n_k), zero-padded to the largest
-    fold. The batch's loss is then the sum of the folds' own (1/n_k)
-    losses, each fold's gradient is its own and the l1 penalty
-    separates, so group_lasso's tolerance bounds every fold's lasso_kkt.
-    The stack holds CV_FOLDS * n_max * p floats (0.3 MB at n = 150,
-    p = 60). ``X`` may also be the one-group stack that tensortl builds
-    from a sample it checked; ``y`` and ``offset`` are then not read.
+    deterministic. The folds' lassos are one batched problem: fold k
+    holds its training rows of X and of y - X offset scaled by
+    sqrt(N / n_k), zero-padded to the largest fold. The batch's loss is
+    then the sum of the folds' own (1/n_k) losses, each fold's gradient
+    is its own and the l1 penalty separates, so group_lasso's tolerance
+    bounds every fold's lasso_kkt. The stack holds CV_FOLDS * n_max * p
+    floats (0.3 MB at n = 150, p = 60). ``X`` may also be the one-group
+    stack that tensortl builds from a sample it checked; ``y`` and
+    ``offset`` are then not read.
     """
     full = _offset_stack(X, y, offset)
     X, resid = full.X[0], full.y[0]
@@ -236,14 +230,9 @@ def cross_validate_lambda(X, y, offset, seed=0):
         design[k, 0, :train.size] = scale * X[train]
         response[k, 0, :train.size] = scale * resid[train]
     stack = _Stack((0,), design, response, n_total)
-    best_lam, best_err, warm = None, np.inf, None
-    for lam in grid:
-        warm = group_lasso(stack, float(lam), init=warm)
-        err = sum(float(np.sum((resid[hold] - X[hold] @ delta) ** 2))
-                  for hold, delta in zip(splits, warm[0]))
-        if err < best_err * (1.0 - 1e-15):
-            best_err, best_lam = err, float(lam)
-    return best_lam
+    return _select(stack, grid, lambda deltas: np.concatenate(
+        [(resid[hold] - X[hold] @ delta) ** 2
+         for hold, delta in zip(splits, deltas[0])]), "min")[0]
 
 
 def tensortl(model, g_star, X, y, lam=None, cv=False, seed=0):

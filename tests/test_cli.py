@@ -2,13 +2,15 @@
 
 import csv
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from tensordg import CSV_HEADER, cli, experiments, load_model, load_pattern
+from tensordg import (CSV_HEADER, DimensionError, cli, experiments,
+                      load_model, load_pattern)
 from tensordg.cli import main
 from tensordg.tensor import load_tensor
 from tensordg.transfer import DEFAULT_C0
@@ -135,6 +137,43 @@ def test_transfer_rejects_corrupt_model(tmp_path, capsys):
                "5,3", "--data", str(tmp_path / "demo_target_5-3.csv")])
     assert rc == 2
     assert str(model_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt", ["space", "ranks", "loading",
+                                     "missing", "malformed"])
+def test_transfer_rejects_a_sidecar_that_disagrees(tmp_path, capsys,
+                                                   corrupt):
+    """A sidecar whose pattern space does not match the tensor, whose
+    ranks do not match the core, whose loading does not fit its rank and
+    mode, or that lacks a key or holds one of the wrong type, fails the
+    load with DimensionError naming the sidecar, and transfer exits 2. A
+    (5, 5) space on the (8, 5, 4) tensor let target 5,5 end in an
+    IndexError traceback, a missing key in a KeyError traceback and a
+    list for the pattern in a TypeError traceback."""
+    data, pattern_path, _ = simulate(tmp_path, "--with-targets")
+    model_path = str(tmp_path / "model.tns")
+    assert main(["fit", "--data", data, "--pattern", pattern_path,
+                 "--out", model_path]) == 0
+    sidecar_path = tmp_path / "model.tns.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    if corrupt == "space":
+        sidecar["pattern"]["space"] = [5, 5]
+    elif corrupt == "ranks":
+        sidecar["ranks"] = [3, 2, 1]
+    elif corrupt == "loading":
+        sidecar["loadings"][2] = [row[:-1] for row in sidecar["loadings"][2]]
+    elif corrupt == "missing":
+        del sidecar["ranks"]
+    else:
+        sidecar["pattern"] = [5, 4]
+    sidecar_path.write_text(json.dumps(sidecar))
+    with pytest.raises(DimensionError, match=re.escape(str(sidecar_path))):
+        load_model(model_path)
+    capsys.readouterr()
+    rc = main(["transfer", "--model", model_path, "--target-group", "5,5",
+               "--data", str(tmp_path / "demo_target_5-3.csv")])
+    assert rc == 2
+    assert str(sidecar_path) in capsys.readouterr().err
 
 
 def test_experiment_subcommand(tmp_path, capsys):

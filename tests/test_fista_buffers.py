@@ -61,11 +61,11 @@ def test_cross_validate_lambda_bitwise_reference(monkeypatch, n, p, seed):
     with a batch axis: every warm-started path solve has the reference's
     support and is certified, and CV picks the reference's penalty."""
     X, y, offset = offset_problem(seed, n, p)
-    solve = twin(transfer.group_lasso)
-    monkeypatch.setattr(transfer, "group_lasso", solve)
+    solve = twin(highdim.group_lasso)
+    monkeypatch.setattr(highdim, "group_lasso", solve)
     got = cross_validate_lambda(X, y, offset, seed=seed)
     assert solve.calls == highdim.LAMBDA_GRID_SIZE
-    monkeypatch.setattr(transfer, "group_lasso", ref.group_lasso)
+    monkeypatch.setattr(highdim, "group_lasso", ref.group_lasso)
     assert_same_fit(got, cross_validate_lambda(X, y, offset, seed=seed),
                     "lambda")
 

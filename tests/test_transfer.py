@@ -14,7 +14,7 @@ from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
                       cross_validate_lambda, default_lambda, fit_all,
                       fit_tensordg, lasso_kkt, lasso_offset, make_scenario,
                       ols_fit, tensortl, tucker_assemble)
-from tensordg import transfer
+from tensordg import highdim, transfer
 from tensordg.highdim import (GROUP_LASSO_TOL, _Stack, group_lasso,
                               group_lasso_kkt, lambda_grid)
 
@@ -236,20 +236,20 @@ def test_cross_validate_lambda_certifies_every_fold(monkeypatch):
     folds, (folds, 1, n_max, p), not a block-diagonal design."""
     rng = np.random.default_rng(21)
     n, p, seed = 47, 9, 2
-    folds, tol = transfer.CV_FOLDS, transfer.GROUP_LASSO_TOL
+    folds = transfer.CV_FOLDS
     X = rng.normal(size=(n, p))
     offset = rng.normal(size=p)
     delta = np.zeros(p)
     delta[[1, 5, 7]] = [1.0, -0.8, 0.6]
     y = X @ (offset + delta) + 0.5 * rng.normal(size=n)
-    solves, group_lasso = [], transfer.group_lasso
+    solves, group_lasso = [], highdim.group_lasso
 
     def recording(stack, lam, **kwargs):
         out = group_lasso(stack, lam, **kwargs)
         solves.append((stack.X.shape, lam, out[0]))
         return out
 
-    monkeypatch.setattr(transfer, "group_lasso", recording)
+    monkeypatch.setattr(highdim, "group_lasso", recording)
     cross_validate_lambda(X, y, offset, seed=seed)
     perm = np.random.default_rng(seed).permutation(n)
     trains = [np.setdiff1d(perm, hold, assume_unique=True)
@@ -258,7 +258,8 @@ def test_cross_validate_lambda_certifies_every_fold(monkeypatch):
     for shape, lam, deltas in solves:
         assert shape == (folds, 1, max(t.size for t in trains), p)
         for train, d in zip(trains, deltas):
-            assert lasso_kkt(X[train], y[train], offset, d, lam) <= tol
+            assert (lasso_kkt(X[train], y[train], offset, d, lam)
+                    <= transfer.PATH_TOL * lam)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -268,7 +269,11 @@ def test_cross_validate_lambda_tie_margin_is_scale_free(seed):
     the same bits, while every held-out error is scaled by s^2 exactly.
     So CV must pick the same grid index at every s: an absolute tie
     margin of 1e-15 exceeds every error gain at s = 2^-40 and left the
-    choice at the top of the grid."""
+    choice at the top of the grid. With y and the offset scaled by 2^k
+    and X unchanged, the grid scales with them and CV must pick the same
+    index of the scaled problem's own grid: path solves stopped at an
+    absolute 1e-8 stayed at zero at k = -30 and did not converge at
+    k = 30."""
     rng = np.random.default_rng(300 + seed)
     n, p = 150, 60
     X = rng.normal(size=(n, p))
@@ -281,7 +286,38 @@ def test_cross_validate_lambda_tie_margin_is_scale_free(seed):
     for s in (2.0 ** -40, 1.0, 2.0 ** 20):
         lam = cross_validate_lambda(X / s, s * y, s * s * offset, seed=seed)
         picks.append(int(np.flatnonzero(grid == lam)[0]))
-    assert picks[1] > 0 and picks == [picks[1]] * 3
+    for k in (-30, 0, 30):
+        m = 2.0 ** k
+        scaled = GroupedDataset({(0,): (X, m * y - X @ (m * offset))})
+        grid = lambda_grid(scaled)
+        lam = cross_validate_lambda(X, m * y, m * offset, seed=seed)
+        picks.append(int(np.flatnonzero(grid == lam)[0]))
+    assert picks[1] > 0 and picks == [picks[1]] * 6
+
+
+def test_selectors_stop_every_path_solve_relative_to_lambda(monkeypatch):
+    """Every group_lasso solve of choose_lambda's and of
+    cross_validate_lambda's path is asked for a KKT residual of
+    PATH_TOL * lam, not the absolute final-fit tolerance."""
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(60, 8))
+    offset = rng.normal(size=8)
+    y = X @ (offset + [1.0, 0, 0, -0.8, 0, 0, 0, 0]) + rng.normal(size=60)
+    ds = GroupedDataset({(k,): (X[20 * k:20 * k + 20], y[20 * k:20 * k + 20])
+                         for k in range(3)})
+    solves, group_lasso = [], highdim.group_lasso
+
+    def recording(stack, lam, **kwargs):
+        solves.append((lam, kwargs.get("tol")))
+        return group_lasso(stack, lam, **kwargs)
+
+    monkeypatch.setattr(highdim, "group_lasso", recording)
+    for select in (lambda: highdim.choose_lambda(ds),
+                   lambda: cross_validate_lambda(X, y, offset)):
+        del solves[:]
+        select()
+        assert len(solves) == highdim.LAMBDA_GRID_SIZE
+        assert all(tol == highdim.PATH_TOL * lam for lam, tol in solves)
 
 
 def non_finite_input(where):
