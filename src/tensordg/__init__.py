@@ -1,7 +1,6 @@
 """Structured tensor completion for multi-environment linear regression."""
 
-from .baselines import (maximin, meta_lm_star, pooled_gram, projected_fits,
-                        projected_ols, shared_subspace)
+from .baselines import maximin, meta_lm_star, pooled_gram, projected_fits
 from .completion import (CompletionModel, diagnose_generalizability,
                          estimate_loading, fit_tensordg, load_model,
                          save_model)

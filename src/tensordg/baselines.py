@@ -12,11 +12,12 @@ group's own samples is ``regression.ols_fit``):
   by a primal active-set method (Nocedal & Wright, Numerical
   Optimization, ch. 16), which stops when the KKT certificate holds.
 * ``meta_lm_star`` learns the shared coefficient subspace (mode-0 basis
-  of the bias-corrected Gram) from the source groups, then regresses the
-  target response on the target design projected into that subspace.
-  The two halves are ``shared_subspace`` (sources only, so it can be
-  computed once and reused for every target) and ``projected_ols``;
-  ``projected_fits`` fits many targets on one basis in one OLS run.
+  of the bias-corrected Gram, ``spectral.mode_spectrum``) from the source
+  groups, then regresses the target response on the target design
+  projected into that subspace (``projected_fits``). The basis uses no
+  target data, so ``projected_fits`` fits many targets on one basis in
+  one OLS run; the harness passes it the completion fit's mode-0 basis,
+  which is the same matrix.
 """
 
 import numpy as np
@@ -25,8 +26,7 @@ from .errors import ConvergenceError, DimensionError, NonFiniteError
 from .regression import GroupEstimates, _fail, _samples, ols_fits
 from .spectral import mode_spectrum
 
-__all__ = ["pooled_gram", "maximin", "shared_subspace",
-           "projected_ols", "projected_fits", "meta_lm_star"]
+__all__ = ["pooled_gram", "maximin", "projected_fits", "meta_lm_star"]
 
 MAXIMIN_TOL = 1e-10
 MAXIMIN_MAX_ITER = 1_000
@@ -200,30 +200,14 @@ def maximin(estimates, pooled, tol=MAXIMIN_TOL, max_iter=MAXIMIN_MAX_ITER,
             history.append(value)
 
 
-def shared_subspace(est, pattern):
-    """Basis of the coefficient subspace shared by the source groups.
-
-    The mode-0 basis of the completion fit (``spectral.mode_spectrum``):
-    the leading eigenvectors of the bias-corrected Gram of the source
-    estimates, as many as the noise-floor rule counts, as a p x r
-    orthonormal matrix. It uses no target data, so one basis serves
-    every target group.
-    """
-    return mode_spectrum(est, pattern, 0).basis
-
-
-def projected_ols(basis, X, y):
-    """basis times the OLS fit of y on X basis; lies in the span of basis."""
-    return projected_fits(basis, {None: (X, y)})[None]
-
-
 def projected_fits(basis, targets):
-    """``projected_ols`` of every target of ``targets``, {name: (X, y)},
-    with the OLS fits in one ``regression.ols_fits`` run, each bitwise
-    its own. A target whose design does not match its responses or the
-    basis, or that has no more samples than the basis has columns,
-    raises DimensionError, and one that holds NaN or infinite values
-    NonFiniteError, naming it (``where``); of several, the first."""
+    """basis times the OLS fit of y on X basis, in the span of basis, for
+    every target of ``targets``, {name: (X, y)}, with the OLS fits in one
+    ``regression.ols_fits`` run, each bitwise its own. A target whose
+    design does not match its responses or the basis, or that has no
+    more samples than the basis has columns, raises DimensionError, and
+    one that holds NaN or infinite values NonFiniteError, naming it
+    (``where``); of several, the first."""
     pairs = []
     for name, (X, y) in targets.items():
         X, y = _samples(X, y, basis.shape[0], name)
@@ -238,8 +222,10 @@ def projected_fits(basis, targets):
 def meta_lm_star(est, pattern, X, y):
     """Shared-subspace regression for a target group.
 
-    Learns the mode-0 basis V0 from the source groups (``shared_subspace``,
-    noise-floor rank rule), then returns V0 times the OLS fit of y on
-    X V0 (``projected_ols``). The output therefore lies in the span of V0.
+    Learns the mode-0 basis V0 from the source groups
+    (``spectral.mode_spectrum``, noise-floor rank rule), then returns V0
+    times the OLS fit of y on X V0 (``projected_fits``). The output
+    therefore lies in the span of V0.
     """
-    return projected_ols(shared_subspace(est, pattern), X, y)
+    return projected_fits(mode_spectrum(est, pattern, 0).basis,
+                          {None: (X, y)})[None]

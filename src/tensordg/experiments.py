@@ -21,7 +21,11 @@ Each method yields a full coefficient tensor and per-target vectors:
   comes from the shared fit, so its seconds do not include forming it.
 * ``metalm``: shared-subspace regression per unobserved group on its
   target sample; observed groups keep their own fits. The subspace is
-  learned from the sources once per replication.
+  the completion fit's mode-0 basis, the same matrix
+  ``baselines.meta_lm_star`` learns from the sources, so metalm shares
+  the ``tensordg`` fit: a replication whose completion fit raises also
+  records metalm as failed, and a method list with metalm but not
+  tensordg still pays for the whole fit.
 
 ``METHODS`` maps each name to a function of one shared replication
 context: each replication fits the observed groups once and all methods
@@ -52,12 +56,12 @@ from functools import cached_property
 import numpy as np
 
 from ._threads import run_serially
-from .baselines import maximin, projected_fits, shared_subspace
+from .baselines import maximin, projected_fits
 from .completion import fit_tensordg
 from .metrics import adge, al2e, tle
 from .patterns import _integers
 from .regression import fit_all, ols_fits
-from .simulate import ScenarioConfig, make_scenario
+from .simulate import ScenarioConfig, default_pattern, make_scenario
 from .tensor import DenseTensor
 from .transfer import tensortl
 
@@ -110,9 +114,22 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods {unknown}")
         if not self.methods:
             raise ValueError("method list is empty")
+        twice = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if twice:
+            raise ValueError(f"methods {twice} listed twice: a method's "
+                             f"rows would count as extra replications")
         if self.replications < 1 or self.workers < 1:
             raise ValueError("replications and workers must be positive")
-        self.cells()                # a bad swept value fails on load
+        cells = self.cells()        # a bad swept value fails on load
+        for i, (label, scenario) in enumerate(cells):
+            cell = f"cell {self.sweep} = {label}" if label else "the scenario"
+            for other, earlier in cells[:i]:
+                if label == other or scenario == earlier:
+                    raise ValueError(f"{cell} repeats cell {self.sweep} = "
+                                     f"{other}: both run one scenario")
+            if not default_pattern(scenario).unobserved_list():
+                raise ValueError(f"{cell}: the pattern observes every "
+                                 f"group, so adge has none to score")
 
     def to_dict(self):
         return {"name": self.name, "sweep": self.sweep,
@@ -229,8 +246,7 @@ def _maximin(ctx):
 
 
 def _metalm(ctx):
-    basis = shared_subspace(ctx.est, ctx.scenario.pattern)
-    targets_hat = projected_fits(basis, dict(sorted(
+    targets_hat = projected_fits(ctx.model.bases[0], dict(sorted(
         ctx.scenario.targets.items())))
     return _with_fibers(ctx.observed, targets_hat), targets_hat
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._threads import map_shares
-from .patterns import _integers, build_pattern
+from .patterns import _insert, _integers, build_pattern
 from .regression import GroupedDataset
 from .tensor import DenseTensor, matricize, tucker_assemble
 
@@ -85,6 +85,13 @@ class ScenarioConfig:
         for name in ("noise_std", "delta_std", "signal_scale", "rank_margin"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} = {getattr(self, name)}: not finite")
+        for name in ("noise_std", "delta_std"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} = {getattr(self, name)}: need "
+                                 f"{name} >= 0")
+        if not self.signal_scale > 0:
+            raise ValueError(f"signal_scale = {self.signal_scale}: need "
+                             f"signal_scale > 0, or no draw has the ranks")
         if not self.rank_margin < 1:
             raise ValueError(f"rank_margin = {self.rank_margin}: need "
                              f"rank_margin < 1, as sigma_r / sigma_1 <= 1")
@@ -165,15 +172,13 @@ def generate_tensor(cfg, rep=0):
         body_idx = tuple(np.array(levels) - 1 for levels in pattern.body)
         body = truth.array[np.ix_(range(cfg.p), *body_idx)]
         ok = _block_ok(matricize(body, 0), cfg.ranks[0], cfg.rank_margin)
-        for t in range(1, cfg.q + 1):
+        for t, arm in enumerate(pattern.arm_subsets, start=1):
             if not ok:
                 break
             ok = ok and _block_ok(matricize(body, t), cfg.ranks[t],
                                   cfg.rank_margin)
-            joint_idx = list(body_idx)
-            for k in range(1, cfg.q + 1):
-                if k != t:
-                    joint_idx[k - 1] = np.arange(cfg.arm_sizes[k - 1])
+            joint_idx = _insert(tuple(np.array(levels) - 1 for levels in arm),
+                                t, body_idx[t - 1])
             joint = truth.array[np.ix_(range(cfg.p), *joint_idx)]
             ok = ok and _block_ok(matricize(joint, t), cfg.ranks[t],
                                   cfg.rank_margin)

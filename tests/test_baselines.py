@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from maximin_reference import lstsq_maximin
 from tensordg import (ConvergenceError, DimensionError, GroupedDataset,
                       NonFiniteError, build_pattern, fit_all, maximin,
-                      meta_lm_star, ols_fit, pooled_gram, shared_subspace,
+                      meta_lm_star, ols_fit, pooled_gram, projected_fits,
                       spectral_step, tucker_assemble)
 
 
@@ -372,5 +372,8 @@ def test_shared_subspace_is_the_completion_mode0_basis():
     pattern = build_pattern((5, 4), body=[(1, 2, 3), (1, 2, 3)],
                             arm_subsets=[[(1, 2)], [(1, 2)]])
     est = fit_all(make_dataset(rng, truth, pattern, n=80), pattern)
-    basis = shared_subspace(est, pattern)
-    assert np.array_equal(basis, spectral_step(est, pattern)[0].basis)
+    basis = spectral_step(est, pattern)[0].basis
+    X = rng.normal(size=(30, 8))
+    y = rng.normal(size=30)
+    assert meta_lm_star(est, pattern, X, y).tobytes() == \
+        projected_fits(basis, {"target": (X, y)})["target"].tobytes()

@@ -10,7 +10,7 @@ from tensordg import (DimensionError, GroupedDataset, NonFiniteError,
                       ScenarioConfig, cross_validate_lambda, fit_all,
                       fit_tensordg, lasso_kkt, lasso_offset, make_scenario,
                       meta_lm_star, ols_fit, ols_fits, projected_fits,
-                      projected_ols, regression, shared_subspace, transfer)
+                      regression, transfer)
 
 
 @functools.cache
@@ -23,7 +23,7 @@ def setting():
     model = fit_tensordg(sc.train, sc.pattern)
     g_star = sc.pattern.unobserved_list()[0]
     return dict(est=est, pattern=sc.pattern, model=model, g_star=g_star,
-                basis=shared_subspace(est, sc.pattern),
+                basis=model.bases[0],
                 offset=model.coefficient(g_star), good=sc.targets[g_star])
 
 
@@ -37,8 +37,11 @@ ENTRIES = {
     "ols_fit": (lambda s, X, y: ols_fit(X, y), None, None, None),
     "ols_fits": (lambda s, X, y: ols_fits([s["good"], (X, y)], ["a", "b"]),
                  "b", "b", "b"),
-    "projected_ols": (lambda s, X, y: projected_ols(s["basis"], X, y),
-                      None, None, None),
+    # projected OLS of one unnamed target on a given basis: the call
+    # meta_lm_star makes after its mode-0 step
+    "projected_ols": (
+        lambda s, X, y: projected_fits(s["basis"], {None: (X, y)})[None],
+        None, None, None),
     "projected_fits": (
         lambda s, X, y: projected_fits(s["basis"],
                                        {"a": s["good"], "b": (X, y)}),

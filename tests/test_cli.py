@@ -308,6 +308,30 @@ def test_experiment_with_a_rank_margin_of_one_writes_nothing(tmp_path,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("config, error", [
+    ({"methods": ["ols", "ols"]}, "error: methods ['ols'] listed twice"),
+    ({"sweep": "n", "values": [300, 300.0]},
+     "error: cell n = 300.0 repeats cell n = 300"),
+    ({"scenario": dict(EXPERIMENT_SCENARIO, arm_sizes=[5, 4])},
+     "error: the scenario: the pattern observes every group"),
+], ids=["method", "cell", "all-observed"])
+def test_experiment_that_would_miscount_writes_nothing(tmp_path, capsys,
+                                                      config, error):
+    """A repeated method or cell would count one run twice in the
+    summary, and a scenario with no unobserved group would fail every
+    row; each config is rejected on load with exit code 2."""
+    cfg_path = tmp_path / "experiment.json"
+    scenario = {k: v for k, v in EXPERIMENT_SCENARIO.items() if k != "n"}
+    cfg_path.write_text(json.dumps({"name": "bad", "methods": ["ols"],
+                                    "scenario": scenario, **config}))
+    out_path = tmp_path / "metrics.csv"
+    rc = main(["experiment", "--config", str(cfg_path),
+               "--out", str(out_path)])
+    assert rc == 2
+    assert error in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("config", [
     {"scenario": dict(EXPERIMENT_SCENARIO, n=300.5)},
     {"scenario": EXPERIMENT_SCENARIO, "replications": 2.5},

@@ -13,10 +13,11 @@ import pytest
 import tensordg.baselines as baselines
 import tensordg.completion as completion
 import tensordg.experiments as experiments
+import tensordg.spectral as spectral
 from tensordg import (CSV_HEADER, DenseTensor, DimensionError,
                       ExperimentConfig, MetricsRecord, ScenarioConfig, adge,
                       al2e, fit_all, make_scenario, meta_lm_star, ols_fit,
-                      projected_ols, run_experiment, summarize, tle,
+                      projected_fits, run_experiment, summarize, tle,
                       write_metrics_csv)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -155,6 +156,37 @@ def test_bad_swept_value_fails_on_load():
                          methods=("ols",))
 
 
+def test_a_method_listed_twice_fails_on_load():
+    """Its rows would be averaged as twice the replications, with an
+    understated standard error."""
+    with pytest.raises(ValueError, match=r"methods \['ols'\] listed twice"):
+        small_cfg(methods=("ols", "tensordg", "ols"))
+
+
+@pytest.mark.parametrize("sweep, values, repeated", [
+    ("n", (300, 300.0), "cell n = 300.0 repeats cell n = 300"),
+    ("ranks", ([4, 2, 2], (4, 2, 2)),
+     "cell ranks = 4x2x2 repeats cell ranks = 4x2x2"),
+], ids=["value", "label"])
+def test_a_cell_listed_twice_fails_on_load(sweep, values, repeated):
+    """Two cells that run one scenario, under one label or two."""
+    with pytest.raises(ValueError, match=f"^{repeated}: "):
+        ExperimentConfig(sweep=sweep, values=values, methods=("ols",))
+
+
+def test_a_cell_with_no_unobserved_group_fails_on_load():
+    """With arms as wide as the group space every group is observed, so
+    adge has nothing to score and every row would fail."""
+    scenario = dict(SMALL, group_dims=(4, 4), body_sizes=(3, 3))
+    with pytest.raises(ValueError, match="^the scenario: the pattern "
+                                         "observes every group"):
+        small_cfg(scenario=dict(scenario, arm_sizes=(4, 4)))
+    del scenario["arm_sizes"]
+    with pytest.raises(ValueError, match="^cell arm_sizes = 4x4: "):
+        small_cfg(sweep="arm_sizes", values=((2, 2), (4, 4)),
+                  scenario=scenario)
+
+
 def test_field_swept_and_set_in_scenario_fails_on_load():
     with pytest.raises(ValueError, match="scenario sets the swept field 'n'"):
         ExperimentConfig(sweep="n", values=(300,), methods=("ols",),
@@ -224,6 +256,34 @@ def test_one_replication_forms_the_pooled_gram_once(monkeypatch):
     assert calls == []
 
 
+def test_one_replication_runs_one_mode0_step(monkeypatch):
+    """metalm reads the completion fit's mode-0 basis, so all five
+    methods build each mode Gram once: q + 1 of them."""
+    calls = []
+    original = spectral.mode_gram
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "mode_gram", counted)
+    records = run_experiment(small_cfg(methods=ALL_METHODS, replications=1))
+    assert [r.failed for r in records] == [0] * len(ALL_METHODS)
+    assert sorted(calls) == [0, 1, 2]
+
+
+def test_metalm_fails_with_the_completion_fit(monkeypatch):
+    """metalm shares the completion fit, so it fails where that fit does;
+    ols and maximin do not need it."""
+    def boom(*args, **kwargs):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(experiments, "fit_tensordg", boom)
+    records = run_experiment(small_cfg(methods=ALL_METHODS, replications=1))
+    assert {r.method: r.failed for r in records} == {
+        "tensordg": 1, "tensortl": 1, "ols": 0, "maximin": 0, "metalm": 1}
+
+
 def test_methods_share_no_state_through_the_replication():
     """Each method scores the same alone, together, and in reverse."""
     def by_method(methods):
@@ -240,8 +300,8 @@ def test_methods_share_no_state_through_the_replication():
 
 
 def test_metalm_row_matches_per_target_meta_lm_star():
-    """Learning the shared subspace once per replication changes no
-    digit: the metalm row equals meta_lm_star called per target."""
+    """Reading the completion fit's mode-0 basis changes no digit: the
+    metalm row equals meta_lm_star called per target."""
     cfg = small_cfg(methods=("metalm",), replications=1)
     (rec,) = run_experiment(cfg)
     scenario = make_scenario(cfg.cells()[0][1], 0)
@@ -264,17 +324,18 @@ def test_metalm_row_matches_per_target_meta_lm_star():
 def test_target_fits_are_bitwise_runs_of_one():
     """ols and metalm fit the nine reference targets as one run of
     ols_fits (a block of eight and a block of one); each target's
-    coefficient is bitwise its own ols_fit and projected_ols."""
+    coefficient is bitwise its own ols_fit and its own projected fit on
+    the completion's mode-0 basis."""
     scenario = make_scenario(ScenarioConfig(n_target=150), 0)
     ctx = experiments._Replication(scenario)
     ols_hat = experiments.METHODS["ols"](ctx)[1]
     metalm_hat = experiments.METHODS["metalm"](ctx)[1]
-    basis = baselines.shared_subspace(ctx.est, scenario.pattern)
+    basis = ctx.model.bases[0]
     assert len(scenario.targets) == 9
     for g, (X, y) in scenario.targets.items():
         assert ols_hat[g].tobytes() == ols_fit(X, y)[0].tobytes()
         assert metalm_hat[g].tobytes() == \
-            projected_ols(basis, X, y).tobytes()
+            projected_fits(basis, {g: (X, y)})[g].tobytes()
 
 
 @pytest.mark.parametrize("method", ["ols", "metalm"])

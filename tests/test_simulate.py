@@ -37,6 +37,11 @@ from tensordg import DimensionError, ScenarioConfig, make_scenario
     ("p", b"60"),
     ("ranks", (6, "3", 3)),
     ("group_dims", np.array(["8", "8"])),
+    # a zero tensor meets no rank margin; a negative spread is no spread
+    ("signal_scale", 0.0),
+    ("signal_scale", -1.0),
+    ("noise_std", -1.0),
+    ("delta_std", -0.5),
 ])
 def test_bad_scenario_input_fails_early(field, value):
     """Each of these would turn every replication into a failed row, so
