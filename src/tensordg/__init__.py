@@ -14,8 +14,8 @@ from .highdim import (choose_lambda, fit_highdim, group_lasso,
 from .metrics import adge, al2e, tle
 from .patterns import (ObservationPattern, build_pattern, load_pattern,
                        pattern_from_config, pattern_to_config, save_pattern)
-from .regression import (GroupedDataset, GroupEstimates, GroupFit, fit_all,
-                         ols_fit, ols_fits)
+from .regression import (GroupedDataset, GroupedStatistics, GroupEstimates,
+                         GroupFit, fit_all, ols_fit, ols_fits)
 from .simulate import (Scenario, ScenarioConfig, default_pattern,
                        generate_data, generate_tensor, make_scenario)
 from .spectral import ModeSpectrum, arm_blocks, mode_gram, spectral_step

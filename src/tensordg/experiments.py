@@ -33,6 +33,13 @@ share that fit (and ``tensordg``/``tensortl`` one completion fit). The
 seconds column charges each shared stage to the first method that needs
 it, so it depends on the method order.
 
+The fit of the observed groups reads only their sufficient statistics,
+so a replication draws those (``make_scenario(..., statistics=True)``:
+X'X, X'y, the residual sum of squares and n per group, from their exact
+joint law) and never the training rows; ``fit_all`` fits them in the
+solve it uses for rows. Truth, shifts and target samples are drawn as
+for rows. ``tensordg simulate`` still writes rows.
+
 A sweep names one ScenarioConfig field and a cell per value; a tuple
 value is labelled like ``4x2x2``. The paper's eight runs (method
 comparison; ranks, arm, body, n and noise sweeps; transfer with and
@@ -260,7 +267,8 @@ KNOWN_METHODS = tuple(METHODS)
 def _evaluate_cell_rep(cell_param, cell_value, scenario_cfg, rep, methods):
     """All method records for one replication of one cell."""
     try:
-        ctx = _Replication(make_scenario(scenario_cfg, rep))
+        ctx = _Replication(make_scenario(scenario_cfg, rep,
+                                         statistics=True))
     except Exception:
         return [MetricsRecord(cell_param, cell_value, rep, m, failed=1)
                 for m in methods]

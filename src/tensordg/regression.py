@@ -1,5 +1,11 @@
 """Per-group least squares fits, one per observed group.
 
+A group's data are its rows (X, y), held in a ``GroupedDataset``, or
+their sufficient statistics (X'X, X'y, the residual sum of squares RSS
+and n), held in a ``GroupedStatistics``; the Monte Carlo harness draws
+the statistics and every other caller passes rows. ``fit_all`` fits
+either in the same blocked solve: rows form X'X and X'y and take the
+residual from the rows, statistics give them, with sigma2 = RSS/(n - p).
 Each group's Gram G = X'X/n is factored G = LL' (Cholesky), and L is
 inverted by 2x2 block recursion on matmul, since numpy has no
 triangular solve; G^-1 = L^-T L^-1 then gives the coefficient and the
@@ -18,6 +24,7 @@ eigenvalues. ``ols_fits`` runs the same blocked fit on a list of (X, y)
 pairs on the calling thread, and ``ols_fit`` is its one-pair case.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,43 +62,6 @@ class GroupFit:
     noise_trace: float
 
 
-@dataclass
-class GroupedDataset:
-    """Samples keyed by group tuple; every group shares the feature dim.
-
-    Each group's sample is checked by ``_samples`` against the first
-    group's p, so bad input raises an error that names the group.
-    """
-
-    groups: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        p, norm = None, {}
-        for g, (X, y) in self.groups.items():
-            key = group_key(g)
-            norm[key] = X, y = _samples(X, y, p, key)
-            p = X.shape[1]
-        self.groups = norm
-
-    @property
-    def p(self):
-        if not self.groups:
-            raise DimensionError("empty dataset")
-        return next(iter(self.groups.values()))[0].shape[1]
-
-    def restrict_columns(self, cols):
-        """Dataset with design columns limited to the given 0-based list."""
-        cols = list(cols)
-        return GroupedDataset({g: (X[:, cols], y)
-                               for g, (X, y) in self.groups.items()})
-
-
-def _empty_fits(G, p):
-    """Rows for G fits: coef, sigma2, n, noise_trace, X'X and noise_cov."""
-    return (np.empty((G, p)), np.empty(G), np.empty(G, dtype=int),
-            np.empty(G), np.empty((G, p, p)), np.empty((G, p, p)))
-
-
 def _fail(error, message, group):
     raise error(message if group is None else f"group {group}: {message}",
                 where=group)
@@ -109,6 +79,86 @@ def _samples(X, y, p=None, where=None):
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         _fail(NonFiniteError, "data hold non-finite values", where)
     return X, y
+
+
+def _statistics(xtx, xty, rss, n, p=None, where=None):
+    """A caller's statistics (X'X, X'y, RSS, n) as float arrays, a float
+    and an int, X'y raveled. X'X must be (p, p) for p = X'y.size, with
+    the given p unless it is None, RSS a scalar and n an integer >= 1,
+    else DimensionError, all finite, else NonFiniteError, and RSS >= 0,
+    else DimensionError, since a negative one would give a negative
+    sigma2; each error names the group ``where``. n <= p is left to the
+    fit, as for rows."""
+    xtx = np.asarray(xtx, dtype=float)
+    xty = np.asarray(xty, dtype=float).ravel()
+    k = xty.size
+    if xtx.shape != (k, k) or np.ndim(rss) or p not in (None, k):
+        _fail(DimensionError, f"statistics X'X {xtx.shape}, X'y "
+              f"{xty.shape} and RSS {np.shape(rss)} do not match"
+              + ("" if p is None else f" p={p}"), where)
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool)
+            and n >= 1):
+        _fail(DimensionError, f"n = {n!r}: need an integer >= 1", where)
+    if not (np.isfinite(xtx).all() and np.isfinite(xty).all()
+            and np.isfinite(rss)):
+        _fail(NonFiniteError, "statistics hold non-finite values", where)
+    if rss < 0:
+        _fail(DimensionError, f"RSS = {float(rss)!r}: need RSS >= 0", where)
+    return xtx, xty, float(rss), int(n)
+
+
+@dataclass
+class _Grouped:
+    """Per-group data keyed by group tuple; every group shares the
+    feature dim. Each group's entry is checked by the class's ``_check``
+    against the first group's p, so bad input raises an error that names
+    the group."""
+
+    groups: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        p, norm = None, {}
+        for g, entry in self.groups.items():
+            key = group_key(g)
+            norm[key] = entry = self._check(*entry, p, key)
+            p = entry[0].shape[1]
+        self.groups = norm
+
+    @property
+    def p(self):
+        if not self.groups:
+            raise DimensionError("empty dataset")
+        return next(iter(self.groups.values()))[0].shape[1]
+
+
+class GroupedDataset(_Grouped):
+    """Samples (X, y) keyed by group tuple, checked by ``_samples``."""
+
+    _check = staticmethod(_samples)
+
+    def restrict_columns(self, cols):
+        """Dataset with design columns limited to the given 0-based list."""
+        cols = list(cols)
+        return GroupedDataset({g: (X[:, cols], y)
+                               for g, (X, y) in self.groups.items()})
+
+
+class GroupedStatistics(_Grouped):
+    """Sufficient statistics keyed by group tuple: (X'X, X'y, RSS, n) of
+    n rows (X, y), RSS the residual sum of squares of their least
+    squares fit. ``fit_all`` fits them as it fits a GroupedDataset's
+    rows. Each entry is checked by ``_statistics``."""
+
+    _check = staticmethod(_statistics)
+
+
+def _empty_fits(G, p, xtx=None):
+    """Rows for G fits: coef, sigma2, n, noise_trace, X'X and noise_cov.
+    ``xtx``, when given, is the list of the groups' X'X blocks, read and
+    not copied; otherwise a (G, p, p) array that the fits fill."""
+    return (np.empty((G, p)), np.empty(G), np.empty(G, dtype=int),
+            np.empty(G), np.empty((G, p, p)) if xtx is None else xtx,
+            np.empty((G, p, p)))
 
 
 def _leaves(p):
@@ -163,11 +213,15 @@ def _invert_lower(L, width, levels):
                     out=lower)
 
 
-def _fit_rows(data, out, groups):
+def _fit_rows(data, out, groups, stats=False):
     """Least squares for a run of groups, one Cholesky factor per group.
 
-    ``data`` holds each group's (X, y) and ``out`` the run's rows of the
-    ``_empty_fits`` arrays, which are filled. Each block of at most
+    ``data`` holds each group's (X, y), or with ``stats`` its checked
+    statistics (X'X, X'y, RSS, n), and ``out`` the run's rows of the
+    ``_empty_fits`` arrays, which are filled; for statistics, the X'X
+    rows are the groups' own blocks. Rows form X'X into ``out`` and X'y,
+    and after the solve take sigma2 from the residual sum of squares of
+    the rows; statistics give all three. Each block of at most
     FIT_BLOCK groups factors its Grams G = X'X/n = LL' in one batched
     ``np.linalg.cholesky`` and inverts the factors in place by block
     recursion (``_invert_lower``). Then G^-1 = L^-T L^-1, written into
@@ -192,12 +246,12 @@ def _fit_rows(data, out, groups):
     """
     coef, sigma2, n, noise_trace, xtx, noise_cov = out
     G, p = coef.shape
-    n[:] = [len(X) for X, _ in data]
+    n[:] = [s[3] if stats else len(s[0]) for s in data]
     small = np.flatnonzero(n <= p)
     if small.size:
         j = small[0]
         if j:      # the groups ahead of it may fail first
-            _fit_rows(data[:j], [a[:j] for a in out], groups[:j])
+            _fit_rows(data[:j], [a[:j] for a in out], groups[:j], stats)
         _fail(DimensionError, f"need n > p, got n={n[j]}, p={p}", groups[j])
     width, levels = _leaves(p)
     padded = width << levels
@@ -207,11 +261,16 @@ def _fit_rows(data, out, groups):
     for start in range(0, G, FIT_BLOCK):
         rows = slice(start, min(start + FIT_BLOCK, G))
         k = rows.stop - start
-        for j, (X, y) in enumerate(data[rows]):
-            np.matmul(X.T, X, out=xtx[start + j])
-            np.divide(X.T @ y, n[start + j], out=xty[j, :, 0])
         gram = pad[:k]
-        np.divide(xtx[rows], n[rows, None, None], out=gram[:, :p, :p])
+        for j, s in enumerate(data[rows]):
+            if stats:
+                sxy = s[1]
+            else:
+                X, y = s
+                np.matmul(X.T, X, out=xtx[start + j])
+                sxy = X.T @ y
+            np.divide(xtx[start + j], n[start + j], out=gram[j, :p, :p])
+            np.divide(sxy, n[start + j], out=xty[j, :, 0])
         kappa = np.trace(gram[:, :p, :p], axis1=1, axis2=2)
         try:
             L = np.linalg.cholesky(gram)
@@ -221,7 +280,7 @@ def _fit_rows(data, out, groups):
                 _check_gram(gram[0, :p, :p], groups[0], factored=False)
             for j in range(start, rows.stop):
                 _fit_rows(data[j:j + 1], [a[j:j + 1] for a in out],
-                          groups[j:j + 1])
+                          groups[j:j + 1], stats)
             continue
         _invert_lower(L, width, levels)
         inv_factor = L[:, :p, :p]
@@ -231,8 +290,9 @@ def _fit_rows(data, out, groups):
         for j in np.flatnonzero(~(kappa * GRAM_EIGENVALUE_FLOOR < 0.5)):
             _check_gram(xtx[start + j] / n[start + j], groups[start + j])
         np.matmul(inv, xty[:k], out=coef[rows, :, None])
-        for j, (X, y) in enumerate(data[rows], start):
-            sigma2[j] = np.sum((y - X @ coef[j]) ** 2)
+        for j, s in enumerate(data[rows], start):
+            sigma2[j] = (s[2] if stats
+                         else np.sum((s[1] - s[0] @ coef[j]) ** 2))
         sigma2[rows] /= n[rows] - p
         inv *= (sigma2[rows] / n[rows])[:, None, None]
         del L, inv_factor   # one block's factor alive at a time
@@ -292,9 +352,8 @@ class GroupEstimates:
     (G, p, p), ``noise_trace``, ``sigma2`` and ``n`` (G,). ``index``,
     shaped as the group space, holds each group's row, or -1 where the
     group has no fit; ``rows`` gathers through it. ``pooled`` is sum X'X
-    / sum n from the products the fits formed: ``baselines.pooled_gram``
-    of the observed groups, bit for bit when p >= 2. At p = 1 numpy adds
-    8 or more groups pairwise, so the last bits may differ there.
+    / sum n over the X'X blocks the fits read, summed in row order: for
+    rows, ``baselines.pooled_gram`` of the observed groups, bit for bit.
     """
 
     groups: list
@@ -331,6 +390,8 @@ class GroupEstimates:
 def fit_all(ds, pattern):
     """OLS fits for every observed group, in one pass over the dataset.
 
+    ``ds`` is a GroupedDataset of rows or a GroupedStatistics; both are
+    fitted by ``_fit_rows``, and statistics give sigma2 = RSS/(n - p).
     ``_threads.map_shares`` splits the groups into contiguous shares, one
     thread per usable CPU, and each thread passes its share to
     ``_fit_rows``, which fits it in blocks of at most FIT_BLOCK groups,
@@ -339,24 +400,29 @@ def fit_all(ds, pattern):
     that ``perfbench/spans.py`` wraps by name stay on the calling thread.
     That thread allocates every output row array the blocks fill, so that
     no worker's malloc arena holds them (see ``_threads``), and sums the
-    X'X block into the pooled Gram. Errors from a small or singular
-    group name it (as ``where``); of several, the first in
-    ``observed_list`` order.
+    X'X blocks into the pooled Gram: for statistics, the given blocks,
+    which are not copied. Errors from a small or singular group name it
+    (as ``where``); of several, the first in ``observed_list`` order.
     """
     observed = pattern.observed_list()
     missing = [g for g in observed if g not in ds.groups]
     if missing:
         raise DimensionError(f"dataset lacks observed groups {missing[:5]}")
-    G = len(observed)
-    out = _empty_fits(G, ds.p)
+    G, p = len(observed), ds.p
+    data = [ds.groups[g] for g in observed]
+    stats = isinstance(ds, GroupedStatistics)
+    out = _empty_fits(G, p, [s[0] for s in data] if stats else None)
 
     def fit(share):
-        _fit_rows([ds.groups[g] for g in observed[share]],
-                  [a[share] for a in out], observed[share])
+        _fit_rows(data[share], [a[share] for a in out], observed[share],
+                  stats)
 
     map_shares(fit, G)
     coef, sigma2, n, noise_trace, xtx, noise_cov = out
+    pooled = np.zeros((p, p))
+    for block in xtx:
+        pooled += block
     index = np.full(pattern.space, -1)
     index[tuple(np.array(observed).T - 1)] = np.arange(G)
     return GroupEstimates(observed, coef, noise_cov, noise_trace, sigma2, n,
-                          index, xtx.sum(axis=0) / n.sum())
+                          index, pooled / n.sum())

@@ -6,6 +6,15 @@ observed group, and evaluation samples for the unobserved groups. Target
 coefficients of unobserved groups can receive a sparse additive shift for
 the transfer experiments.
 
+The training data of an observed group are its rows (X, y), as ``tensordg
+simulate`` writes them, or, with ``make_scenario(..., statistics=True)``
+as the Monte Carlo harness asks, the sufficient statistics that its
+least squares fit reads: X'X, X'y, the residual sum of squares and n,
+drawn from their exact joint law without the rows (Bartlett's
+decomposition; Anderson 2003, An Introduction to Multivariate
+Statistical Analysis, ch. 7). Their cost does not grow with n. Truth,
+shifts and target samples are the same either way.
+
 Every group's sample is drawn from its own generator, seeded from the
 scenario seed, the replication and the group, so the groups are drawn
 in contiguous shares side by side on threads, one per usable CPU
@@ -19,11 +28,12 @@ import numpy as np
 
 from ._threads import map_shares
 from .patterns import _insert, _integers, build_pattern
-from .regression import GroupedDataset
+from .regression import GroupedDataset, GroupedStatistics
 from .tensor import DenseTensor, matricize, tucker_assemble
 
 # sub-stream labels for the counter-based seed derivation
 _STAGE_TENSOR, _STAGE_TRAIN, _STAGE_TARGET, _STAGE_DELTA = 1, 2, 3, 4
+_STAGE_STATS = 5
 
 
 @dataclass(frozen=True)
@@ -117,7 +127,7 @@ class Scenario:
     rep: int
     truth: DenseTensor
     pattern: object
-    train: GroupedDataset
+    train: GroupedDataset    # or GroupedStatistics
     targets: dict            # unobserved group -> (X, y)
     gammas: dict             # unobserved group -> target coefficient
     deltas: dict             # unobserved group -> sparse shift (zeros if none)
@@ -160,7 +170,11 @@ def generate_tensor(cfg, rep=0):
     the configured ranks with singular value ratio above rank_margin, up
     to ten attempts.
     """
-    pattern = default_pattern(cfg)
+    return _draw_tensor(cfg, rep, default_pattern(cfg))
+
+
+def _draw_tensor(cfg, rep, pattern):
+    """``generate_tensor`` on the scenario's pattern, built by the caller."""
     dims = (cfg.p,) + cfg.group_dims
     for attempt in range(10):
         rng = _rng(cfg, _STAGE_TENSOR, rep, attempt)
@@ -205,6 +219,29 @@ def _design_matrix(rng, factor, out):
         np.matmul(rng.normal(size=out.shape), factor.T, out=out)
 
 
+def _draw_statistics(rng, factor, n, sigma, coef, xtx, xty, rss, below):
+    """Fill xtx, xty and the one-entry rss with X'X, X'y and the residual
+    sum of squares of n rows X = Z C' (Z iid normal, C = factor or I) and
+    y = X coef + sigma e, drawn from their joint law without the rows.
+
+    By Bartlett's decomposition Z'Z = T T', T lower triangular with
+    T_ii ~ sqrt(chi2(n - i)) for 0-based i and iid N(0, 1) entries
+    below the diagonal (``below``, their flat indices), so X'X = A A'
+    with A = C T. Given X, X'e ~ A z with z ~ N(0, I), and the residual
+    sum of squares is sigma^2 chi2(n - p), independent of both.
+    """
+    p = len(coef)
+    T = np.zeros(p * p)
+    T[below] = rng.standard_normal(below.size)
+    T[::p + 1] = np.sqrt(rng.chisquare(n - np.arange(p)))
+    T = T.reshape(p, p)
+    A = T if factor is None else factor @ T
+    np.matmul(A, A.T, out=xtx)
+    np.matmul(xtx, coef, out=xty)
+    xty += sigma * (A @ rng.standard_normal(p))
+    rss[:] = sigma ** 2 * rng.chisquare(n - p)
+
+
 def inject_delta(coef, cfg, rng):
     """Sparse shift: delta_sparsity coordinates get N(0, delta_std^2)."""
     delta = np.zeros_like(coef)
@@ -215,11 +252,14 @@ def inject_delta(coef, cfg, rng):
     return coef + delta, delta
 
 
-def generate_data(truth, pattern, cfg, rep=0, overrides=None):
+def generate_data(truth, pattern, cfg, rep=0, overrides=None,
+                  statistics=False):
     """Training data for observed groups, evaluation data for the rest.
 
-    Evaluation responses follow the truth tensor unless ``overrides``
-    supplies a replacement coefficient for a group.
+    The training data are rows, a GroupedDataset, or with ``statistics``
+    each group's (X'X, X'y, RSS, n), a GroupedStatistics, drawn on a
+    stream of their own. Evaluation responses follow the truth tensor
+    unless ``overrides`` supplies a replacement coefficient for a group.
     """
     overrides = overrides or {}
     factor = _ar1_factor(cfg)
@@ -230,34 +270,51 @@ def generate_data(truth, pattern, cfg, rep=0, overrides=None):
 
     # The samples are allocated here and filled on the worker threads, so
     # no worker's malloc arena holds long-lived data (see _threads).
-    jobs = ([(g, _STAGE_TRAIN, fiber(g), np.empty((cfg.n, cfg.p)),
-              np.empty(cfg.n)) for g in observed]
+    if statistics:
+        G, p = len(observed), cfg.p
+        xtx, xty, rss = np.empty((G, p, p)), np.empty((G, p)), np.empty(G)
+        train = [(xtx[k], xty[k], rss[k:k + 1]) for k in range(G)]
+        below = np.flatnonzero(np.tri(p, k=-1, dtype=bool))
+    else:
+        train = [(np.empty((cfg.n, cfg.p)), np.empty(cfg.n))
+                 for _ in observed]
+    stage = _STAGE_STATS if statistics else _STAGE_TRAIN
+    jobs = ([(g, stage, fiber(g), out) for g, out in zip(observed, train)]
             + [(g, _STAGE_TARGET, overrides.get(g, fiber(g)),
-                np.empty((cfg.n_target, cfg.p)), np.empty(cfg.n_target))
+                (np.empty((cfg.n_target, cfg.p)), np.empty(cfg.n_target)))
                for g in unobserved])
 
     def draw(share):
-        for g, stage, coef, X, y in jobs[share]:
+        for g, stage, coef, out in jobs[share]:
             rng = _rng(cfg, stage, rep, _group_code(pattern.space, g))
-            _design_matrix(rng, factor, X)
-            np.matmul(X, coef, out=y)
-            y += cfg.noise_std * rng.normal(size=y.size)
+            if stage == _STAGE_STATS:
+                _draw_statistics(rng, factor, cfg.n, cfg.noise_std, coef,
+                                 *out, below)
+            else:
+                X, y = out
+                _design_matrix(rng, factor, X)
+                np.matmul(X, coef, out=y)
+                y += cfg.noise_std * rng.normal(size=y.size)
 
     map_shares(draw, len(jobs))
-    samples = [(X, y) for *_, X, y in jobs]
-    train = dict(zip(observed, samples[:len(observed)]))
-    targets = dict(zip(unobserved, samples[len(observed):]))
-    return GroupedDataset(train), targets
+    targets = dict(zip(unobserved, [job[3] for job in jobs[len(observed):]]))
+    if statistics:
+        return GroupedStatistics({g: (xtx[k], xty[k], rss[k], cfg.n)
+                                  for k, g in enumerate(observed)}), targets
+    return GroupedDataset(dict(zip(observed, train))), targets
 
 
-def make_scenario(cfg, rep=0):
-    """Draw tensor, sparse target shifts and all samples for one replication."""
-    truth = generate_tensor(cfg, rep)
+def make_scenario(cfg, rep=0, statistics=False):
+    """Draw tensor, sparse target shifts and all samples for one
+    replication; with ``statistics`` the training data are each observed
+    group's sufficient statistics rather than its rows."""
     pattern = default_pattern(cfg)
+    truth = _draw_tensor(cfg, rep, pattern)
     gammas, deltas = {}, {}
     for g in pattern.unobserved_list():
         rng = _rng(cfg, _STAGE_DELTA, rep, _group_code(pattern.space, g))
         coef = truth.array[(slice(None),) + tuple(i - 1 for i in g)]
         gammas[g], deltas[g] = inject_delta(coef, cfg, rng)
-    train, targets = generate_data(truth, pattern, cfg, rep, overrides=gammas)
+    train, targets = generate_data(truth, pattern, cfg, rep, gammas,
+                                   statistics)
     return Scenario(cfg, rep, truth, pattern, train, targets, gammas, deltas)

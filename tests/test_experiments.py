@@ -301,10 +301,11 @@ def test_methods_share_no_state_through_the_replication():
 
 def test_metalm_row_matches_per_target_meta_lm_star():
     """Reading the completion fit's mode-0 basis changes no digit: the
-    metalm row equals meta_lm_star called per target."""
+    metalm row equals meta_lm_star called per target, on the replication
+    the harness draws (its training statistics)."""
     cfg = small_cfg(methods=("metalm",), replications=1)
     (rec,) = run_experiment(cfg)
-    scenario = make_scenario(cfg.cells()[0][1], 0)
+    scenario = make_scenario(cfg.cells()[0][1], 0, statistics=True)
     est = fit_all(scenario.train, scenario.pattern)
     arr = np.zeros(scenario.truth.dims)
     for g in scenario.pattern.observed_list():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fit_compare import assert_same_fit
 from tensordg import (ConditioningError, DimensionError, GroupedDataset,
                       NonFiniteError, build_pattern, fit_all, ols_fit,
                       ols_fits, pooled_gram)
@@ -90,10 +89,9 @@ def test_fit_all_fits_every_observed_group():
 
 def test_fit_all_pooled_gram_is_pooled_gram_bitwise():
     """The pooled Gram summed from the fits' own X'X is pooled_gram of
-    the dataset bit for bit, also with unequal group sizes. At p = 1
-    numpy adds the (G, 1, 1) block of 11 groups pairwise, not in order
-    (it differs in the last bit at this seed), so there it is compared
-    by what the user sees (fit_compare)."""
+    the dataset bit for bit, also with unequal group sizes and at p = 1,
+    where a numpy sum over the (G, 1, 1) block of 11 groups would add
+    them pairwise rather than in order."""
     ds, pat = toy_dataset(n=31, p=4)
     X, y = ds.groups[(2, 1)]
     ds.groups[(2, 1)] = (X[:17], y[:17])
@@ -103,7 +101,7 @@ def test_fit_all_pooled_gram_is_pooled_gram_bitwise():
     ds = GroupedDataset({g: (rng.normal(size=(24, 1)), rng.normal(size=24))
                          for g in pat.observed_list()})
     assert len(pat.observed) == 11
-    assert_same_fit(fit_all(ds, pat).pooled, pooled_gram(ds))
+    assert np.array_equal(fit_all(ds, pat).pooled, pooled_gram(ds))
 
 
 def test_fit_all_reports_missing_group():
