@@ -17,7 +17,7 @@ from .patterns import (ObservationPattern, build_pattern, load_pattern,
 from .regression import (GroupedDataset, GroupedStatistics, GroupEstimates,
                          GroupFit, fit_all, ols_fit, ols_fits)
 from .simulate import (Scenario, ScenarioConfig, default_pattern,
-                       generate_data, generate_tensor, make_scenario)
+                       generate_tensor, make_scenario)
 from .spectral import ModeSpectrum, arm_blocks, mode_gram, spectral_step
 from .transfer import (TransferResult, cross_validate_lambda,
                        default_lambda, lasso_kkt, lasso_offset, tensortl)

@@ -141,9 +141,9 @@ def cmd_transfer(args):
 
 def cmd_experiment(args):
     cfg = ExperimentConfig.from_dict(_load_json(args.config))
-    overrides = {"replications": args.reps, "seed": args.seed,
-                 "workers": args.workers}
-    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items()
+    flags = {"replications": args.reps, "seed": args.seed,
+             "workers": args.workers}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items()
                                       if v is not None})
     records = run_experiment(cfg)
     summaries = summarize(records)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .completion import CompletionModel, fit_tensordg
+from .completion import fit_tensordg
 from .errors import ConvergenceError, DimensionError, NonFiniteError
 from .regression import GroupedDataset
 from .tensor import DenseTensor
@@ -410,27 +410,18 @@ def fit_highdim(ds, pattern, lam=None, seed=0):
             f"support size {len(support)} is not below the smallest group "
             f"sample count {min_n}")
     sub = fit_tensordg(ds.restrict_columns(list(support)), pattern)
-    p = ds.p
     rows = np.asarray(support, dtype=int)
 
-    def embed_tensor(sub_tensor):
-        full = np.zeros((p,) + sub_tensor.dims[1:])
-        full[rows] = sub_tensor.array
-        return DenseTensor(full)
+    def embed(a, axis=0):
+        """a in the full feature space along ``axis``, zero off the support."""
+        full = np.zeros(a.shape[:axis] + (ds.p,) + a.shape[axis + 1:])
+        np.moveaxis(full, axis, 0)[rows] = np.moveaxis(a, axis, 0)
+        return full
 
-    basis0 = np.zeros((p, sub.ranks[0]))
-    basis0[rows] = sub.bases[0]
     # loadings map core rows to output coordinates: shape (rank, dim)
-    loading0 = np.zeros((sub.ranks[0], p))
-    loading0[:, rows] = sub.loadings[0]
-    diagnostics = dict(sub.diagnostics)
-    diagnostics["support"] = support
-    diagnostics["lambda"] = float(lam)
-    return CompletionModel(
-        pattern=sub.pattern,
-        ranks=sub.ranks,
-        bases=[basis0] + list(sub.bases[1:]),
-        loadings=[loading0] + list(sub.loadings[1:]),
-        core=sub.core,
-        tensor=embed_tensor(sub.tensor),
-        diagnostics=diagnostics)
+    return replace(
+        sub, bases=[embed(sub.bases[0])] + sub.bases[1:],
+        loadings=[embed(sub.loadings[0], axis=1)] + sub.loadings[1:],
+        tensor=DenseTensor(embed(sub.tensor.array)),
+        diagnostics={**sub.diagnostics, "support": support,
+                     "lambda": float(lam)})

@@ -15,11 +15,17 @@ decomposition; Anderson 2003, An Introduction to Multivariate
 Statistical Analysis, ch. 7). Their cost does not grow with n. Truth,
 shifts and target samples are the same either way.
 
-Every group's sample is drawn from its own generator, seeded from the
-scenario seed, the replication and the group, so the groups are drawn
-in contiguous shares side by side on threads, one per usable CPU
-(``_threads.map_shares``), and the draws are bitwise those of a serial
-loop.
+``make_scenario`` is the one draw of a replication. After the truth
+tensor (stream ``_STAGE_TENSOR``, one per attempt) it runs one job list,
+one job per group in ``observed_list() + unobserved_list()`` order. An
+observed group draws its rows (``_STAGE_TRAIN``) or its statistics
+(``_STAGE_STATS``); an unobserved group draws its shift
+(``_STAGE_DELTA``), then its target rows from the shifted coefficients
+(``_STAGE_TARGET``). Each stream is seeded from the scenario seed, the
+stage, the replication and the group's code, the row-major index of its
+0-based levels in the group space. So the jobs run in contiguous shares
+side by side on threads, one per usable CPU (``_threads.map_shares``),
+and the draws are bitwise those of a serial loop.
 """
 
 from dataclasses import dataclass
@@ -145,14 +151,15 @@ def default_pattern(cfg):
 
 def _rng(cfg, stage, rep, idx=0):
     return np.random.default_rng(
-        np.random.SeedSequence([int(cfg.seed), stage, int(rep), int(idx)]))
+        np.random.SeedSequence([cfg.seed, stage, rep, idx]))
 
 
-def _group_code(space, g):
-    code = 0
-    for i, p in zip(g, space):
-        code = code * p + (i - 1)
-    return code
+def _replication(rep):
+    """``rep`` as an int, never truncated; a negative one is an error."""
+    rep, = _integers((rep,), f"rep = {rep!r}: replication indices", "rep")
+    if rep < 0:
+        raise ValueError(f"rep = {rep}: need rep >= 0")
+    return rep
 
 
 def _block_ok(block, rank, margin):
@@ -170,7 +177,7 @@ def generate_tensor(cfg, rep=0):
     the configured ranks with singular value ratio above rank_margin, up
     to ten attempts.
     """
-    return _draw_tensor(cfg, rep, default_pattern(cfg))
+    return _draw_tensor(cfg, _replication(rep), default_pattern(cfg))
 
 
 def _draw_tensor(cfg, rep, pattern):
@@ -211,12 +218,15 @@ def _ar1_factor(cfg):
     return np.linalg.cholesky(cfg.ar1_rho ** lags)
 
 
-def _design_matrix(rng, factor, out):
-    """Fill out (n, p) with iid normal rows, times factor' when given."""
+def _draw_rows(rng, factor, sigma, coef, X, y):
+    """Fill X (n, p) with iid normal rows, times factor' when given, and
+    y with X coef + sigma e."""
     if factor is None:
-        rng.standard_normal(out=out)
+        rng.standard_normal(out=X)
     else:
-        np.matmul(rng.normal(size=out.shape), factor.T, out=out)
+        np.matmul(rng.normal(size=X.shape), factor.T, out=X)
+    np.matmul(X, coef, out=y)
+    y += sigma * rng.normal(size=y.size)
 
 
 def _draw_statistics(rng, factor, n, sigma, coef, xtx, xty, rss, below):
@@ -242,79 +252,59 @@ def _draw_statistics(rng, factor, n, sigma, coef, xtx, xty, rss, below):
     rss[:] = sigma ** 2 * rng.chisquare(n - p)
 
 
-def inject_delta(coef, cfg, rng):
-    """Sparse shift: delta_sparsity coordinates get N(0, delta_std^2)."""
-    delta = np.zeros_like(coef)
-    if cfg.delta_sparsity > 0:
-        support = rng.choice(coef.size, size=cfg.delta_sparsity,
-                             replace=False)
-        delta[support] = cfg.delta_std * rng.normal(size=cfg.delta_sparsity)
-    return coef + delta, delta
-
-
-def generate_data(truth, pattern, cfg, rep=0, overrides=None,
-                  statistics=False):
-    """Training data for observed groups, evaluation data for the rest.
-
-    The training data are rows, a GroupedDataset, or with ``statistics``
-    each group's (X'X, X'y, RSS, n), a GroupedStatistics, drawn on a
-    stream of their own. Evaluation responses follow the truth tensor
-    unless ``overrides`` supplies a replacement coefficient for a group.
-    """
-    overrides = overrides or {}
-    factor = _ar1_factor(cfg)
-    observed, unobserved = pattern.observed_list(), pattern.unobserved_list()
-
-    def fiber(g):
-        return truth.array[(slice(None),) + tuple(i - 1 for i in g)]
-
-    # The samples are allocated here and filled on the worker threads, so
-    # no worker's malloc arena holds long-lived data (see _threads).
-    if statistics:
-        G, p = len(observed), cfg.p
-        xtx, xty, rss = np.empty((G, p, p)), np.empty((G, p)), np.empty(G)
-        train = [(xtx[k], xty[k], rss[k:k + 1]) for k in range(G)]
-        below = np.flatnonzero(np.tri(p, k=-1, dtype=bool))
-    else:
-        train = [(np.empty((cfg.n, cfg.p)), np.empty(cfg.n))
-                 for _ in observed]
-    stage = _STAGE_STATS if statistics else _STAGE_TRAIN
-    jobs = ([(g, stage, fiber(g), out) for g, out in zip(observed, train)]
-            + [(g, _STAGE_TARGET, overrides.get(g, fiber(g)),
-                (np.empty((cfg.n_target, cfg.p)), np.empty(cfg.n_target)))
-               for g in unobserved])
-
-    def draw(share):
-        for g, stage, coef, out in jobs[share]:
-            rng = _rng(cfg, stage, rep, _group_code(pattern.space, g))
-            if stage == _STAGE_STATS:
-                _draw_statistics(rng, factor, cfg.n, cfg.noise_std, coef,
-                                 *out, below)
-            else:
-                X, y = out
-                _design_matrix(rng, factor, X)
-                np.matmul(X, coef, out=y)
-                y += cfg.noise_std * rng.normal(size=y.size)
-
-    map_shares(draw, len(jobs))
-    targets = dict(zip(unobserved, [job[3] for job in jobs[len(observed):]]))
-    if statistics:
-        return GroupedStatistics({g: (xtx[k], xty[k], rss[k], cfg.n)
-                                  for k, g in enumerate(observed)}), targets
-    return GroupedDataset(dict(zip(observed, train))), targets
-
-
 def make_scenario(cfg, rep=0, statistics=False):
-    """Draw tensor, sparse target shifts and all samples for one
-    replication; with ``statistics`` the training data are each observed
-    group's sufficient statistics rather than its rows."""
+    """Draw one replication: the truth tensor, then one job per group.
+    An observed group draws its rows (stream ``_STAGE_TRAIN``) or, with
+    ``statistics``, its sufficient statistics (``_STAGE_STATS``). An
+    unobserved group draws its shift delta, delta_sparsity coordinates
+    of N(0, delta_std^2) (``_STAGE_DELTA``), then its target rows from
+    gamma = fiber + delta (``_STAGE_TARGET``)."""
+    rep = _replication(rep)
     pattern = default_pattern(cfg)
     truth = _draw_tensor(cfg, rep, pattern)
-    gammas, deltas = {}, {}
-    for g in pattern.unobserved_list():
-        rng = _rng(cfg, _STAGE_DELTA, rep, _group_code(pattern.space, g))
-        coef = truth.array[(slice(None),) + tuple(i - 1 for i in g)]
-        gammas[g], deltas[g] = inject_delta(coef, cfg, rng)
-    train, targets = generate_data(truth, pattern, cfg, rep, gammas,
-                                   statistics)
-    return Scenario(cfg, rep, truth, pattern, train, targets, gammas, deltas)
+    factor = _ar1_factor(cfg)
+    observed, unobserved = pattern.observed_list(), pattern.unobserved_list()
+    levels = np.subtract(observed + unobserved, 1)
+    codes = np.ravel_multi_index(tuple(levels.T), pattern.space).tolist()
+    G, U, n, p = len(observed), len(unobserved), cfg.n, cfg.p
+
+    # Every output is allocated here and filled on the worker threads, so
+    # no worker's malloc arena holds long-lived data (see _threads).
+    if statistics:
+        xtx, xty, rss = np.empty((G, p, p)), np.empty((G, p)), np.empty(G)
+        below = np.flatnonzero(np.tri(p, k=-1, dtype=bool))
+    else:
+        X, y = np.empty((G, n, p)), np.empty((G, n))
+    X_t, y_t = np.empty((U, cfg.n_target, p)), np.empty((U, cfg.n_target))
+    gammas, deltas = np.empty((U, p)), np.zeros((U, p))
+
+    def draw(share):
+        for k in range(len(levels))[share]:
+            fiber = truth.array[(slice(None), *levels[k])]
+            if k >= G:
+                u, s = k - G, cfg.delta_sparsity
+                if s:
+                    rng = _rng(cfg, _STAGE_DELTA, rep, codes[k])
+                    support = rng.choice(p, size=s, replace=False)
+                    deltas[u, support] = cfg.delta_std * rng.normal(size=s)
+                np.add(fiber, deltas[u], out=gammas[u])
+                _draw_rows(_rng(cfg, _STAGE_TARGET, rep, codes[k]), factor,
+                           cfg.noise_std, gammas[u], X_t[u], y_t[u])
+            elif statistics:
+                _draw_statistics(_rng(cfg, _STAGE_STATS, rep, codes[k]),
+                                 factor, n, cfg.noise_std, fiber, xtx[k],
+                                 xty[k], rss[k:k + 1], below)
+            else:
+                _draw_rows(_rng(cfg, _STAGE_TRAIN, rep, codes[k]), factor,
+                           cfg.noise_std, fiber, X[k], y[k])
+
+    map_shares(draw, len(levels))
+    if statistics:
+        train = GroupedStatistics({g: (xtx[k], xty[k], rss[k], n)
+                                   for k, g in enumerate(observed)})
+    else:
+        train = GroupedDataset(dict(zip(observed, zip(X, y))))
+    return Scenario(cfg, rep, truth, pattern, train,
+                    dict(zip(unobserved, zip(X_t, y_t))),
+                    dict(zip(unobserved, gammas)),
+                    dict(zip(unobserved, deltas)))

@@ -23,9 +23,9 @@ SCENARIO = {"p": 8, "group_dims": [5, 4], "ranks": [3, 2, 2],
 EXPERIMENT_SCENARIO = {k: v for k, v in SCENARIO.items() if k != "seed"}
 
 
-def write_scenario(tmp_path, **overrides):
+def write_scenario(tmp_path, **fields):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(dict(SCENARIO, **overrides)))
+    path.write_text(json.dumps(dict(SCENARIO, **fields)))
     return str(path)
 
 
@@ -372,6 +372,17 @@ def test_simulate_with_a_quoted_n_writes_nothing(tmp_path, capsys):
         capsys.readouterr().err
     assert not list(tmp_path.glob("demo_*"))
 
+
+
+def test_simulate_with_a_negative_rep_writes_nothing(tmp_path, capsys):
+    """A negative replication index is rejected by name; it failed inside
+    SeedSequence with "expected non-negative integer"."""
+    rc = main(["simulate", "--config", write_scenario(tmp_path),
+               "--out-dir", str(tmp_path), "--prefix", "demo",
+               "--rep", "-1"])
+    assert rc == 2
+    assert "error: rep = -1: need rep >= 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("demo_*"))
 
 def test_ingest_subcommand(tmp_path, capsys):
     path = tmp_path / "people.csv"

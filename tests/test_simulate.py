@@ -1,9 +1,18 @@
-"""Scenario generation: input checks and the AR(1) design."""
+"""Scenario generation: input checks, the AR(1) design, and the one
+job list's parity with the reference draw."""
+
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from tensordg import DimensionError, ScenarioConfig, make_scenario
+import simulate_reference
+from tensordg import (DimensionError, ExperimentConfig, ScenarioConfig,
+                      generate_tensor, make_scenario)
+from test_threads import Q3, SMALL, assert_bitwise_equal, set_cpus
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("field, value", [
@@ -103,3 +112,74 @@ def test_ar1_scenario_matches_per_group_draws():
     corr = np.corrcoef(X, rowvar=False)
     assert abs(np.mean(np.diag(corr, 1)) - 0.6) < 0.05
     assert abs(np.mean(np.diag(corr, 2)) - 0.36) < 0.05
+
+
+@pytest.mark.parametrize("rep, message", [
+    (1.5, "rep = 1.5: replication indices must be integers"),
+    (True, "rep = True: replication indices must be integers"),
+    ("1", "rep = '1': replication indices must be integers"),
+    (-1, "rep = -1: need rep >= 0"),
+])
+@pytest.mark.parametrize("draw", [make_scenario, generate_tensor])
+def test_bad_replication_index_fails_early(draw, rep, message):
+    """A replication index is never truncated: 1.5 and True drew rep 1,
+    and -1 failed inside SeedSequence with a message naming nothing."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        draw(ScenarioConfig(), rep)
+
+
+def test_integral_replication_index_is_its_int():
+    cfg = ScenarioConfig(p=8, group_dims=(5, 4), ranks=(3, 2, 2),
+                         body_sizes=(4, 4), arm_sizes=(2, 2), n=40,
+                         n_target=5, signal_scale=4.0)
+    sc = make_scenario(cfg, np.int64(2))
+    assert type(sc.rep) is int and sc.rep == 2
+    assert_bitwise_equal(sc.truth.array, make_scenario(cfg, 2.0).truth.array)
+
+
+def parity_cells():
+    """Every cell of the checked-in battery, plus an AR(1) cell with
+    shifted targets, a noiseless cell, the fit_q3 design (q = 3) and a
+    5 x 4 group space, whose group codes differ from the 4 x 5 one's."""
+    for path in sorted(ROOT.joinpath("configs").glob("*.json")):
+        cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
+        for label, scenario in cfg.cells():
+            yield pytest.param(scenario, id=f"{path.stem}{label and '-'}"
+                                            f"{label}")
+    yield pytest.param(ScenarioConfig(design="ar1", n_target=150,
+                                      delta_sparsity=3), id="ar1")
+    yield pytest.param(ScenarioConfig(noise_std=0), id="noiseless")
+    yield pytest.param(ScenarioConfig(seed=5, **dict(Q3, delta_sparsity=3)),
+                       id="fit_q3")
+    yield pytest.param(ScenarioConfig(seed=7, **dict(SMALL, delta_sparsity=2)),
+                       id="5x4")
+
+
+def scenario_parts(sc):
+    return (sc.config, sc.rep, sc.truth.array, sc.pattern.observed_list(),
+            sc.pattern.unobserved_list(), sc.train.groups, sc.targets,
+            sc.gammas, sc.deltas)
+
+
+@pytest.mark.parametrize("statistics", [False, True],
+                         ids=["rows", "statistics"])
+@pytest.mark.parametrize("cfg", parity_cells())
+def test_one_job_list_matches_the_reference_draw(monkeypatch, cfg,
+                                                 statistics):
+    """make_scenario draws every group in one job list; its truth,
+    training data, targets, shifts and target coefficients are bitwise
+    those of the reference's serial shift loop and separate data draw
+    (simulate_reference). Rep 0 is drawn on three threads and rep 1
+    serially, so each cell runs both ways. A rep whose truth cannot be
+    drawn fails in both."""
+    for rep, cpus in ((0, 3), (1, 1)):
+        set_cpus(monkeypatch, cpus)
+        try:
+            want = scenario_parts(simulate_reference.make_scenario(
+                cfg, rep, statistics))
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="rank margin"):
+                make_scenario(cfg, rep, statistics)
+            continue
+        assert_bitwise_equal(want, scenario_parts(
+            make_scenario(cfg, rep, statistics)))
