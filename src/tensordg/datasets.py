@@ -3,11 +3,16 @@
 File layout (header row required): one column per group axis, then the
 response, then the feature columns. The writer names them g1..gq, y,
 x1..xp; ingest reads other names when given the columns' roles. Header
-names must be unique. Group levels may be integer codes or strings;
-strings are mapped to 1-based codes in order of first appearance and the
-mapping is returned alongside the dataset. Blank lines are skipped, and
-a quoted field may not span lines. Groups come out in sorted order, and
-rows keep their file order within a group.
+names must be unique. By default the group columns are the g<number>
+columns in the order of their number, which must run 1..q once each
+(g2,g1 reads as g1,g2; g1,g3 and g1,g01 are errors). Group levels may be
+integer codes or strings. A column whose levels all parse as positive
+integers keeps those codes, and two spellings of one integer (1 and 01)
+are an error rather than one group; other levels are mapped to 1-based
+codes in order of first appearance and the mapping is returned
+alongside the dataset. Blank lines are skipped, and a quoted field may
+not span lines. Groups come out in sorted order, and rows keep their
+file order within a group.
 
 Both directions work on whole arrays. The writer formats each group as
 one string, with floats written by ``repr`` so a write/ingest roundtrip
@@ -60,23 +65,32 @@ def write_csv(path, ds):
                 for row in np.column_stack([y, X]).tolist()))
 
 
-def _code_columns(raw):
+def _code_columns(raw, path, name):
     """Map one column of raw group levels (strings) to 1-based codes.
 
     Integer-coded columns (all values parse as positive integers) keep
     their codes; anything else is treated as labels and coded by first
-    appearance.
+    appearance. Two spellings of one integer ("1" and "01") raise
+    DimensionError naming the group column ``name`` and both spellings,
+    rather than merging their rows into one group.
     """
     levels, first, inverse = np.unique(raw, return_index=True,
                                        return_inverse=True)
     levels = levels.tolist()
     try:
         ints = [int(v) for v in levels]
-        if min(ints) >= 1:
-            return (np.array(ints)[inverse],
-                    {str(c): c for c in sorted(set(ints))})
     except ValueError:
-        pass
+        ints = None
+    if ints and min(ints) >= 1:
+        spelling = {}
+        for level, code in zip(levels, ints):
+            other = spelling.setdefault(code, level)
+            if other != level:
+                raise DimensionError(
+                    f"{path}: group column {name} spells the code {code} "
+                    f"as both {other!r} and {level!r}", where=name)
+        return (np.array(ints)[inverse],
+                {str(c): c for c in sorted(ints)})
     appearance = np.argsort(first)
     rank = np.empty(len(levels), dtype=np.int64)
     rank[appearance] = np.arange(1, len(levels) + 1)
@@ -106,7 +120,12 @@ def ingest_csv(path, group_cols=None, response_col=None, feature_cols=None):
     """Parse a grouped-data CSV into a dataset plus group-space metadata.
 
     Column roles are given by header names; when omitted they default to
-    the writer's layout (g1..gq, then the response, then the rest).
+    the writer's layout (g1..gq, then the response, then the rest). The
+    default group columns are the g<number> columns ordered by their
+    number, which must be 1..q once each, else DimensionError names the
+    columns; explicit ``group_cols`` keep the caller's order. A group
+    column that spells one integer code two ways is a DimensionError
+    naming the column and both spellings.
     Returns an IngestResult with the dataset, the inferred space (max
     code per group axis), the per-axis level mappings, and per-group
     sample counts. Errors name the 1-based line of the file.
@@ -134,10 +153,15 @@ def ingest_csv(path, group_cols=None, response_col=None, feature_cols=None):
                                      f"fields, expected {width}")
 
     if group_cols is None:
-        group_cols = [name for name in header
-                      if name.startswith("g") and name[1:].isdigit()]
-        if not group_cols:
+        number = {name: int(name[1:]) for name in header
+                  if name.startswith("g") and name[1:].isdecimal()}
+        if not number:
             raise DimensionError(f"{path}: no g1..gq group columns found")
+        if sorted(number.values()) != list(range(1, len(number) + 1)):
+            raise DimensionError(
+                f"{path}: group columns {list(number)} are not "
+                f"g1..g{len(number)}, each once")
+        group_cols = sorted(number, key=number.get)
     missing = [c for c in list(group_cols)
                + ([response_col] if response_col else [])
                + list(feature_cols or []) if c and c not in header]
@@ -173,7 +197,8 @@ def ingest_csv(path, group_cols=None, response_col=None, feature_cols=None):
     raw = np.loadtxt(body, dtype=str,
                      usecols=[col_of[name] for name in group_cols],
                      **_LOADTXT)
-    codes, mappings = zip(*(_code_columns(column) for column in raw.T))
+    codes, mappings = zip(*(_code_columns(column, path, name)
+                            for column, name in zip(raw.T, group_cols)))
     keys = np.array(codes)   # (q, rows)
     space = tuple(int(axis.max()) for axis in keys)
     # A stable sort on the codes keeps file order within each group.

@@ -27,6 +27,7 @@ import numpy as np
 
 from .completion import fit_tensordg
 from .errors import ConvergenceError, DimensionError, NonFiniteError
+from .patterns import _index
 from .regression import GroupedDataset
 from .tensor import DenseTensor
 
@@ -366,11 +367,12 @@ def choose_lambda(ds, seed=0, rule="1se"):
     squared prediction error on the held-out rows. ``rule`` is "min" or
     "1se" (default), as in ``_select``. Returns the penalty and the
     path's training-row solution at it, a warm start for a full-data
-    solve, which certifies its own tolerance.
+    solve, which certifies its own tolerance. A ``seed`` that is not a
+    non-negative integer (1.7, True, -1) is an error naming it.
     """
     if rule not in ("min", "1se"):
         raise ValueError(f"unknown selection rule {rule!r}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_index(seed, "seed", "seeds"))
     train, valid = {}, []
     for g in sorted(ds.groups):
         X, y = ds.groups[g]

@@ -84,6 +84,18 @@ def _integers(values, what, where=None):
     return tuple(int(i) for i in values)
 
 
+def _index(value, name, what):
+    """``value`` as a non-negative int, never truncated: a replication
+    index or a seed, with errors naming it as ``name``. A value that is
+    not an integer number raises DimensionError "{name} = 1.5: {what}
+    must be integers", a negative one ValueError "{name} = -1: need
+    {name} >= 0"."""
+    value, = _integers((value,), f"{name} = {value!r}: {what}", name)
+    if value < 0:
+        raise ValueError(f"{name} = {value}: need {name} >= 0")
+    return value
+
+
 def _insert(rest, t, level):
     """Build a full group from a (q-1)-tuple by inserting a mode-t level."""
     return rest[:t - 1] + (level,) + rest[t - 1:]

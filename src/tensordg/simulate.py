@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._threads import map_shares
-from .patterns import _insert, _integers, build_pattern
+from .patterns import _index, _insert, _integers, build_pattern
 from .regression import GroupedDataset, GroupedStatistics
 from .tensor import DenseTensor, matricize, tucker_assemble
 
@@ -154,14 +154,6 @@ def _rng(cfg, stage, rep, idx=0):
         np.random.SeedSequence([cfg.seed, stage, rep, idx]))
 
 
-def _replication(rep):
-    """``rep`` as an int, never truncated; a negative one is an error."""
-    rep, = _integers((rep,), f"rep = {rep!r}: replication indices", "rep")
-    if rep < 0:
-        raise ValueError(f"rep = {rep}: need rep >= 0")
-    return rep
-
-
 def _block_ok(block, rank, margin):
     s = np.linalg.svd(block, compute_uv=False)
     if s.size < rank or s[0] == 0.0:
@@ -177,7 +169,8 @@ def generate_tensor(cfg, rep=0):
     the configured ranks with singular value ratio above rank_margin, up
     to ten attempts.
     """
-    return _draw_tensor(cfg, _replication(rep), default_pattern(cfg))
+    rep = _index(rep, "rep", "replication indices")
+    return _draw_tensor(cfg, rep, default_pattern(cfg))
 
 
 def _draw_tensor(cfg, rep, pattern):
@@ -259,7 +252,7 @@ def make_scenario(cfg, rep=0, statistics=False):
     unobserved group draws its shift delta, delta_sparsity coordinates
     of N(0, delta_std^2) (``_STAGE_DELTA``), then its target rows from
     gamma = fiber + delta (``_STAGE_TARGET``)."""
-    rep = _replication(rep)
+    rep = _index(rep, "rep", "replication indices")
     pattern = default_pattern(cfg)
     truth = _draw_tensor(cfg, rep, pattern)
     factor = _ar1_factor(cfg)

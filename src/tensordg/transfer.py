@@ -36,6 +36,7 @@ from .errors import DimensionError, NonFiniteError
 from .highdim import (GROUP_LASSO_MAX_ITER, GROUP_LASSO_TOL, PATH_TOL,
                       _select, _Stack, group_lasso, group_lasso_kkt,
                       lambda_grid)
+from .patterns import _index
 from .regression import _samples
 
 __all__ = ["TransferResult", "lasso_offset", "lasso_kkt", "default_lambda",
@@ -83,42 +84,29 @@ def _offset_stack(X, y, offset):
     return _Stack((0,), X[None], (y - X @ offset)[None], y.size)
 
 
-def _support_kkt(X, design, resp, support, coef, lam):
-    """lasso_kkt of the offset that is ``coef`` on ``support`` and zero
-    elsewhere, for the one-group design X (``design`` = X[:, support])
-    and response ``resp``. The residual is formed from ``design``, so no
-    zero column is multiplied. ``coef`` has no zero entry."""
-    grad = ((design @ coef - resp) @ X) * (2.0 / resp.size)
-    res = np.abs(grad) - lam
-    res[support] = np.abs(grad[support] + lam * np.sign(coef))
-    return float(res.max(initial=0.0))
-
-
 def _finish(stack, delta, lam):
-    """(finish, its lasso_kkt): the exact minimizer on the support S and
-    signs s of ``delta``.
+    """The exact minimizer on the support S and signs s of ``delta``, or
+    None.
 
     With r the response of the one-group ``stack`` it solves
-    (X_S'X_S) d = X_S'r - (n lam / 2) s; an empty S gives zero. When
-    X_S'X_S is singular or the signs of d are not s, it returns
-    (None, inf).
+    (X_S'X_S) d = X_S'r - (n lam / 2) s; an empty S gives zero. It
+    returns None when X_S'X_S is singular or the signs of d are not s.
+    Whether the finish is the minimizer is lasso_offset's check.
     """
     X, resp = stack.X[0], stack.y[0]
     support = np.flatnonzero(delta)
     design, sign = X[:, support], np.sign(delta[support])
-    exact = np.zeros(0)
+    finish = np.zeros_like(delta)
     if support.size:
         try:
-            exact = np.linalg.solve(
+            finish[support] = np.linalg.solve(
                 design.T @ design,
                 design.T @ resp - (0.5 * stack.n_total * lam) * sign)
         except np.linalg.LinAlgError:
-            return None, np.inf
-        if not np.array_equal(np.sign(exact), sign):
-            return None, np.inf
-    finish = np.zeros_like(delta)
-    finish[support] = exact
-    return finish, _support_kkt(X, design, resp, support, exact, lam)
+            return None
+        if not np.array_equal(np.sign(finish[support]), sign):
+            return None
+    return finish
 
 
 def lasso_offset(X, y, offset, lam, tol=GROUP_LASSO_TOL,
@@ -139,8 +127,9 @@ def lasso_offset(X, y, offset, lam, tol=GROUP_LASSO_TOL,
     support S and signs s, the minimizer is affine in the data
     (Tibshirani 2013): with r = y - X offset it solves
     (X_S'X_S) d = X_S'r - (n lam / 2) s. That exact finish is returned
-    when its signs are s and its lasso_kkt is at most ``tol``
-    (absolute).
+    when its signs are s and its group_lasso_kkt on the one-group stack
+    is at most ``tol`` (absolute): the residual lasso_kkt reports, so
+    the finish is certified by the formula that verifies it.
 
     The finish depends on S and s alone, not on where FISTA stopped, so
     FISTA first stops at PATH_TOL * lam (when that is looser than
@@ -168,8 +157,9 @@ def lasso_offset(X, y, offset, lam, tol=GROUP_LASSO_TOL,
         del history[start:]
         delta = group_lasso(stack, lam, tol=stop, max_iter=max_iter,
                             history=history)[0]
-        finish, res = _finish(stack, delta, lam)
-        if res <= tol:
+        finish = _finish(stack, delta, lam)
+        if (finish is not None
+                and group_lasso_kkt(stack, {0: finish}, lam) <= tol):
             return finish
     return delta
 
@@ -208,8 +198,10 @@ def cross_validate_lambda(X, y, offset, seed=0):
     bounds every fold's lasso_kkt. The stack holds CV_FOLDS * n_max * p
     floats (0.3 MB at n = 150, p = 60). ``X`` may also be the one-group
     stack that tensortl builds from a sample it checked; ``y`` and
-    ``offset`` are then not read.
+    ``offset`` are then not read. A ``seed`` that is not a non-negative
+    integer (1.7, True, -1) is an error naming it.
     """
+    seed = _index(seed, "seed", "seeds")
     full = _offset_stack(X, y, offset)
     X, resid = full.X[0], full.y[0]
     n, p = X.shape
@@ -219,7 +211,7 @@ def cross_validate_lambda(X, y, offset, seed=0):
         grid = lambda_grid(full)
     except DimensionError:
         return default_lambda(max(p, 2), n)
-    perm = np.random.default_rng(int(seed)).permutation(n)
+    perm = np.random.default_rng(seed).permutation(n)
     splits = np.array_split(perm, CV_FOLDS)
     trains = [np.setdiff1d(perm, hold, assume_unique=True) for hold in splits]
     n_total = sum(train.size for train in trains)

@@ -80,6 +80,16 @@ def test_fit_lambda_requires_highdim(tmp_path, capsys):
     assert "requires --highdim" in capsys.readouterr().err
 
 
+def test_fit_highdim_with_a_negative_seed_fails_by_name(tmp_path, capsys):
+    data, pattern_path, _ = simulate(tmp_path)
+    model_path = tmp_path / "model.tns"
+    rc = main(["fit", "--data", data, "--pattern", pattern_path,
+               "--highdim", "--seed", "-1", "--out", str(model_path)])
+    assert rc == 2
+    assert "error: seed = -1: need seed >= 0" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
 def test_transfer_on_saved_model(tmp_path, capsys):
     data, pattern_path, truth_path = simulate(tmp_path, "--with-targets")
     model_path = str(tmp_path / "model.tns")
@@ -403,6 +413,21 @@ def test_ingest_subcommand(tmp_path, capsys):
     assert report["rows"] == 4 and report["features"] == 2
     assert {tuple(g["group"]) for g in report["groups"]} == \
         {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+
+@pytest.mark.parametrize("text, named", [
+    ("g1,y,x1\n1,0.5,1.0\n01,0.7,2.0\n2,0.1,3.0\n", "group column g1"),
+    ("g1,g3,y,x1\n1,1,0.5,1.0\n", "group columns ['g1', 'g3']"),
+])
+def test_ingest_subcommand_names_a_bad_group_column(tmp_path, capsys, text,
+                                                    named):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    report_path = tmp_path / "report.json"
+    rc = main(["ingest", "--data", str(path), "--out", str(report_path)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not report_path.exists()
 
 
 def test_help_via_module_invocation():

@@ -87,6 +87,54 @@ def test_ingest_rejects_duplicate_header_names(tmp_path):
         ingest_csv(path)
 
 
+@pytest.mark.parametrize("one, other", [("1", "01"), ("2", "+2")])
+def test_ingest_rejects_two_spellings_of_one_code(tmp_path, one, other):
+    """Two spellings of one integer code named one group, and the
+    mapping dropped one of them; now the file is refused, naming the
+    column and both spellings."""
+    path = tmp_path / "spelled.csv"
+    path.write_text(f"g1,y,x1\n{one},0.5,1.0\n{other},0.7,2.0\n"
+                    "3,0.1,3.0\n")
+    with pytest.raises(DimensionError) as info:
+        ingest_csv(path)
+    message = str(info.value)
+    assert "group column g1" in message and info.value.where == "g1"
+    assert repr(one) in message and repr(other) in message
+
+
+def test_ingest_orders_default_group_columns_by_number(tmp_path):
+    """A g2,g1 header reads as its g1,g2 twin: the same dataset, space,
+    mappings and counts, with the axes in the order of their number."""
+    rows = [("1", "north", 0.5, 1.0), ("3", "south", 0.25, 2.0),
+            ("2", "north", 1.5, 3.0), ("3", "north", 2.5, 4.0)]
+    ordered, swapped = tmp_path / "ordered.csv", tmp_path / "swapped.csv"
+    ordered.write_text("g1,g2,y,x1\n" + "".join(
+        f"{a},{b},{y},{x}\n" for a, b, y, x in rows))
+    swapped.write_text("g2,g1,y,x1\n" + "".join(
+        f"{b},{a},{y},{x}\n" for a, b, y, x in rows))
+    want, got = ingest_csv(ordered), ingest_csv(swapped)
+    assert got.space == want.space == (3, 2)
+    assert got.mappings == want.mappings
+    assert got.counts == want.counts
+    assert list(got.dataset.groups) == list(want.dataset.groups)
+    for g, (X, y) in want.dataset.groups.items():
+        assert np.array_equal(got.dataset.groups[g][0], X)
+        assert np.array_equal(got.dataset.groups[g][1], y)
+    # explicit group columns keep the caller's order
+    assert ingest_csv(ordered, group_cols=["g2", "g1"]).space == (2, 3)
+
+
+@pytest.mark.parametrize("header", ["g1,g3", "g1,g01", "g2,g3"])
+def test_ingest_rejects_misnumbered_group_columns(tmp_path, header):
+    path = tmp_path / "numbered.csv"
+    path.write_text(f"{header},y,x1\n1,1,0.5,1.0\n")
+    names = header.split(",")
+    with pytest.raises(DimensionError,
+                       match=re.escape(f"group columns {names} are not "
+                                       "g1..g2, each once")):
+        ingest_csv(path)
+
+
 def test_ingest_explicit_schema(tmp_path):
     path = tmp_path / "named.csv"
     path.write_text(

@@ -555,6 +555,26 @@ def test_choose_lambda_min_rule_picks_the_lowest_holdout_loss(monkeypatch,
         choose_lambda(ds, seed=seed, rule="max")
 
 
+@pytest.mark.parametrize("seed, message", [
+    (1.7, "seed = 1.7: seeds must be integers"),
+    (True, "seed = True: seeds must be integers"),
+    (-1, "seed = -1: need seed >= 0"),
+])
+def test_choose_lambda_rejects_a_bad_seed_by_name(seed, message):
+    """A seed is never truncated: 1.7 and True split as seed 1, and -1
+    failed inside numpy with a message naming nothing."""
+    ds, _ = two_group_ds(np.random.default_rng(0))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        choose_lambda(ds, seed=seed)
+
+
+def test_choose_lambda_integral_seed_is_its_int():
+    ds, _ = two_group_ds(np.random.default_rng(0))
+    lam = choose_lambda(ds, seed=2)[0]
+    assert choose_lambda(ds, seed=np.int64(2))[0] == lam
+    assert choose_lambda(ds, seed=2.0)[0] == lam
+
+
 def test_fit_highdim_restriction_matches_lowdim_fit():
     """Rows on the support agree bit-for-bit with fit_tensordg on the
     column-restricted dataset."""

@@ -18,6 +18,7 @@ from tensordg import highdim, transfer
 from tensordg.highdim import (GROUP_LASSO_TOL, _Stack, group_lasso,
                               group_lasso_kkt, lambda_grid)
 
+import transfer_reference
 from lasso_reference import cd_lasso
 
 
@@ -194,6 +195,24 @@ def test_cross_validate_lambda_deterministic():
     lam1 = cross_validate_lambda(X, y, offset, seed=3)
     lam2 = cross_validate_lambda(X, y, offset, seed=3)
     assert lam1 == lam2 and lam1 > 0
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.7, "seed = 1.7: seeds must be integers"),
+    (True, "seed = True: seeds must be integers"),
+    (-1, "seed = -1: need seed >= 0"),
+])
+def test_cross_validate_lambda_rejects_a_bad_seed_by_name(seed, message):
+    """A fold seed is never truncated: 1.7 and True folded as seed 1, and
+    -1 failed inside numpy with a message naming nothing. The check
+    comes first, so a seed is checked even where the grid is empty."""
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(60, 6))
+    offset = np.array([1.5, 0, 0, -1.0, 0, 0])
+    # the offset fits the second y exactly: its answer is default_lambda
+    for y in (X @ offset + 0.3 * rng.normal(size=60), X @ offset):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cross_validate_lambda(X, y, offset, seed=seed)
 
 
 def per_fold_cv(X, y, offset, lambdas, folds=5, seed=0):
@@ -631,21 +650,28 @@ def test_lasso_offset_rejects_an_uncertified_zero(monkeypatch):
     assert lasso_kkt(X, y, offset, got, lam) <= GROUP_LASSO_TOL
 
 
-def test_support_kkt_is_lasso_kkt():
-    """The finish's residual from the held design, response and support
-    columns equals lasso_kkt, which rebuilds it through the stack, to
-    rounding: 20 draws of random supports and coefficients."""
-    rng = np.random.default_rng(15)
-    for _ in range(20):
-        n, p = int(rng.integers(10, 80)), int(rng.integers(2, 40))
-        X, resp = rng.normal(size=(n, p)), rng.normal(size=n)
-        support = np.sort(rng.choice(p, int(rng.integers(0, p + 1)),
-                                     replace=False))
-        coef = rng.normal(size=support.size)
-        lam = float(rng.uniform(0.01, 2.0))
-        delta = np.zeros(p)
-        delta[support] = coef
-        got = transfer._support_kkt(X, X[:, support], resp, support, coef,
-                                    lam)
-        want = lasso_kkt(X, resp, np.zeros(p), delta, lam)
-        assert abs(got - want) <= 1e-12 * max(want, lam)
+def test_lasso_offset_matches_the_reference_finish():
+    """The finish certified by group_lasso_kkt on the one-group stack is
+    bitwise the finish certified by its own support residual
+    (transfer_reference), with the same objective history: seeds 0-2 of
+    two target sizes, every target, at default_lambda and 0.3 times it
+    (108 offsets)."""
+    count = 0
+    for fields in ({"n_target": 150, "delta_sparsity": 3},
+                   {"n_target": 30}):
+        for seed in range(3):
+            sc = make_scenario(ScenarioConfig(seed=seed, **fields), 0,
+                               statistics=True)
+            model = fit_tensordg(fit_all(sc.train, sc.pattern), sc.pattern)
+            for g, (X, y) in sorted(sc.targets.items()):
+                lam0 = default_lambda(X.shape[1], y.size)
+                for lam in (lam0, 0.3 * lam0):
+                    got_hist, want_hist = [], []
+                    got = lasso_offset(X, y, model.coefficient(g), lam,
+                                       history=got_hist)
+                    want = transfer_reference.lasso_offset(
+                        X, y, model.coefficient(g), lam, history=want_hist)
+                    assert got.tobytes() == want.tobytes()
+                    assert got_hist == want_hist
+                    count += 1
+    assert count == 108
