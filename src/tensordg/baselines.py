@@ -8,9 +8,10 @@ group's own samples is ``regression.ols_fit``):
   combination whose pooled-design prediction risk is smallest in the
   worst case, following the convex-hull characterization: minimize
   w' G w over the probability simplex, with G_{gh} = b_g' S b_h for the
-  pooled second-moment matrix S. The small simplex QP is solved exactly
-  by a primal active-set method (Nocedal & Wright, Numerical
-  Optimization, ch. 16), which stops when the KKT certificate holds.
+  pooled second-moment matrix S (``pooled_gram``, of rows or of
+  sufficient statistics). The small simplex QP is solved exactly by a
+  primal active-set method (Nocedal & Wright, Numerical Optimization,
+  ch. 16), which stops when the KKT certificate holds.
 * ``meta_lm_star`` learns the shared coefficient subspace (mode-0 basis
   of the bias-corrected Gram, ``spectral.mode_spectrum``) from the source
   groups, then regresses the target response on the target design
@@ -23,7 +24,8 @@ group's own samples is ``regression.ols_fit``):
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, NonFiniteError
-from .regression import GroupEstimates, _fail, _samples, ols_fits
+from .regression import (GroupedStatistics, GroupEstimates, _fail, _samples,
+                         ols_fits)
 from .spectral import mode_spectrum
 
 __all__ = ["pooled_gram", "maximin", "projected_fits", "meta_lm_star"]
@@ -33,22 +35,27 @@ MAXIMIN_MAX_ITER = 1_000
 
 
 def pooled_gram(ds):
-    """Sample-size weighted average of the per-group design Grams.
+    """Sample-size weighted average of the per-group design Grams, S.
 
-    Equals X'X / N for the row-stacked design over every group. ``fit_all``
-    forms the same matrix from its own products as
-    ``GroupEstimates.pooled``; this function serves a dataset that was
-    not fitted.
+    Equals X'X / N for the row-stacked design over every group. ``ds`` is
+    a GroupedDataset, whose X'X blocks are formed from its rows, or a
+    GroupedStatistics, whose X'X blocks and n are summed with no pass
+    over rows; either way in sorted group order, so the statistics of a
+    dataset's rows give its S bit for bit.
     """
     if not ds.groups:
         raise DimensionError("empty dataset")
-    p = ds.p
-    total = np.zeros((p, p))
+    stats = isinstance(ds, GroupedStatistics)
+    total = np.zeros((ds.p, ds.p))
     n_total = 0
     for g in sorted(ds.groups):
-        X, _ = ds.groups[g]
-        total += X.T @ X
-        n_total += X.shape[0]
+        if stats:
+            xtx, _, _, n = ds.groups[g]
+        else:
+            X, _ = ds.groups[g]
+            xtx, n = X.T @ X, len(X)
+        total += xtx
+        n_total += n
     return total / n_total
 
 
@@ -132,8 +139,8 @@ def maximin(estimates, pooled, tol=MAXIMIN_TOL, max_iter=MAXIMIN_MAX_ITER,
 
     The solver stops when the KKT certificate holds: the gradient G w is
     equal on the support and no smaller off it, both to ``tol`` times
-    the largest diagonal entry of G. ``pooled`` is S, for example
-    ``GroupEstimates.pooled`` or ``pooled_gram``. Returns (coefficient
+    the largest diagonal entry of G. ``pooled`` is S, ``pooled_gram`` of
+    the data the estimates were fitted on. Returns (coefficient
     vector, weights). ``max_iter`` caps the active-set steps; running
     out raises ConvergenceError carrying the final KKT residual. NaN or
     infinite values raise NonFiniteError naming the estimate's group, or

@@ -31,7 +31,7 @@ from .datasets import ingest_csv, write_csv
 from .experiments import (ExperimentConfig, run_experiment, summarize,
                           write_metrics_csv)
 from .highdim import fit_highdim
-from .patterns import load_pattern, save_pattern
+from .patterns import _is_integer_text, load_pattern, save_pattern
 from .regression import GroupedDataset
 from .simulate import ScenarioConfig, make_scenario
 from .tensor import save_tensor
@@ -41,9 +41,14 @@ __all__ = ["main"]
 
 
 def _group_tuple(text):
+    """The --target-group levels, split on commas and blanks; each must
+    be an integer by ``patterns._is_integer_text``, else ValueError."""
     parts = [part for part in re.split(r"[,\s]+", text.strip()) if part]
     if not parts:
         raise ValueError("empty group index")
+    if not all(map(_is_integer_text, parts)):
+        raise ValueError(f"--target-group {text!r}: levels must be "
+                         f"integers")
     return tuple(int(part) for part in parts)
 
 

@@ -3,13 +3,19 @@
 File layout (header row required): one column per group axis, then the
 response, then the feature columns. The writer names them g1..gq, y,
 x1..xp; ingest reads other names when given the columns' roles. Header
-names must be unique. By default the group columns are the g<number>
-columns in the order of their number, which must run 1..q once each
-(g2,g1 reads as g1,g2; g1,g3 and g1,g01 are errors). Group levels may be
-integer codes or strings. A column whose levels all parse as positive
-integers keeps those codes, and two spellings of one integer (1 and 01)
-are an error rather than one group; other levels are mapped to 1-based
-codes in order of first appearance and the mapping is returned
+names must be unique, and each column holds one role: a given name that
+is empty, repeats within the group or feature columns, or is a group,
+the response or a feature column at once is an error naming it. By
+default the group columns are the g<number> columns in the order of
+their number, which must run 1..q once each (g2,g1 reads as g1,g2;
+g1,g3 and g1,g01 are errors). Group levels may be integer codes or
+strings. A level is an integer when np.loadtxt's integer parser reads
+it (``patterns._is_integer_text``: ASCII digits, an optional sign,
+blanks around them), so 1_0 and non-ASCII digits are labels. A column
+whose levels are all positive integers keeps those codes, mapped from
+the file's spelling ({"01": 1}), and two spellings of one integer (1
+and 01) are an error rather than one group; other levels are mapped to
+1-based codes in order of first appearance and the mapping is returned
 alongside the dataset. Blank lines are skipped, and a quoted field may
 not span lines. Groups come out in sorted order, and rows keep their
 file order within a group.
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
+from .patterns import _is_integer_text
 from .regression import GroupedDataset
 
 __all__ = ["IngestResult", "write_csv", "ingest_csv"]
@@ -68,19 +75,18 @@ def write_csv(path, ds):
 def _code_columns(raw, path, name):
     """Map one column of raw group levels (strings) to 1-based codes.
 
-    Integer-coded columns (all values parse as positive integers) keep
-    their codes; anything else is treated as labels and coded by first
-    appearance. Two spellings of one integer ("1" and "01") raise
-    DimensionError naming the group column ``name`` and both spellings,
-    rather than merging their rows into one group.
+    Integer-coded columns (every level is an integer by
+    ``patterns._is_integer_text`` and positive) keep their codes, mapped
+    from the file's spelling ({"01": 1}); anything else is treated as
+    labels and coded by first appearance. Two spellings of one integer
+    ("1" and "01") raise DimensionError naming the group column ``name``
+    and both spellings, rather than merging their rows into one group.
     """
     levels, first, inverse = np.unique(raw, return_index=True,
                                        return_inverse=True)
     levels = levels.tolist()
-    try:
-        ints = [int(v) for v in levels]
-    except ValueError:
-        ints = None
+    ints = (list(map(int, levels)) if all(map(_is_integer_text, levels))
+            else None)
     if ints and min(ints) >= 1:
         spelling = {}
         for level, code in zip(levels, ints):
@@ -90,7 +96,7 @@ def _code_columns(raw, path, name):
                     f"{path}: group column {name} spells the code {code} "
                     f"as both {other!r} and {level!r}", where=name)
         return (np.array(ints)[inverse],
-                {str(c): c for c in sorted(ints)})
+                {spelling[c]: c for c in sorted(spelling)})
     appearance = np.argsort(first)
     rank = np.empty(len(levels), dtype=np.int64)
     rank[appearance] = np.arange(1, len(levels) + 1)
@@ -116,16 +122,40 @@ def _first_bad_line(body, cols):
     return lo
 
 
+def _check_roles(path, group_cols, response_col, feature_cols):
+    """Raise DimensionError naming the column when a column name is
+    empty, repeats within the group or feature columns, or holds two of
+    the roles group, response and feature."""
+    roles = {}
+    for role, names in (("group", group_cols), ("response", [response_col]),
+                        ("feature", feature_cols or [])):
+        for name in names:
+            if not name:
+                raise DimensionError(f"{path}: empty {role} column name",
+                                     where=role)
+            if name in roles:
+                other = roles[name]
+                raise DimensionError(
+                    f"{path}: {role} column {name} is given twice"
+                    if other == role else f"{path}: column {name} is both "
+                    f"a {other} and a {role} column", where=name)
+            roles[name] = role
+
+
 def ingest_csv(path, group_cols=None, response_col=None, feature_cols=None):
     """Parse a grouped-data CSV into a dataset plus group-space metadata.
 
     Column roles are given by header names; when omitted they default to
-    the writer's layout (g1..gq, then the response, then the rest). The
+    the writer's layout (g1..gq, then the response, then the rest). Each
+    column holds one role: a given name that is empty, repeats within
+    ``group_cols`` or ``feature_cols``, or holds two roles (group,
+    response, feature) is a DimensionError naming it. The
     default group columns are the g<number> columns ordered by their
     number, which must be 1..q once each, else DimensionError names the
-    columns; explicit ``group_cols`` keep the caller's order. A group
-    column that spells one integer code two ways is a DimensionError
-    naming the column and both spellings.
+    columns; explicit ``group_cols`` keep the caller's order. Integer
+    levels (``_code_columns``) keep their codes, mapped from the file's
+    spelling; a group column that spells one integer code two ways is a
+    DimensionError naming the column and both spellings.
     Returns an IngestResult with the dataset, the inferred space (max
     code per group axis), the per-axis level mappings, and per-group
     sample counts. Errors name the 1-based line of the file.
@@ -172,6 +202,7 @@ def ingest_csv(path, group_cols=None, response_col=None, feature_cols=None):
         if not after:
             raise DimensionError(f"{path}: no response column")
         response_col = "y" if "y" in after else after[0]
+    _check_roles(path, group_cols, response_col, feature_cols)
     if feature_cols is None:
         feature_cols = [name for name in header
                         if name not in group_cols and name != response_col]

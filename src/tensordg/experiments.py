@@ -17,8 +17,9 @@ Each method yields a full coefficient tensor and per-target vectors:
 * ``ols``: per-group least squares; unobserved groups use their own
   target samples (the data-rich single-task reference).
 * ``maximin``: the worst-case-optimal convex combination of the
-  observed-group fits, used for every combination. Its pooled Gram
-  comes from the shared fit, so its seconds do not include forming it.
+  observed-group fits, used for every combination. Its pooled Gram is
+  ``baselines.pooled_gram`` of the replication's statistics, which the
+  method forms itself, so its seconds include forming it.
 * ``metalm``: shared-subspace regression per unobserved group on its
   target sample; observed groups keep their own fits. The subspace is
   the completion fit's mode-0 basis, the same matrix
@@ -63,7 +64,7 @@ from functools import cached_property
 import numpy as np
 
 from ._threads import run_serially
-from .baselines import maximin, projected_fits
+from .baselines import maximin, pooled_gram, projected_fits
 from .completion import fit_tensordg
 from .metrics import adge, al2e, tle
 from .patterns import _integers
@@ -246,7 +247,7 @@ def _ols(ctx):
 
 def _maximin(ctx):
     scenario = ctx.scenario
-    coef, _ = maximin(ctx.est, ctx.est.pooled)
+    coef, _ = maximin(ctx.est, pooled_gram(scenario.train))
     arr = np.broadcast_to(coef.reshape((-1,) + (1,) * scenario.pattern.q),
                           scenario.truth.dims)
     return DenseTensor(np.array(arr)), {g: coef for g in scenario.targets}

@@ -84,6 +84,16 @@ def _integers(values, what, where=None):
     return tuple(int(i) for i in values)
 
 
+def _is_integer_text(text):
+    """Whether the string ``text`` spells an integer as np.loadtxt's
+    integer parser reads one: ASCII digits after an optional sign, with
+    blanks around them. So "01", "+2" and " 4 " do; "1_0" and "\u0663"
+    (which int() reads as 10 and 3) and "1.0" do not."""
+    digits = text.strip()
+    digits = digits[1:] if digits[:1] in ("+", "-") else digits
+    return digits.isascii() and digits.isdigit()
+
+
 def _index(value, name, what):
     """``value`` as a non-negative int, never truncated: a replication
     index or a seed, with errors naming it as ``name``. A value that is

@@ -6,6 +6,8 @@ and n), held in a ``GroupedStatistics``; the Monte Carlo harness draws
 the statistics and every other caller passes rows. ``fit_all`` fits
 either in the same blocked solve: rows form X'X and X'y and take the
 residual from the rows, statistics give them, with sigma2 = RSS/(n - p).
+It does only per-group work: the pooled Gram over all groups is
+``baselines.pooled_gram`` of the same rows or statistics.
 Each group's Gram G = X'X/n is factored G = LL' (Cholesky), and L is
 inverted by 2x2 block recursion on matmul, since numpy has no
 triangular solve; G^-1 = L^-T L^-1 then gives the coefficient and the
@@ -351,9 +353,9 @@ class GroupEstimates:
     ``groups`` (``observed_list`` order): ``coef`` (G, p), ``noise_cov``
     (G, p, p), ``noise_trace``, ``sigma2`` and ``n`` (G,). ``index``,
     shaped as the group space, holds each group's row, or -1 where the
-    group has no fit; ``rows`` gathers through it. ``pooled`` is sum X'X
-    / sum n over the X'X blocks the fits read, summed in row order: for
-    rows, ``baselines.pooled_gram`` of the observed groups, bit for bit.
+    group has no fit; ``rows`` gathers through it. The pooled Gram that
+    ``baselines.maximin`` weighs the fits by is ``baselines.pooled_gram``
+    of the data, not a field of the fits.
     """
 
     groups: list
@@ -363,7 +365,6 @@ class GroupEstimates:
     sigma2: np.ndarray
     n: np.ndarray
     index: np.ndarray
-    pooled: np.ndarray
 
     @property
     def tilde(self):
@@ -399,10 +400,10 @@ def fit_all(ds, pattern):
     private ``_fit_rows``, never ``ols_fit``, so the public functions
     that ``perfbench/spans.py`` wraps by name stay on the calling thread.
     That thread allocates every output row array the blocks fill, so that
-    no worker's malloc arena holds them (see ``_threads``), and sums the
-    X'X blocks into the pooled Gram: for statistics, the given blocks,
-    which are not copied. Errors from a small or singular group name it
-    (as ``where``); of several, the first in ``observed_list`` order.
+    no worker's malloc arena holds them (see ``_threads``); statistics'
+    X'X blocks are read, not copied. Errors from a small or singular
+    group name it (as ``where``); of several, the first in
+    ``observed_list`` order.
     """
     observed = pattern.observed_list()
     missing = [g for g in observed if g not in ds.groups]
@@ -418,11 +419,8 @@ def fit_all(ds, pattern):
                   stats)
 
     map_shares(fit, G)
-    coef, sigma2, n, noise_trace, xtx, noise_cov = out
-    pooled = np.zeros((p, p))
-    for block in xtx:
-        pooled += block
+    coef, sigma2, n, noise_trace, _, noise_cov = out
     index = np.full(pattern.space, -1)
     index[tuple(np.array(observed).T - 1)] = np.arange(G)
     return GroupEstimates(observed, coef, noise_cov, noise_trace, sigma2, n,
-                          index, pooled / n.sum())
+                          index)

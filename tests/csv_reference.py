@@ -7,6 +7,7 @@ plain ``csv``-module loops, which write ``repr`` per float and parse
 """
 
 import csv
+import re
 
 import numpy as np
 
@@ -30,13 +31,14 @@ def write_csv_rows(path, ds):
 
 
 def _code_column(raw):
-    """Positive integers keep their codes; labels code by first appearance."""
-    try:
+    """Positive integers keep their codes, mapped from the file's spelling;
+    labels code by first appearance. A level is an integer when it is
+    ASCII digits after an optional sign, with blanks around them, as
+    np.loadtxt reads integers."""
+    if all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", v) for v in raw):
         codes = [int(v) for v in raw]
         if all(c >= 1 for c in codes):
-            return codes, {str(c): c for c in sorted(set(codes))}
-    except ValueError:
-        pass
+            return codes, dict(sorted(zip(raw, codes), key=lambda lc: lc[1]))
     mapping = {}
     codes = []
     for v in raw:

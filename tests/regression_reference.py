@@ -66,9 +66,10 @@ def fit_all(ds, pattern):
     """OLS fits for every observed group, in one pass over the dataset.
 
     The groups are fitted one at a time, in ``observed_list`` order, into
-    (G, p, p) blocks, and the X'X block is summed into the pooled Gram in
-    row order. Errors from a small or singular group are re-raised naming it
-    (as ``where``); of several, the first in ``observed_list`` order.
+    (G, p, p) blocks. Returns (GroupEstimates, pooled Gram), the X'X
+    block summed into the pooled Gram. Errors from a small or singular
+    group are re-raised naming it (as ``where``); of several, the first
+    in ``observed_list`` order.
     """
     observed = pattern.observed_list()
     missing = [g for g in observed if g not in ds.groups]
@@ -89,5 +90,5 @@ def fit_all(ds, pattern):
         np.array, zip(*[fit(i) for i in range(G)]))
     index = np.full(pattern.space, -1)
     index[tuple(np.array(observed).T - 1)] = np.arange(G)
-    return GroupEstimates(observed, coef, noise_cov, noise_trace, sigma2, n,
-                          index, xtx.sum(axis=0) / n.sum())
+    return (GroupEstimates(observed, coef, noise_cov, noise_trace, sigma2, n,
+                           index), xtx.sum(axis=0) / n.sum())

@@ -430,6 +430,57 @@ def test_ingest_subcommand_names_a_bad_group_column(tmp_path, capsys, text,
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize("roles, named", [
+    (["--group-cols", "g1,g1"], "group column g1 is given twice"),
+    (["--response-col", "g1"], "column g1 is both a group and a response"),
+    (["--feature-cols", "y,x1"], "column y is both a response and a feature"),
+    (["--group-cols", ""], "empty group column name"),
+    (["--feature-cols", "x1,"], "empty feature column name"),
+])
+def test_ingest_subcommand_gives_each_column_one_role(tmp_path, capsys,
+                                                      roles, named):
+    path = tmp_path / "four.csv"
+    path.write_text("g1,g2,y,x1,x2\n1,1,0.5,1.0,2.0\n1,2,0.7,2.0,1.0\n"
+                    "2,1,0.1,3.0,0.5\n2,2,0.2,1.5,0.1\n")
+    report_path = tmp_path / "report.json"
+    rc = main(["ingest", "--data", str(path), *roles,
+               "--out", str(report_path)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+def test_ingest_subcommand_reads_underscored_levels_as_labels(tmp_path,
+                                                              capsys):
+    path = tmp_path / "levels.csv"
+    path.write_text("g1,y,x1\n1_0,0.5,1.0\n2,0.7,2.0\n1_0,0.1,3.0\n")
+    report_path = tmp_path / "report.json"
+    assert main(["ingest", "--data", str(path),
+                 "--out", str(report_path)]) == 0
+    assert "space: 2\n" in capsys.readouterr().out
+    report = json.loads(report_path.read_text())
+    assert report["space"] == [2]
+    assert report["mappings"] == [{"1_0": 1, "2": 2}]
+
+
+@pytest.mark.parametrize("group", ["1_0,2", "\u0663,2", "1.0,2"])
+def test_transfer_rejects_a_target_group_that_is_not_integers(
+        tmp_path, capsys, group):
+    """int() read "1_0,2" as the group (10, 2)."""
+    data, pattern_path, _ = simulate(tmp_path, "--with-targets")
+    model_path = str(tmp_path / "model.tns")
+    assert main(["fit", "--data", data, "--pattern", pattern_path,
+                 "--out", model_path]) == 0
+    capsys.readouterr()
+    report_path = tmp_path / "transfer.json"
+    rc = main(["transfer", "--model", model_path, "--target-group", group,
+               "--data", str(tmp_path / "demo_target_5-3.csv"),
+               "--out", str(report_path)])
+    assert rc == 2
+    assert f"--target-group {group!r}" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_help_via_module_invocation():
     proc = subprocess.run([sys.executable, "-m", "tensordg.cli", "--help"],
                           capture_output=True, text=True)

@@ -102,6 +102,68 @@ def test_ingest_rejects_two_spellings_of_one_code(tmp_path, one, other):
     assert repr(one) in message and repr(other) in message
 
 
+FOUR_ROWS = ("g1,g2,y,x1,x2\n1,1,0.5,1.0,2.0\n1,2,0.7,2.0,1.0\n"
+             "2,1,0.1,3.0,0.5\n2,2,0.2,1.5,0.1\n")
+
+
+@pytest.mark.parametrize("roles, message, where", [
+    (dict(group_cols=["g1", "g1"]), "group column g1 is given twice", "g1"),
+    (dict(feature_cols=["x1", "x1"]), "feature column x1 is given twice",
+     "x1"),
+    (dict(response_col="g1"), "column g1 is both a group and a response",
+     "g1"),
+    (dict(feature_cols=["y", "x1"]),
+     "column y is both a response and a feature", "y"),
+    (dict(feature_cols=["g2", "x1"]),
+     "column g2 is both a group and a feature", "g2"),
+    (dict(group_cols=[""]), "empty group column name", "group"),
+    (dict(feature_cols=["x1", ""]), "empty feature column name", "feature"),
+    (dict(response_col=""), "empty response column name", "response"),
+])
+def test_ingest_gives_each_column_one_role(tmp_path, roles, message, where):
+    """An empty column name, a name given twice within the group or
+    feature columns, or a column with two roles is refused by name; they
+    made g2 a feature of a 2x2 space, a group column the response, y its
+    own regressor, or ended in a KeyError."""
+    path = tmp_path / "four.csv"
+    path.write_text(FOUR_ROWS)
+    with pytest.raises(DimensionError, match=message) as info:
+        ingest_csv(path, **roles)
+    assert info.value.where == where
+
+
+def test_ingest_reads_a_non_group_g_column_as_a_feature(tmp_path):
+    path = tmp_path / "four.csv"
+    path.write_text(FOUR_ROWS)
+    res = ingest_csv(path, group_cols=["g1"], feature_cols=["g2", "x1"])
+    assert res.space == (2,) and res.counts == {(1,): 2, (2,): 2}
+    assert np.array_equal(res.dataset.groups[(1,)][0],
+                          [[1.0, 1.0], [2.0, 2.0]])
+
+
+@pytest.mark.parametrize("levels, space, mapping, groups", [
+    # int() reads these as 10 and 3; np.loadtxt does not
+    (("1_0", "2", "1_0"), (2,), {"1_0": 1, "2": 2}, [(1,), (2,)]),
+    (("\u0663", "2", "\u0663"), (2,), {"\u0663": 1, "2": 2}, [(1,), (2,)]),
+    (("1.0", "2", "1.0"), (2,), {"1.0": 1, "2": 2}, [(1,), (2,)]),
+    # integers keep their codes, mapped from the file's spelling
+    (("01", "02", "01"), (2,), {"01": 1, "02": 2}, [(1,), (2,)]),
+    (("+2", " 4 ", "+2"), (4,), {"+2": 2, " 4 ": 4}, [(2,), (4,)]),
+])
+def test_ingest_reads_integer_levels_as_numpy_does(tmp_path, levels, space,
+                                                   mapping, groups):
+    path = tmp_path / "levels.csv"
+    path.write_text("g1,y,x1\n" + "".join(
+        f"{level},0.5,{k}.0\n" for k, level in enumerate(levels)),
+        encoding="utf-8")
+    res = ingest_csv(path)
+    assert res.space == space
+    assert res.mappings == (mapping,)
+    assert list(res.mappings[0]) == list(mapping)
+    assert list(res.dataset.groups) == groups
+    assert res.counts[groups[0]] == 2
+
+
 def test_ingest_orders_default_group_columns_by_number(tmp_path):
     """A g2,g1 header reads as its g1,g2 twin: the same dataset, space,
     mappings and counts, with the axes in the order of their number."""

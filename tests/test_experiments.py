@@ -15,10 +15,10 @@ import tensordg.completion as completion
 import tensordg.experiments as experiments
 import tensordg.spectral as spectral
 from tensordg import (CSV_HEADER, DenseTensor, DimensionError,
-                      ExperimentConfig, MetricsRecord, ScenarioConfig, adge,
-                      al2e, fit_all, make_scenario, meta_lm_star, ols_fit,
-                      projected_fits, run_experiment, summarize, tle,
-                      write_metrics_csv)
+                      ExperimentConfig, GroupedStatistics, MetricsRecord,
+                      ScenarioConfig, adge, al2e, fit_all, make_scenario,
+                      meta_lm_star, ols_fit, projected_fits, run_experiment,
+                      summarize, tle, write_metrics_csv)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -240,19 +240,34 @@ def test_one_replication_fits_the_groups_once(monkeypatch):
 
 
 def test_one_replication_forms_the_pooled_gram_once(monkeypatch):
-    """maximin reads the pooled Gram that the shared fit summed, so no
-    replication calls pooled_gram to form it a second time."""
+    """maximin reads pooled_gram of the replication's statistics: one call
+    per replication that runs maximin, on its GroupedStatistics, and none
+    for a method list without maximin."""
     calls = []
     original = baselines.pooled_gram
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(ds):
+        calls.append(ds)
+        return original(ds)
 
     monkeypatch.setattr(baselines, "pooled_gram", counted)
-    monkeypatch.setattr(experiments, "pooled_gram", counted, raising=False)
-    records = run_experiment(small_cfg(methods=ALL_METHODS, replications=1))
-    assert [r.failed for r in records] == [0] * len(ALL_METHODS)
+    monkeypatch.setattr(experiments, "pooled_gram", counted)
+    cfg = small_cfg(methods=ALL_METHODS, replications=2)
+    records = run_experiment(cfg)
+    assert [r.failed for r in records] == [0] * 2 * len(ALL_METHODS)
+    assert len(calls) == 2
+    (_, scenario), = cfg.cells()
+    for rep, ds in enumerate(calls):
+        train = make_scenario(scenario, rep, statistics=True).train
+        assert isinstance(ds, GroupedStatistics)
+        assert ds.groups.keys() == train.groups.keys()
+        for g, entry in train.groups.items():
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(ds.groups[g], entry))
+    calls.clear()
+    others = tuple(m for m in ALL_METHODS if m != "maximin")
+    records = run_experiment(small_cfg(methods=others, replications=2))
+    assert [r.failed for r in records] == [0] * 2 * len(others)
     assert calls == []
 
 

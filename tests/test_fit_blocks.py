@@ -12,7 +12,8 @@ import pytest
 import regression_reference as ref
 from fit_compare import assert_same_fit
 from tensordg import (ConditioningError, DimensionError, ScenarioConfig,
-                      build_pattern, fit_all, make_scenario, ols_fit)
+                      build_pattern, fit_all, make_scenario, ols_fit,
+                      pooled_gram)
 from tensordg.regression import (FIT_BLOCK, GroupedDataset, _empty_fits,
                                  _fit_rows, _invert_lower, _leaves)
 from test_threads import Q3, SMALL, set_cpus
@@ -43,10 +44,12 @@ def designs():
 
 
 def assert_same_as_reference(ds, pattern):
-    """fit_all and ols_fit show the user what the one-LU-solve-per-group
-    reference does (fit_compare): the Cholesky fits differ from it in
-    the last bits only."""
-    assert_same_fit(fit_all(ds, pattern), ref.fit_all(ds, pattern))
+    """fit_all, pooled_gram and ols_fit show the user what the
+    one-LU-solve-per-group reference does (fit_compare): the Cholesky
+    fits differ from it in the last bits only."""
+    est, pooled = ref.fit_all(ds, pattern)
+    assert_same_fit(fit_all(ds, pattern), est)
+    assert_same_fit(pooled_gram(ds), pooled, "pooled_gram")
     for g in pattern.observed_list():
         assert_same_fit(ols_fit(*ds.groups[g]), ref.ols_fit(*ds.groups[g]),
                         f"ols_fit{g}")

@@ -3,12 +3,14 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensordg import (DimensionError, build_pattern, pattern_from_config,
                       pattern_to_config)
+from tensordg.patterns import _is_integer_text
 
 
 def default_pattern(p=8, w=5, a=5):
@@ -147,3 +149,22 @@ def test_json_roundtrip():
     back = pattern_from_config(cfg)
     assert back == pat
     assert back.observed == pat.observed
+
+
+@pytest.mark.parametrize("text, integer", [
+    ("01", True), ("+2", True), ("-3", True), (" 4 ", True), ("\t7", True),
+    ("1_0", False), ("\u0663", False), ("1.0", False), ("", False),
+    (" ", False), ("+", False), ("+ 3", False), ("1e3", False),
+    ("0x1", False), ("\u00b2", False),
+])
+def test_integer_text_is_what_numpy_reads_as_an_integer(text, integer):
+    """_is_integer_text agrees with np.loadtxt's integer parser, unlike
+    int(), which reads "1_0" as 10 and "\u0663" as 3."""
+    assert _is_integer_text(text) is integer
+    try:
+        np.loadtxt([text + ",0"], delimiter=",", dtype=np.int64,
+                   usecols=[0], comments=None)
+        parsed = True
+    except ValueError:
+        parsed = False
+    assert parsed is integer

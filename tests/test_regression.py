@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensordg import (ConditioningError, DimensionError, GroupedDataset,
-                      NonFiniteError, build_pattern, fit_all, ols_fit,
-                      ols_fits, pooled_gram)
+                      GroupedStatistics, NonFiniteError, build_pattern,
+                      fit_all, ols_fit, ols_fits, pooled_gram)
+from test_statistics import statistics_of
 
 
 def normal_equations_oracle(X, y):
@@ -87,21 +88,24 @@ def test_fit_all_fits_every_observed_group():
             assert row == -1
 
 
-def test_fit_all_pooled_gram_is_pooled_gram_bitwise():
-    """The pooled Gram summed from the fits' own X'X is pooled_gram of
-    the dataset bit for bit, also with unequal group sizes and at p = 1,
-    where a numpy sum over the (G, 1, 1) block of 11 groups would add
-    them pairwise rather than in order."""
-    ds, pat = toy_dataset(n=31, p=4)
+def test_pooled_gram_of_statistics_is_pooled_gram_of_rows_bitwise():
+    """pooled_gram of the rows' statistics (X'X, X'y, RSS, n) sums their
+    X'X blocks in the order it forms them from the rows, so S is the
+    same bits, also with unequal group sizes and at p = 1, where a numpy
+    sum over the (G, 1, 1) blocks of 11 groups would add them pairwise
+    rather than in order."""
+    ds, _ = toy_dataset(n=31, p=4)
     X, y = ds.groups[(2, 1)]
     ds.groups[(2, 1)] = (X[:17], y[:17])
-    assert np.array_equal(fit_all(ds, pat).pooled, pooled_gram(ds))
+    stats = GroupedStatistics(statistics_of(ds.groups))
+    assert np.array_equal(pooled_gram(stats), pooled_gram(ds))
     rng = np.random.default_rng(3)
     pat = build_pattern((4, 4), [(1, 2, 3), (1, 2, 3)], [[(1,)], [(1,)]])
     ds = GroupedDataset({g: (rng.normal(size=(24, 1)), rng.normal(size=24))
                          for g in pat.observed_list()})
     assert len(pat.observed) == 11
-    assert np.array_equal(fit_all(ds, pat).pooled, pooled_gram(ds))
+    stats = GroupedStatistics(statistics_of(ds.groups))
+    assert np.array_equal(pooled_gram(stats), pooled_gram(ds))
 
 
 def test_fit_all_reports_missing_group():

@@ -104,8 +104,8 @@ def test_bad_statistics_are_named_on_construction(entry, error, message):
 def statistics_stages(cfg):
     sc = make_scenario(cfg, 1, statistics=True)
     est = fit_all(sc.train, sc.pattern)
-    return sc.train.groups, sc.targets, est.coef, est.noise_cov, \
-        est.noise_trace, est.sigma2, est.n, est.pooled
+    return sc.train.groups, sc.targets, tuple(est.groups), est.coef, \
+        est.noise_cov, est.noise_trace, est.sigma2, est.n, est.index
 
 
 @pytest.mark.parametrize("cfg", [

@@ -151,8 +151,7 @@ def run_stages(cfg):
     sc = make_scenario(cfg, 1)
     est = fit_all(sc.train, sc.pattern)
     return sc.train.groups, sc.targets, tuple(est.groups), est.coef, \
-        est.noise_cov, est.noise_trace, est.sigma2, est.n, est.index, \
-        est.pooled
+        est.noise_cov, est.noise_trace, est.sigma2, est.n, est.index
 
 
 @pytest.mark.parametrize("cfg", [ScenarioConfig(seed=3),
