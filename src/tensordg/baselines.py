@@ -24,8 +24,8 @@ group's own samples is ``regression.ols_fit``):
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, NonFiniteError
-from .regression import (GroupedStatistics, GroupEstimates, _fail, _samples,
-                         ols_fits)
+from .regression import (GroupedDataset, GroupEstimates, _fail,
+                         _row_statistics, _samples, ols_fits)
 from .spectral import mode_spectrum
 
 __all__ = ["pooled_gram", "maximin", "projected_fits", "meta_lm_star"]
@@ -38,22 +38,20 @@ def pooled_gram(ds):
     """Sample-size weighted average of the per-group design Grams, S.
 
     Equals X'X / N for the row-stacked design over every group. ``ds`` is
-    a GroupedDataset, whose X'X blocks are formed from its rows, or a
-    GroupedStatistics, whose X'X blocks and n are summed with no pass
-    over rows; either way in sorted group order, so the statistics of a
-    dataset's rows give its S bit for bit.
+    a GroupedDataset, whose rows give their X'X blocks through
+    ``regression._row_statistics``, or a GroupedStatistics, whose X'X
+    blocks and n are summed with no pass over rows; either way in sorted
+    group order, so the statistics of a dataset's rows give its S bit
+    for bit.
     """
     if not ds.groups:
         raise DimensionError("empty dataset")
-    stats = isinstance(ds, GroupedStatistics)
+    groups = [ds.groups[g] for g in sorted(ds.groups)]
+    if isinstance(ds, GroupedDataset):
+        groups = _row_statistics(groups, [None] * len(groups))
     total = np.zeros((ds.p, ds.p))
     n_total = 0
-    for g in sorted(ds.groups):
-        if stats:
-            xtx, _, _, n = ds.groups[g]
-        else:
-            X, _ = ds.groups[g]
-            xtx, n = X.T @ X, len(X)
+    for xtx, _, _, n in groups:
         total += xtx
         n_total += n
     return total / n_total

@@ -36,10 +36,10 @@ it, so it depends on the method order.
 
 The fit of the observed groups reads only their sufficient statistics,
 so a replication draws those (``make_scenario(..., statistics=True)``:
-X'X, X'y, the residual sum of squares and n per group, from their exact
-joint law) and never the training rows; ``fit_all`` fits them in the
-solve it uses for rows. Truth, shifts and target samples are drawn as
-for rows. ``tensordg simulate`` still writes rows.
+X'X, X'y, y'y and n per group, from their exact joint law) and never
+the training rows; ``fit_all`` fits rows through their statistics too.
+Truth, shifts and target samples are drawn as for rows. ``tensordg
+simulate`` still writes rows.
 
 A sweep names one ScenarioConfig field and a cell per value; a tuple
 value is labelled like ``4x2x2``. The paper's eight runs (method

@@ -1,13 +1,12 @@
 """Per-group least squares fits, one per observed group.
 
-A group's data are its rows (X, y), held in a ``GroupedDataset``, or
-their sufficient statistics (X'X, X'y, the residual sum of squares RSS
-and n), held in a ``GroupedStatistics``; the Monte Carlo harness draws
-the statistics and every other caller passes rows. ``fit_all`` fits
-either in the same blocked solve: rows form X'X and X'y and take the
-residual from the rows, statistics give them, with sigma2 = RSS/(n - p).
-It does only per-group work: the pooled Gram over all groups is
-``baselines.pooled_gram`` of the same rows or statistics.
+A group's fit reads its data only through the sufficient statistics
+(X'X, X'y, y'y, n), as its Gaussian likelihood does. A group comes as
+rows (X, y) in a ``GroupedDataset``, or as those statistics in a
+``GroupedStatistics``, which the Monte Carlo harness draws; rows become
+statistics in one place, ``_row_statistics``. sigma2 is max(y'y -
+coef'X'y, 0)/(n - p). ``fit_all`` does only per-group work: the pooled
+Gram is ``baselines.pooled_gram`` of the same rows or statistics.
 Each group's Gram G = X'X/n is factored G = LL' (Cholesky), and L is
 inverted by 2x2 block recursion on matmul, since numpy has no
 triangular solve; G^-1 = L^-T L^-1 then gives the coefficient and the
@@ -83,30 +82,41 @@ def _samples(X, y, p=None, where=None):
     return X, y
 
 
-def _statistics(xtx, xty, rss, n, p=None, where=None):
-    """A caller's statistics (X'X, X'y, RSS, n) as float arrays, a float
-    and an int, X'y raveled. X'X must be (p, p) for p = X'y.size, with
-    the given p unless it is None, RSS a scalar and n an integer >= 1,
-    else DimensionError, all finite, else NonFiniteError, and RSS >= 0,
-    else DimensionError, since a negative one would give a negative
-    sigma2; each error names the group ``where``. n <= p is left to the
-    fit, as for rows."""
+def _statistics(xtx, xty, yty, n, p=None, where=None):
+    """A caller's statistics (X'X, X'y, y'y, n) as float arrays, a float
+    and an int, X'y raveled. X'X must be (p, p) for p = X'y.size (the
+    given p unless None), y'y a scalar, n an integer >= 1, all finite
+    (else NonFiniteError), X'X its transpose to 1e-12 of its largest
+    diagonal entry, a Gram's largest (the fit factors its lower triangle,
+    ``pooled_gram`` sums all of it), and y'y >= 0, else DimensionError;
+    each error names the group ``where``. n <= p is left to the fit."""
     xtx = np.asarray(xtx, dtype=float)
     xty = np.asarray(xty, dtype=float).ravel()
     k = xty.size
-    if xtx.shape != (k, k) or np.ndim(rss) or p not in (None, k):
+    if xtx.shape != (k, k) or np.ndim(yty) or p not in (None, k):
         _fail(DimensionError, f"statistics X'X {xtx.shape}, X'y "
-              f"{xty.shape} and RSS {np.shape(rss)} do not match"
+              f"{xty.shape} and y'y {np.shape(yty)} do not match"
               + ("" if p is None else f" p={p}"), where)
     if not (isinstance(n, numbers.Integral) and not isinstance(n, bool)
             and n >= 1):
         _fail(DimensionError, f"n = {n!r}: need an integer >= 1", where)
     if not (np.isfinite(xtx).all() and np.isfinite(xty).all()
-            and np.isfinite(rss)):
+            and np.isfinite(yty)):
         _fail(NonFiniteError, "statistics hold non-finite values", where)
-    if rss < 0:
-        _fail(DimensionError, f"RSS = {float(rss)!r}: need RSS >= 0", where)
-    return xtx, xty, float(rss), int(n)
+    if (np.abs(xtx - xtx.T).max(initial=0.0)
+            > 1e-12 * xtx.diagonal().max(initial=0.0)):
+        _fail(DimensionError, "statistics X'X is not symmetric", where)
+    if yty < 0:
+        _fail(DimensionError, f"y'y = {float(yty)!r}: need y'y >= 0", where)
+    return xtx, xty, float(yty), int(n)
+
+
+def _row_statistics(pairs, xtx):
+    """The statistics (X'X, X'y, y'y, n) of each checked (X, y) of
+    ``pairs``, the one place where rows become the fit's input; X'X is
+    written into the pair's entry of ``xtx``, a new array where None."""
+    return [(np.matmul(X.T, X, out=b), X.T @ y, float(y @ y), y.size)
+            for (X, y), b in zip(pairs, xtx)]
 
 
 @dataclass
@@ -146,21 +156,17 @@ class GroupedDataset(_Grouped):
 
 
 class GroupedStatistics(_Grouped):
-    """Sufficient statistics keyed by group tuple: (X'X, X'y, RSS, n) of
-    n rows (X, y), RSS the residual sum of squares of their least
-    squares fit. ``fit_all`` fits them as it fits a GroupedDataset's
-    rows. Each entry is checked by ``_statistics``."""
+    """Sufficient statistics keyed by group tuple: (X'X, X'y, y'y, n) of
+    n rows (X, y), the fit's one input. Each entry is checked by
+    ``_statistics``."""
 
     _check = staticmethod(_statistics)
 
 
-def _empty_fits(G, p, xtx=None):
-    """Rows for G fits: coef, sigma2, n, noise_trace, X'X and noise_cov.
-    ``xtx``, when given, is the list of the groups' X'X blocks, read and
-    not copied; otherwise a (G, p, p) array that the fits fill."""
+def _empty_fits(G, p):
+    """Rows for G fits: coef, sigma2, n, noise_trace and noise_cov."""
     return (np.empty((G, p)), np.empty(G), np.empty(G, dtype=int),
-            np.empty(G), np.empty((G, p, p)) if xtx is None else xtx,
-            np.empty((G, p, p)))
+            np.empty(G), np.empty((G, p, p)))
 
 
 def _leaves(p):
@@ -215,19 +221,17 @@ def _invert_lower(L, width, levels):
                     out=lower)
 
 
-def _fit_rows(data, out, groups, stats=False):
+def _fit_rows(data, out, groups):
     """Least squares for a run of groups, one Cholesky factor per group.
 
-    ``data`` holds each group's (X, y), or with ``stats`` its checked
-    statistics (X'X, X'y, RSS, n), and ``out`` the run's rows of the
-    ``_empty_fits`` arrays, which are filled; for statistics, the X'X
-    rows are the groups' own blocks. Rows form X'X into ``out`` and X'y,
-    and after the solve take sigma2 from the residual sum of squares of
-    the rows; statistics give all three. Each block of at most
-    FIT_BLOCK groups factors its Grams G = X'X/n = LL' in one batched
-    ``np.linalg.cholesky`` and inverts the factors in place by block
-    recursion (``_invert_lower``). Then G^-1 = L^-T L^-1, written into
-    the block's noise_cov rows, gives coef = G^-1 X'y/n, and
+    ``data`` holds each group's checked statistics (X'X, X'y, y'y, n)
+    and ``out`` the run's rows of the ``_empty_fits`` arrays, which are
+    filled. Each block of at most FIT_BLOCK groups factors its Grams
+    G = X'X/n = LL' in one batched ``np.linalg.cholesky`` and inverts the
+    factors in place by block recursion (``_invert_lower``). Then
+    G^-1 = L^-T L^-1, written into the block's noise_cov rows, gives
+    coef = G^-1 X'y/n and sigma2 = max(y'y - coef'X'y, 0)/(n - p) (the
+    residual sum of squares, which rounding can take below 0), and
     scaled by sigma2/n it is the noise covariance. Every call on a block
     runs the same arithmetic on each group's matrices, so every fit is
     bitwise that of a run of one. The Grams are factored from one buffer
@@ -246,14 +250,14 @@ def _fit_rows(data, out, groups, stats=False):
     entry of ``groups`` (None names none); of several, the first in the
     run.
     """
-    coef, sigma2, n, noise_trace, xtx, noise_cov = out
+    coef, sigma2, n, noise_trace, noise_cov = out
     G, p = coef.shape
-    n[:] = [s[3] if stats else len(s[0]) for s in data]
+    n[:] = [s[3] for s in data]
     small = np.flatnonzero(n <= p)
     if small.size:
         j = small[0]
         if j:      # the groups ahead of it may fail first
-            _fit_rows(data[:j], [a[:j] for a in out], groups[:j], stats)
+            _fit_rows(data[:j], [a[:j] for a in out], groups[:j])
         _fail(DimensionError, f"need n > p, got n={n[j]}, p={p}", groups[j])
     width, levels = _leaves(p)
     padded = width << levels
@@ -264,15 +268,9 @@ def _fit_rows(data, out, groups, stats=False):
         rows = slice(start, min(start + FIT_BLOCK, G))
         k = rows.stop - start
         gram = pad[:k]
-        for j, s in enumerate(data[rows]):
-            if stats:
-                sxy = s[1]
-            else:
-                X, y = s
-                np.matmul(X.T, X, out=xtx[start + j])
-                sxy = X.T @ y
-            np.divide(xtx[start + j], n[start + j], out=gram[j, :p, :p])
-            np.divide(sxy, n[start + j], out=xty[j, :, 0])
+        for j, (sxx, sxy, _, nj) in enumerate(data[rows]):
+            np.divide(sxx, nj, out=gram[j, :p, :p])
+            np.divide(sxy, nj, out=xty[j, :, 0])
         kappa = np.trace(gram[:, :p, :p], axis1=1, axis2=2)
         try:
             L = np.linalg.cholesky(gram)
@@ -282,7 +280,7 @@ def _fit_rows(data, out, groups, stats=False):
                 _check_gram(gram[0, :p, :p], groups[0], factored=False)
             for j in range(start, rows.stop):
                 _fit_rows(data[j:j + 1], [a[j:j + 1] for a in out],
-                          groups[j:j + 1], stats)
+                          groups[j:j + 1])
             continue
         _invert_lower(L, width, levels)
         inv_factor = L[:, :p, :p]
@@ -290,11 +288,10 @@ def _fit_rows(data, out, groups, stats=False):
                         out=noise_cov[rows])
         kappa *= np.trace(inv, axis1=1, axis2=2)     # >= kappa_2 of G
         for j in np.flatnonzero(~(kappa * GRAM_EIGENVALUE_FLOOR < 0.5)):
-            _check_gram(xtx[start + j] / n[start + j], groups[start + j])
+            _check_gram(gram[j, :p, :p], groups[start + j])
         np.matmul(inv, xty[:k], out=coef[rows, :, None])
-        for j, s in enumerate(data[rows], start):
-            sigma2[j] = (s[2] if stats
-                         else np.sum((s[1] - s[0] @ coef[j]) ** 2))
+        for j, (_, sxy, yty, _) in enumerate(data[rows], start):
+            sigma2[j] = max(yty - coef[j] @ sxy, 0.0)
         sigma2[rows] /= n[rows] - p
         inv *= (sigma2[rows] / n[rows])[:, None, None]
         del L, inv_factor   # one block's factor alive at a time
@@ -313,7 +310,7 @@ def _check_gram(gram, group, factored=True):
 
 def ols_fits(pairs, names=None):
     """Least squares for each (X, y) of ``pairs``, in one ``_fit_rows``
-    run on the calling thread.
+    run on the calling thread, of the pairs' ``_row_statistics``.
 
     Returns (coef, gram, sigma2) stacked over the pairs: coef (k, p),
     gram = X'X/n (k, p, p) and sigma2 (k,), the residual variance on
@@ -330,8 +327,9 @@ def ols_fits(pairs, names=None):
     for k, ((X, y), name) in enumerate(zip(pairs, names)):
         pairs[k] = X, y = _samples(X, y, p, name)
         p = X.shape[1]
-    coef, sigma2, n, _, xtx, _ = out = _empty_fits(len(pairs), p or 0)
-    _fit_rows(pairs, out, names)
+    coef, sigma2, n, _, _ = out = _empty_fits(len(pairs), p or 0)
+    xtx = np.empty((len(pairs), p or 0, p or 0))
+    _fit_rows(_row_statistics(pairs, xtx), out, names)
     return coef, xtx / n[:, None, None], sigma2
 
 
@@ -353,9 +351,7 @@ class GroupEstimates:
     ``groups`` (``observed_list`` order): ``coef`` (G, p), ``noise_cov``
     (G, p, p), ``noise_trace``, ``sigma2`` and ``n`` (G,). ``index``,
     shaped as the group space, holds each group's row, or -1 where the
-    group has no fit; ``rows`` gathers through it. The pooled Gram that
-    ``baselines.maximin`` weighs the fits by is ``baselines.pooled_gram``
-    of the data, not a field of the fits.
+    group has no fit; ``rows`` gathers through it.
     """
 
     groups: list
@@ -391,19 +387,18 @@ class GroupEstimates:
 def fit_all(ds, pattern):
     """OLS fits for every observed group, in one pass over the dataset.
 
-    ``ds`` is a GroupedDataset of rows or a GroupedStatistics; both are
-    fitted by ``_fit_rows``, and statistics give sigma2 = RSS/(n - p).
+    ``ds`` is a GroupedDataset of rows or a GroupedStatistics.
     ``_threads.map_shares`` splits the groups into contiguous shares, one
-    thread per usable CPU, and each thread passes its share to
-    ``_fit_rows``, which fits it in blocks of at most FIT_BLOCK groups,
-    one batched factorization per block. The threads call only the
-    private ``_fit_rows``, never ``ols_fit``, so the public functions
-    that ``perfbench/spans.py`` wraps by name stay on the calling thread.
-    That thread allocates every output row array the blocks fill, so that
-    no worker's malloc arena holds them (see ``_threads``); statistics'
-    X'X blocks are read, not copied. Errors from a small or singular
-    group name it (as ``where``); of several, the first in
-    ``observed_list`` order.
+    thread per usable CPU, and each thread turns its share's rows into
+    statistics (X'X, X'y, y'y, n) by ``_row_statistics`` and fits them
+    by ``_fit_rows`` in blocks of at most FIT_BLOCK groups, one batched
+    factorization per block. The threads call only private functions, so
+    the public ones that ``perfbench/spans.py`` wraps by name stay on the
+    calling thread. That thread allocates every output row array and the
+    rows' X'X blocks, so that no worker's malloc arena holds them (see
+    ``_threads``); statistics' X'X blocks are read, not copied. Errors
+    from a small or singular group name it (as ``where``); of several,
+    the first in ``observed_list`` order.
     """
     observed = pattern.observed_list()
     missing = [g for g in observed if g not in ds.groups]
@@ -411,15 +406,17 @@ def fit_all(ds, pattern):
         raise DimensionError(f"dataset lacks observed groups {missing[:5]}")
     G, p = len(observed), ds.p
     data = [ds.groups[g] for g in observed]
-    stats = isinstance(ds, GroupedStatistics)
-    out = _empty_fits(G, p, [s[0] for s in data] if stats else None)
+    out = _empty_fits(G, p)
+    xtx = np.empty((G, p, p)) if isinstance(ds, GroupedDataset) else None
 
     def fit(share):
-        _fit_rows(data[share], [a[share] for a in out], observed[share],
-                  stats)
+        stats = data[share]
+        if xtx is not None:
+            stats = _row_statistics(stats, xtx[share])
+        _fit_rows(stats, [a[share] for a in out], observed[share])
 
     map_shares(fit, G)
-    coef, sigma2, n, noise_trace, _, noise_cov = out
+    coef, sigma2, n, noise_trace, noise_cov = out
     index = np.full(pattern.space, -1)
     index[tuple(np.array(observed).T - 1)] = np.arange(G)
     return GroupEstimates(observed, coef, noise_cov, noise_trace, sigma2, n,

@@ -9,11 +9,11 @@ the transfer experiments.
 The training data of an observed group are its rows (X, y), as ``tensordg
 simulate`` writes them, or, with ``make_scenario(..., statistics=True)``
 as the Monte Carlo harness asks, the sufficient statistics that its
-least squares fit reads: X'X, X'y, the residual sum of squares and n,
-drawn from their exact joint law without the rows (Bartlett's
-decomposition; Anderson 2003, An Introduction to Multivariate
-Statistical Analysis, ch. 7). Their cost does not grow with n. Truth,
-shifts and target samples are the same either way.
+least squares fit reads: X'X, X'y, y'y and n, drawn from their exact
+joint law without the rows (Bartlett's decomposition; Anderson 2003, An
+Introduction to Multivariate Statistical Analysis, ch. 7). Their cost
+does not grow with n. Truth, shifts and target samples are the same
+either way.
 
 ``make_scenario`` is the one draw of a replication. After the truth
 tensor (stream ``_STAGE_TENSOR``, one per attempt) it runs one job list,
@@ -222,16 +222,19 @@ def _draw_rows(rng, factor, sigma, coef, X, y):
     y += sigma * rng.normal(size=y.size)
 
 
-def _draw_statistics(rng, factor, n, sigma, coef, xtx, xty, rss, below):
-    """Fill xtx, xty and the one-entry rss with X'X, X'y and the residual
-    sum of squares of n rows X = Z C' (Z iid normal, C = factor or I) and
-    y = X coef + sigma e, drawn from their joint law without the rows.
+def _draw_statistics(rng, factor, n, sigma, coef, xtx, xty, yty, below):
+    """Fill xtx, xty and the one-entry yty with X'X, X'y and y'y of n
+    rows X = Z C' (Z iid normal, C = factor or I) and y = X coef +
+    sigma e, drawn from their joint law without the rows.
 
     By Bartlett's decomposition Z'Z = T T', T lower triangular with
     T_ii ~ sqrt(chi2(n - i)) for 0-based i and iid N(0, 1) entries
     below the diagonal (``below``, their flat indices), so X'X = A A'
-    with A = C T. Given X, X'e ~ A z with z ~ N(0, I), and the residual
-    sum of squares is sigma^2 chi2(n - p), independent of both.
+    with A = C T, and Q = X A^-T has orthonormal columns. Given X,
+    z = Q'e ~ N(0, I), so X'y = A A' coef + sigma A z, and y'y is the
+    squared norm |A' coef + sigma z|^2 of y's projection Q'y plus that
+    of its residual sigma (I - QQ') e, sigma^2 chi2(n - p) independent
+    of z, so no solve is needed.
     """
     p = len(coef)
     T = np.zeros(p * p)
@@ -241,8 +244,10 @@ def _draw_statistics(rng, factor, n, sigma, coef, xtx, xty, rss, below):
     A = T if factor is None else factor @ T
     np.matmul(A, A.T, out=xtx)
     np.matmul(xtx, coef, out=xty)
-    xty += sigma * (A @ rng.standard_normal(p))
-    rss[:] = sigma ** 2 * rng.chisquare(n - p)
+    z = rng.standard_normal(p)
+    xty += sigma * (A @ z)
+    fitted = coef @ A + sigma * z
+    yty[:] = fitted @ fitted + sigma ** 2 * rng.chisquare(n - p)
 
 
 def make_scenario(cfg, rep=0, statistics=False):
@@ -264,7 +269,7 @@ def make_scenario(cfg, rep=0, statistics=False):
     # Every output is allocated here and filled on the worker threads, so
     # no worker's malloc arena holds long-lived data (see _threads).
     if statistics:
-        xtx, xty, rss = np.empty((G, p, p)), np.empty((G, p)), np.empty(G)
+        xtx, xty, yty = np.empty((G, p, p)), np.empty((G, p)), np.empty(G)
         below = np.flatnonzero(np.tri(p, k=-1, dtype=bool))
     else:
         X, y = np.empty((G, n, p)), np.empty((G, n))
@@ -286,14 +291,14 @@ def make_scenario(cfg, rep=0, statistics=False):
             elif statistics:
                 _draw_statistics(_rng(cfg, _STAGE_STATS, rep, codes[k]),
                                  factor, n, cfg.noise_std, fiber, xtx[k],
-                                 xty[k], rss[k:k + 1], below)
+                                 xty[k], yty[k:k + 1], below)
             else:
                 _draw_rows(_rng(cfg, _STAGE_TRAIN, rep, codes[k]), factor,
                            cfg.noise_std, fiber, X[k], y[k])
 
     map_shares(draw, len(levels))
     if statistics:
-        train = GroupedStatistics({g: (xtx[k], xty[k], rss[k], n)
+        train = GroupedStatistics({g: (xtx[k], xty[k], yty[k], n)
                                    for k, g in enumerate(observed)})
     else:
         train = GroupedDataset(dict(zip(observed, zip(X, y))))

@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 
-from tensordg import GroupedDataset, IngestResult
+from tensordg import DimensionError, GroupedDataset, IngestResult
 
 
 def write_csv_rows(path, ds):
@@ -30,14 +30,20 @@ def write_csv_rows(path, ds):
                                 + [repr(float(v)) for v in X[i]])
 
 
-def _code_column(raw):
+def _code_column(raw, name):
     """Positive integers keep their codes, mapped from the file's spelling;
     labels code by first appearance. A level is an integer when it is
     ASCII digits after an optional sign, with blanks around them, as
-    np.loadtxt reads integers."""
+    np.loadtxt reads integers. Two spellings of one code ("3" and "03")
+    raise DimensionError naming the column ``name``."""
     if all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", v) for v in raw):
         codes = [int(v) for v in raw]
         if all(c >= 1 for c in codes):
+            spelling = {}
+            for v, c in zip(raw, codes):
+                if spelling.setdefault(c, v) != v:
+                    raise DimensionError(f"group column {name} spells the "
+                                         f"code {c} two ways", where=name)
             return codes, dict(sorted(zip(raw, codes), key=lambda lc: lc[1]))
     mapping = {}
     codes = []
@@ -54,7 +60,9 @@ def ingest_csv_rows(path, group_cols=None, response_col=None,
 
     Column roles default as in ``tensordg.ingest_csv``. Blank lines are
     skipped; rows are bucketed per group in file order and groups come
-    out sorted. Malformed files are not diagnosed here.
+    out sorted. Malformed files are not diagnosed here, but a group
+    column that spells one integer code two ways raises DimensionError
+    naming it, as ``ingest_csv`` does.
     """
     with open(path, newline="") as handle:
         table = [row for row in csv.reader(handle) if row]
@@ -69,7 +77,7 @@ def ingest_csv_rows(path, group_cols=None, response_col=None,
         feature_cols = [name for name in header
                         if name not in group_cols and name != response_col]
     col_of = {name: header.index(name) for name in header}
-    coded = [_code_column([row[col_of[name]] for row in rows])
+    coded = [_code_column([row[col_of[name]] for row in rows], name)
              for name in group_cols]
     bucket_x, bucket_y = {}, {}
     for i, row in enumerate(rows):

@@ -54,7 +54,7 @@ def generate_data(truth, pattern, cfg, rep=0, overrides=None,
     """Training data for observed groups, evaluation data for the rest.
 
     The training data are rows, a GroupedDataset, or with ``statistics``
-    each group's (X'X, X'y, RSS, n), a GroupedStatistics, drawn on a
+    each group's (X'X, X'y, y'y, n), a GroupedStatistics, drawn on a
     stream of their own. Evaluation responses follow the truth tensor
     unless ``overrides`` supplies a replacement coefficient for a group.
     """
@@ -69,8 +69,8 @@ def generate_data(truth, pattern, cfg, rep=0, overrides=None,
     # no worker's malloc arena holds long-lived data (see _threads).
     if statistics:
         G, p = len(observed), cfg.p
-        xtx, xty, rss = np.empty((G, p, p)), np.empty((G, p)), np.empty(G)
-        train = [(xtx[k], xty[k], rss[k:k + 1]) for k in range(G)]
+        xtx, xty, yty = np.empty((G, p, p)), np.empty((G, p)), np.empty(G)
+        train = [(xtx[k], xty[k], yty[k:k + 1]) for k in range(G)]
         below = np.flatnonzero(np.tri(p, k=-1, dtype=bool))
     else:
         train = [(np.empty((cfg.n, cfg.p)), np.empty(cfg.n))
@@ -96,7 +96,7 @@ def generate_data(truth, pattern, cfg, rep=0, overrides=None,
     map_shares(draw, len(jobs))
     targets = dict(zip(unobserved, [job[3] for job in jobs[len(observed):]]))
     if statistics:
-        return GroupedStatistics({g: (xtx[k], xty[k], rss[k], cfg.n)
+        return GroupedStatistics({g: (xtx[k], xty[k], yty[k], cfg.n)
                                   for k, g in enumerate(observed)}), targets
     return GroupedDataset(dict(zip(observed, train))), targets
 

@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensordg import (DimensionError, GroupedDataset, NonFiniteError,
@@ -301,16 +301,45 @@ def test_write_and_ingest_match_row_reference(ds, data):
 LABELS = st.text(alphabet="ab,\"# 0123-é", max_size=4)
 
 
-@given(data=st.data(), q=st.integers(1, 2), n=st.integers(1, 12))
+def ingest_or_error(ingest, path):
+    try:
+        return ingest(path)
+    except DimensionError as err:
+        return err
+
+
+# Rows of q = 1 or 2 label levels, a response and a feature.
+LABEL_ROWS = st.integers(1, 2).flatmap(lambda q: st.lists(
+    st.tuples(st.lists(LABELS, min_size=q, max_size=q), FLOATS, FLOATS),
+    min_size=1, max_size=12))
+
+
+def ingest_or_error(ingest, path):
+    try:
+        return ingest(path)
+    except DimensionError as err:
+        return err
+
+
+@given(rows=LABEL_ROWS)
 @settings(max_examples=80, deadline=None)
-def test_ingest_string_labels_match_row_reference(data, q, n):
-    rows = [[data.draw(LABELS) for _ in range(q)]
-            + [repr(data.draw(FLOATS)) for _ in range(2)] for _ in range(n)]
+@example(rows=[(["3"], 0.5, 1.5), (["03"], 0.5, 1.5)])
+@example(rows=[(["1"], 0.5, 1.5), (["1 "], 0.5, 1.5)])
+def test_ingest_string_labels_match_row_reference(rows):
+    """Both ingests refuse the same files, naming the same column (two
+    spellings of one integer code), and read the others alike."""
+    q = len(rows[0][0])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "labels.csv")
         write_rows(path, [f"g{t}" for t in range(1, q + 1)] + ["y", "x1"],
-                   rows)
-        assert_same_ingest(ingest_csv(path), ingest_csv_rows(path))
+                   [levels + [repr(y), repr(x)] for levels, y, x in rows])
+        got = ingest_or_error(ingest_csv, path)
+        want = ingest_or_error(ingest_csv_rows, path)
+    if isinstance(want, DimensionError) or isinstance(got, DimensionError):
+        assert type(got) is type(want), (got, want)
+        assert got.where == want.where
+    else:
+        assert_same_ingest(got, want)
 
 
 def test_ingest_quoted_label_and_permuted_schema(tmp_path):

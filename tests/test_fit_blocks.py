@@ -15,7 +15,8 @@ from tensordg import (ConditioningError, DimensionError, ScenarioConfig,
                       build_pattern, fit_all, make_scenario, ols_fit,
                       pooled_gram)
 from tensordg.regression import (FIT_BLOCK, GroupedDataset, _empty_fits,
-                                 _fit_rows, _invert_lower, _leaves)
+                                 _fit_rows, _invert_lower, _leaves,
+                                 _row_statistics)
 from test_threads import Q3, SMALL, set_cpus
 
 
@@ -79,15 +80,15 @@ def test_fewer_groups_than_threads_bitwise(monkeypatch):
                                   "padded"])
 def test_block_fits_equal_runs_of_one_bitwise(monkeypatch, designs, name,
                                               cpus):
-    """Every fit is bitwise that of a run of one group, whatever the
-    block it was factored in and the thread that fitted it."""
+    """Every fit is bitwise that of a run of one group's statistics,
+    whatever the block it was factored in and the thread that fitted
+    it."""
     set_cpus(monkeypatch, cpus)
     ds, pattern = designs[name]
     est = fit_all(ds, pattern)
     for row, g in enumerate(pattern.observed_list()):
-        coef, sigma2, n, noise_trace, xtx, noise_cov = out = _empty_fits(
-            1, ds.p)
-        _fit_rows([ds.groups[g]], out, [g])
+        coef, sigma2, n, noise_trace, noise_cov = out = _empty_fits(1, ds.p)
+        _fit_rows(_row_statistics([ds.groups[g]], [None]), out, [g])
         for got, want in ((est.coef[row], coef[0]),
                           (est.sigma2[row], sigma2[0]), (est.n[row], n[0]),
                           (est.noise_trace[row], noise_trace[0]),

@@ -89,7 +89,7 @@ def test_fit_all_fits_every_observed_group():
 
 
 def test_pooled_gram_of_statistics_is_pooled_gram_of_rows_bitwise():
-    """pooled_gram of the rows' statistics (X'X, X'y, RSS, n) sums their
+    """pooled_gram of the rows' statistics (X'X, X'y, y'y, n) sums their
     X'X blocks in the order it forms them from the rows, so S is the
     same bits, also with unequal group sizes and at p = 1, where a numpy
     sum over the (G, 1, 1) blocks of 11 groups would add them pairwise

@@ -22,18 +22,15 @@ from tensordg import (ConditioningError, DimensionError, GroupedDataset,
 from test_threads import Q3, SMALL, assert_bitwise_equal, set_cpus
 
 DESIGNS = {"identity": {}, "ar1": {"design": "ar1", "ar1_rho": 0.6}}
+PARITY = {**DESIGNS, "fit_q3": Q3, "noiseless": {"noise_std": 0.0}}
 
 
 def statistics_of(groups):
-    """Each sample's (X'X, X'y, RSS, n), RSS from a least squares fit;
-    NaN when the sample is not finite."""
+    """Each sample's (X'X, X'y, y'y, n)."""
     stats = {}
     for g, (X, y) in groups.items():
         X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-        rss = math.nan
-        if np.isfinite(X).all() and np.isfinite(y).all():
-            rss = np.sum((y - X @ np.linalg.lstsq(X, y, rcond=None)[0]) ** 2)
-        stats[g] = (X.T @ X, X.T @ y, rss, len(y))
+        stats[g] = (X.T @ X, X.T @ y, y @ y, len(y))
     return stats
 
 
@@ -41,9 +38,9 @@ def fiber(sc, g):
     return sc.truth.array[(slice(None),) + tuple(i - 1 for i in g)]
 
 
-@pytest.mark.parametrize("design", sorted(DESIGNS))
+@pytest.mark.parametrize("design", sorted(PARITY))
 def test_fit_of_statistics_is_the_fit_of_their_rows(design):
-    sc = make_scenario(ScenarioConfig(seed=3, **DESIGNS[design]), 0)
+    sc = make_scenario(ScenarioConfig(seed=3, **PARITY[design]), 0)
     stats = GroupedStatistics(statistics_of(sc.train.groups))
     assert_same_fit(fit_all(stats, sc.pattern),
                     fit_all(sc.train, sc.pattern))
@@ -91,7 +88,9 @@ def test_a_bad_group_fails_alike_on_rows_and_statistics(corrupt, error):
     ((np.eye(4), np.ones(4), 1.0, 0), DimensionError, "n = 0"),
     ((np.eye(4), np.ones(4), math.inf, 9), NonFiniteError, "non-finite"),
     ((np.eye(4), np.full(4, np.nan), 1.0, 9), NonFiniteError, "non-finite"),
-    ((np.eye(4), np.ones(4), -1.0, 9), DimensionError, "RSS = -1.0"),
+    ((np.eye(4), np.ones(4), -1.0, 9), DimensionError, "y'y = -1.0"),
+    ((np.eye(4) + 5.0 * np.eye(4, k=1), np.ones(4), 1.0, 9), DimensionError,
+     "not symmetric"),
 ])
 def test_bad_statistics_are_named_on_construction(entry, error, message):
     with pytest.raises(error, match=message) as err:
@@ -144,11 +143,11 @@ METHODS = ("tensordg", "maximin", "ols")
 @pytest.fixture(scope="module", params=sorted(DESIGNS))
 def monte_carlo(request):
     """REPS replications of a small cell drawn both ways: per-method adge
-    and tle, and per observed group of the statistics draw X'X/n, the
-    squared coefficient error and sigma2."""
+    and tle, and per observed group of the statistics draw X'X/n, y'y/n,
+    the true coefficient, the squared coefficient error and sigma2."""
     cfg = ScenarioConfig(seed=0, **SMALL, **DESIGNS[request.param])
     scores = {kind: {m: [] for m in METHODS} for kind in (False, True)}
-    grams, sq_err, sigma2 = [], [], []
+    grams, yty, coefs, sq_err, sigma2 = [], [], [], [], []
     for rep in range(REPS):
         for kind in (False, True):
             ctx = experiments._Replication(make_scenario(cfg, rep, kind))
@@ -157,10 +156,12 @@ def monte_carlo(request):
                     *experiments.METHODS[m](ctx), ctx.scenario)[1:])
         sc, est = ctx.scenario, ctx.est
         grams += [xtx / n for xtx, _, _, n in sc.train.groups.values()]
+        yty += [s / n for _, _, s, n in sc.train.groups.values()]
+        coefs += [fiber(sc, g) for g in est.groups]
         sq_err += [np.sum((est.coef[k] - fiber(sc, g)) ** 2)
                    for k, g in enumerate(est.groups)]
         sigma2 += list(est.sigma2)
-    return cfg, scores, np.array(grams), np.array(sq_err), np.array(sigma2)
+    return cfg, scores, *map(np.array, (grams, yty, coefs, sq_err, sigma2))
 
 
 def within(values, expected, k):
@@ -182,15 +183,18 @@ def test_methods_score_alike_on_statistics_and_rows(monte_carlo, method):
 
 
 def test_statistics_have_the_law_of_the_rows(monte_carlo):
-    """Mean X'X/n is Sigma, E|beta_hat - beta|^2 = sigma^2 tr(Sigma^-1)
-    / (n - p - 1) and E sigma2_hat = sigma^2 for Gaussian designs."""
-    cfg, _, grams, sq_err, sigma2 = monte_carlo
+    """Mean X'X/n is Sigma, E y'y = n (beta' Sigma beta + sigma^2) per
+    group, E|beta_hat - beta|^2 = sigma^2 tr(Sigma^-1) / (n - p - 1) and
+    E sigma2_hat = sigma^2 for Gaussian designs."""
+    cfg, _, grams, yty, coefs, sq_err, sigma2 = monte_carlo
     lags = np.abs(np.subtract.outer(np.arange(cfg.p), np.arange(cfg.p)))
     cov = cfg.ar1_rho ** lags if cfg.design == "ar1" else np.eye(cfg.p)
     var = (np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / cfg.n
     assert (np.abs(grams.mean(axis=0) - cov)
             <= 4.0 * np.sqrt(var / len(grams))).all()
     noise = cfg.noise_std ** 2
+    var_y = np.einsum("gi,ij,gj->g", coefs, cov, coefs) + noise
+    assert within(yty / var_y, 1.0, 4.0)
     assert within(sq_err, noise * np.trace(np.linalg.inv(cov))
                   / (cfg.n - cfg.p - 1), 4.0)
     assert within(sigma2, noise, 4.0)
@@ -198,9 +202,14 @@ def test_statistics_have_the_law_of_the_rows(monte_carlo):
 
 @pytest.mark.parametrize("design", sorted(DESIGNS))
 def test_noiseless_statistics_fit_exactly(design):
+    """sigma2 = (y'y - coef'X'y)/(n - p) is the rounding of a difference
+    of two sums of squares of size y'y, so it is bounded relative to
+    y'y/(n - p), not 0."""
     cfg = ScenarioConfig(seed=2, noise_std=0.0, **SMALL, **DESIGNS[design])
     sc = make_scenario(cfg, 0, statistics=True)
     est = fit_all(sc.train, sc.pattern)
-    assert (est.sigma2 == 0.0).all()
+    yty = np.array([s for _, _, s, _ in sc.train.groups.values()])
+    assert (est.sigma2 >= 0.0).all()
+    assert (est.sigma2 <= 1e-12 * yty / (cfg.n - cfg.p)).all()
     truth = np.array([fiber(sc, g) for g in est.groups])
     assert np.abs(est.coef - truth).max() <= 1e-10
